@@ -1,0 +1,44 @@
+"""Report content of every shipped scenario, pinned against golden files.
+
+``tests/data/golden/<name>.json`` holds the exit code and the report of
+``ncgv verify builtin:<name>`` at seed 0.  Reports are compared with the
+benchmark's correctness gate: exact fields must match exactly, and a float
+residual must be equal or, like its golden value, at most the check's ``tol``.
+Regenerate a file only from a commit whose reports are known to be right.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from ncgv.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
+SCENARIOS = sorted(p.stem for p in (ROOT / "src" / "ncgv" / "data" / "scenarios").glob("*.json"))
+
+
+def _load_gate():
+    spec = importlib.util.spec_from_file_location("perfbench_gate", ROOT / "perfbench" / "gate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+gate = _load_gate()
+
+
+def test_every_scenario_has_a_golden_report():
+    assert SCENARIOS == sorted(p.stem for p in GOLDEN.glob("*.json"))
+    assert len(SCENARIOS) == 7
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_report_matches_golden(name, tmp_path):
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    out = tmp_path / "report.json"
+    code = main(["verify", f"builtin:{name}", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert gate.compare(golden, report, code, seed=0) == []
