@@ -223,7 +223,65 @@ def _accum(d, w, c):
             d[w] = cur
 
 
-class NCPoly:
+class LinComb:
+    """Immutable sparse linear combination: ``terms`` maps hashable basis keys
+    to nonzero coefficients (QScalar, or NCPoly for module elements).
+
+    A subclass stores its owner (presentation, context, ...) and ``terms`` in
+    its own slots, and supplies ``_owner`` (the constructor arguments before
+    ``terms``) and ``_same`` (raises unless both operands share the owner).
+    Results keep the insertion order of their terms: ``a + b`` lists the keys
+    of ``a`` first, then the new keys of ``b``, because numeric residuals are
+    summed in term order.
+    """
+
+    __slots__ = ()
+
+    def _new(self, terms):
+        return type(self)(*self._owner(), terms)
+
+    def __add__(self, other):
+        self._same(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _accum(out, k, c)
+        return self._new(out)
+
+    def __sub__(self, other):
+        self._same(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _accum(out, k, -c)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        if isinstance(c, int):
+            c = QScalar.from_int(c)
+        if c.is_zero():
+            return self._new({})
+        return self._new({k: c * v for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        if isinstance(other, (QScalar, int)):
+            return self.scale(other)
+        return NotImplemented
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._owner() == other._owner() and self.terms == other.terms
+
+
+class NCPoly(LinComb):
     """Noncommutative polynomial in normal form over a presentation."""
 
     __slots__ = ("pres", "terms")
@@ -232,26 +290,12 @@ class NCPoly:
         self.pres = pres
         self.terms = terms
 
+    def _owner(self):
+        return (self.pres,)
+
     def _same(self, other):
         if self.pres is not other.pres:
             raise ValueError("polynomials from different presentations")
-
-    def __add__(self, other):
-        self._same(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accum(out, w, c)
-        return NCPoly(self.pres, out)
-
-    def __sub__(self, other):
-        self._same(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accum(out, w, -c)
-        return NCPoly(self.pres, out)
-
-    def __neg__(self):
-        return NCPoly(self.pres, {w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (QScalar, int)):
@@ -263,18 +307,6 @@ class NCPoly:
                 _accum(raw, w1 + w2, c1 * c2)
         return NCPoly(self.pres, self.pres.normal_form_terms(raw))
 
-    def __rmul__(self, other):
-        if isinstance(other, (QScalar, int)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = QScalar.from_int(c)
-        if c.is_zero():
-            return NCPoly(self.pres, {})
-        return NCPoly(self.pres, {w: c * cv for w, cv in self.terms.items()})
-
     def star(self):
         mode = self.pres.star_mode
         raw = {}
@@ -282,17 +314,6 @@ class NCPoly:
             sw, sc = self.pres.star_word(w)
             _accum(raw, sw, c.star(mode) * sc)
         return NCPoly(self.pres, self.pres.normal_form_terms(raw))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.pres is other.pres and self.terms == other.terms
 
     def __hash__(self):
         return hash((id(self.pres), frozenset(self.terms.items())))

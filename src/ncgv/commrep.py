@@ -21,16 +21,101 @@ class CommRepError(ValueError):
     pass
 
 
-class BOperator:
+class MatrixOverAlgebra:
+    """Square matrix whose entries are NCPoly or CrossElement values: the
+    block model of a commutator representation.  ``iu`` is the formal power
+    of the complex unit in front; it is 0 here and in {0, 1} after ``_norm``
+    for a BOperator."""
+
+    __slots__ = ("entries", "size")
+    iu = 0
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.size = len(entries)
+
+    @classmethod
+    def diagonal(cls, polys):
+        pres = polys[0].pres
+        n = len(polys)
+        ent = [[pres.zero() for _ in range(n)] for _ in range(n)]
+        for i, p in enumerate(polys):
+            ent[i][i] = p
+        return cls(ent)
+
+    def _new(self, entries, iu):
+        """A matrix of the same kind as self."""
+        return MatrixOverAlgebra(entries)
+
+    def _cell(self, p):
+        """An algebra element as an entry."""
+        return p
+
+    def _norm(self):
+        return self
+
+    def __add__(self, other):
+        a, b = self._norm(), other._norm()
+        if a.iu != b.iu:
+            if a.is_zero():
+                return b
+            if b.is_zero():
+                return a
+            raise CommRepError("cannot add operators with different unit powers")
+        ent = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
+        return a._new(ent, a.iu)
+
+    def __sub__(self, other):
+        return self + other.scale(QScalar.from_int(-1))
+
+    def scale(self, c):
+        return self._new([[e.scale(c) for e in row] for row in self.entries], self.iu)
+
+    def scale_poly(self, p):
+        """Left multiplication by an algebra element."""
+        cell = self._cell(p)
+        return self._new([[cell * e for e in row] for row in self.entries], self.iu)
+
+    def __mul__(self, other):
+        if not isinstance(other, MatrixOverAlgebra):
+            return NotImplemented
+        cols = range(1, self.size)
+        ent = []
+        for row in self.entries:
+            out = []
+            for j in range(self.size):
+                acc = row[0] * other.entries[0][j]
+                for k in cols:
+                    acc = acc + row[k] * other.entries[k][j]
+                out.append(acc)
+            ent.append(out)
+        return self._new(ent, self.iu + other.iu)._norm()
+
+    def is_zero(self):
+        return all(e.is_zero() for row in self.entries for e in row)
+
+    def __eq__(self, other):
+        if not isinstance(other, MatrixOverAlgebra):
+            return NotImplemented
+        a, b = self._norm(), other._norm()
+        if a.is_zero() and b.is_zero():
+            return True
+        return a.iu == b.iu and a.entries == b.entries
+
+    def __repr__(self):
+        return "[" + "; ".join(
+            ", ".join(repr(e) for e in row) for row in self.entries) + "]"
+
+
+class BOperator(MatrixOverAlgebra):
     """Matrix over the cross product acting on tuples of algebra elements,
     times a formal power of the complex unit."""
 
-    __slots__ = ("ctx", "size", "entries", "iu")
+    __slots__ = ("ctx", "iu")
 
     def __init__(self, ctx, entries, iu=0):
+        super().__init__(entries)
         self.ctx = ctx
-        self.size = len(entries)
-        self.entries = entries
         self.iu = iu % 4
 
     @classmethod
@@ -46,6 +131,12 @@ class BOperator:
             out.entries[i][i] = cell
         return out
 
+    def _new(self, entries, iu):
+        return BOperator(self.ctx, entries, iu)
+
+    def _cell(self, p):
+        return CrossElement.from_poly(self.ctx, p)
+
     def _norm(self):
         """Fold i^2 = -1 into the entries, keeping iu in {0, 1}."""
         if self.iu < 2:
@@ -56,46 +147,6 @@ class BOperator:
 
     def times_i(self):
         return BOperator(self.ctx, self.entries, self.iu + 1)._norm()
-
-    def __add__(self, other):
-        a, b = self._norm(), other._norm()
-        if a.iu != b.iu:
-            if all(e.is_zero() for row in a.entries for e in row):
-                return b
-            if all(e.is_zero() for row in b.entries for e in row):
-                return a
-            raise CommRepError("cannot add operators with different unit powers")
-        ent = [[a.entries[i][j] + b.entries[i][j] for j in range(a.size)]
-               for i in range(a.size)]
-        return BOperator(a.ctx, ent, a.iu)
-
-    def __sub__(self, other):
-        return self + other.scale(QScalar.from_int(-1))
-
-    def scale(self, c):
-        return BOperator(self.ctx, [[e.scale(c) for e in row] for row in self.entries],
-                         self.iu)
-
-    def scale_poly(self, p):
-        """Left multiplication by an algebra element."""
-        cell = CrossElement.from_poly(self.ctx, p)
-        ent = [[cell * e for e in row] for row in self.entries]
-        return BOperator(self.ctx, ent, self.iu)
-
-    def __mul__(self, other):
-        if isinstance(other, BOperator):
-            n = self.size
-            ent = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = CrossElement(self.ctx, {})
-                    for k in range(n):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                ent.append(row)
-            return BOperator(self.ctx, ent, self.iu + other.iu)._norm()
-        return NotImplemented
 
     def act(self, tup):
         """Apply to a tuple of algebra elements; returns (tuple, iu)."""
@@ -109,18 +160,6 @@ class BOperator:
                     acc = acc + self.entries[i][j].act(tup[j])
             out.append(acc)
         return out, self.iu
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, BOperator):
-            return NotImplemented
-        a, b = self._norm(), other._norm()
-        if a.is_zero() and b.is_zero():
-            return True
-        return a.iu == b.iu and a.entries == b.entries
-
 
 # ---------------------------------------------------------------------------
 # bordered block construction
@@ -298,7 +337,7 @@ def prop4_verify(B, degree=2):
             g = GammaElement.basis(pres, B.labels[idx])
             moved = B.fodc.right_mul(g, a)
             lhs = CrossElement(ctx, {})
-            for lab, coeff in moved.coeffs.items():
+            for lab, coeff in moved.terms.items():
                 lhs = lhs + mixed_word_to_cross(
                     ctx, [coeff, B.Omega[B.labels.index(lab)]])
             rhs = mixed_word_to_cross(ctx, [B.Omega[idx], a])
@@ -317,7 +356,7 @@ def prop4_verify(B, degree=2):
             b = NCPoly(pres, {wb: ONE})
             gamma = B.fodc.differential(b).left_mul(a)
             lhs = CrossElement(ctx, {})
-            for lab, coeff in gamma.coeffs.items():
+            for lab, coeff in gamma.terms.items():
                 lhs = lhs + mixed_word_to_cross(
                     ctx, [coeff, B.Omega[B.labels.index(lab)]])
             rhs = tau_central([(a, b)], B)
@@ -432,7 +471,7 @@ def faithfulness_rank(B, degree=1, pairs=None):
     for a, b in pairs:
         g = B.fodc.differential(b).left_mul(a)
         gamma_vecs.append({(lab, w): c
-                           for lab, poly in g.coeffs.items()
+                           for lab, poly in g.terms.items()
                            for w, c in poly.terms.items()})
         t = tau_central([(a, b)], B)
         image_vecs.append(dict(t.terms))
@@ -453,63 +492,6 @@ def faithfulness_rank(B, degree=1, pairs=None):
 # ---------------------------------------------------------------------------
 # quantum-space block representations (explicit C matrices over the algebra)
 # ---------------------------------------------------------------------------
-
-
-class MatrixOverAlgebra:
-    """Small matrix with NCPoly entries; the block model for quantum-space
-    commutator representations."""
-
-    def __init__(self, entries):
-        self.entries = entries
-        self.size = len(entries)
-
-    @classmethod
-    def diagonal(cls, polys):
-        pres = polys[0].pres
-        n = len(polys)
-        ent = [[pres.zero() for _ in range(n)] for _ in range(n)]
-        for i, p in enumerate(polys):
-            ent[i][i] = p
-        return cls(ent)
-
-    def __add__(self, other):
-        return MatrixOverAlgebra(
-            [[self.entries[i][j] + other.entries[i][j] for j in range(self.size)]
-             for i in range(self.size)])
-
-    def __sub__(self, other):
-        return MatrixOverAlgebra(
-            [[self.entries[i][j] - other.entries[i][j] for j in range(self.size)]
-             for i in range(self.size)])
-
-    def __mul__(self, other):
-        if isinstance(other, MatrixOverAlgebra):
-            n = self.size
-            ent = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = self.entries[0][0].pres.zero()
-                    for k in range(n):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                ent.append(row)
-            return MatrixOverAlgebra(ent)
-        return MatrixOverAlgebra(
-            [[e.scale(other) for e in row] for row in self.entries])
-
-    def scale_poly_left(self, p):
-        return MatrixOverAlgebra([[p * e for e in row] for row in self.entries])
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixOverAlgebra) and self.entries == other.entries
-
-    def __repr__(self):
-        return "[" + "; ".join(
-            ", ".join(repr(e) for e in row) for row in self.entries) + "]"
 
 
 def disc_block_c(pres):
@@ -545,8 +527,8 @@ def quantum_space_commrep_report(calc, C):
     pres = calc.pres
     comms = {}
     for gen, dg in calc.dmap.items():
-        if len(dg.coeffs) == 1:
-            (label, coeff), = dg.coeffs.items()
+        if len(dg.terms) == 1:
+            (label, coeff), = dg.terms.items()
             if coeff == pres.one():
                 comms[label] = block_commutator(C, pres.gen(gen))
     results = []
@@ -557,13 +539,13 @@ def quantum_space_commrep_report(calc, C):
         lhs = comms[label] * MatrixOverAlgebra.diagonal([pres.gen(gen)] * C.size)
         rhs = None
         ok = True
-        for lab2, h in row.coeffs.items():
+        for lab2, h in row.terms.items():
             if lab2 not in comms:
                 results.append((f"{label}.{gen}", "skipped",
                                 f"no commutator image for {lab2}"))
                 ok = False
                 break
-            piece = comms[lab2].scale_poly_left(h)
+            piece = comms[lab2].scale_poly(h)
             rhs = piece if rhs is None else rhs + piece
         if not ok:
             continue

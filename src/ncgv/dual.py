@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import NCPoly, _accum
+from .algebra import LinComb, NCPoly, _accum
 from .exprparse import base_env, parse_scalar, scalar_to_str
 from .scalars import ONE, QScalar, ZERO
 
@@ -305,7 +305,7 @@ class DualContext:
         return DualElement(self, {self.canonical_word(word): coeff})
 
 
-class DualElement:
+class DualElement(LinComb):
     """Finite Q(s)-combination of functional words."""
 
     __slots__ = ("ctx", "terms")
@@ -314,31 +314,12 @@ class DualElement:
         self.ctx = ctx
         self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
 
+    def _owner(self):
+        return (self.ctx,)
+
     def _same(self, other):
         if self.ctx is not other.ctx:
             raise DualError("functionals from different contexts")
-
-    def __add__(self, other):
-        self._same(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accum(out, w, c)
-        return DualElement(self.ctx, out)
-
-    def __sub__(self, other):
-        self._same(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accum(out, w, -c)
-        return DualElement(self.ctx, out)
-
-    def __neg__(self):
-        return DualElement(self.ctx, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = QScalar.from_int(c)
-        return DualElement(self.ctx, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (QScalar, int)):
@@ -349,8 +330,6 @@ class DualElement:
             for w2, c2 in other.terms.items():
                 _accum(out, w1 + w2, c1 * c2)
         return DualElement(self.ctx, out)
-
-    __rmul__ = scale
 
     def evaluate(self, a):
         """Pairing with an algebra element (NCPoly or raw word)."""
@@ -441,14 +420,6 @@ class DualElement:
                     _accum(total, u, fc * c * cu)
         return NCPoly(pres, total)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, DualElement):
-            return NotImplemented
-        return self.ctx is other.ctx and self.terms == other.terms
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -464,7 +435,7 @@ class DualElement:
 # ---------------------------------------------------------------------------
 
 
-class CrossElement:
+class CrossElement(LinComb):
     """Element of the cross product in normal order: algebra letters left of
     functional letters, straightened by f a = (f_(1) |> a) f_(2)."""
 
@@ -482,31 +453,12 @@ class CrossElement:
     def from_dual(cls, ctx, f):
         return cls(ctx, {((), w): c for w, c in f.terms.items()})
 
+    def _owner(self):
+        return (self.ctx,)
+
     def _same(self, other):
         if self.ctx is not other.ctx:
             raise DualError("cross elements from different contexts")
-
-    def __add__(self, other):
-        self._same(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accum(out, k, c)
-        return CrossElement(self.ctx, out)
-
-    def __sub__(self, other):
-        self._same(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accum(out, k, -c)
-        return CrossElement(self.ctx, out)
-
-    def __neg__(self):
-        return CrossElement(self.ctx, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = QScalar.from_int(c)
-        return CrossElement(self.ctx, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (QScalar, int)):
@@ -528,8 +480,6 @@ class CrossElement:
                     for u, cu in left.terms.items():
                         _accum(out, (u, fr + f2), c1 * c2 * cc * cu)
         return CrossElement(ctx, out)
-
-    __rmul__ = scale
 
     def star(self):
         """(a f)* = f* a*, re-straightened."""
@@ -565,14 +515,6 @@ class CrossElement:
             if not diff.act(NCPoly(pres, {w: ONE})).is_zero():
                 return False
         return True
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, CrossElement):
-            return NotImplemented
-        return self.ctx is other.ctx and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:

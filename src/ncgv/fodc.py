@@ -9,7 +9,7 @@ stored in left normal form: coefficients to the left of the basis symbols.
 
 from __future__ import annotations
 
-from .algebra import NCPoly, _accum
+from .algebra import LinComb, NCPoly, _accum
 from .dual import BF, CHAR, DualElement, LP, SLM, DualError
 from .exprparse import base_env, parse_scalar, scalar_to_str
 from .presentations import builtin_presentation
@@ -22,14 +22,14 @@ class FodcError(ValueError):
     pass
 
 
-class GammaElement:
+class GammaElement(LinComb):
     """Left normal form sum_k a_k . omega_k over named basis labels."""
 
-    __slots__ = ("pres", "coeffs")
+    __slots__ = ("pres", "terms")
 
-    def __init__(self, pres, coeffs):
+    def __init__(self, pres, terms):
         self.pres = pres
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
 
     @classmethod
     def zero(cls, pres):
@@ -39,42 +39,21 @@ class GammaElement:
     def basis(cls, pres, label):
         return cls(pres, {label: pres.one()})
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return GammaElement(self.pres, out)
+    def _owner(self):
+        return (self.pres,)
 
-    def __sub__(self, other):
-        return self + other.scale_scalar(QScalar.from_int(-1))
-
-    def __neg__(self):
-        return self.scale_scalar(QScalar.from_int(-1))
+    def _same(self, other):
+        if self.pres is not other.pres:
+            raise FodcError("calculus elements from different presentations")
 
     def left_mul(self, a):
         """Multiply by an algebra element on the left."""
-        return GammaElement(self.pres, {k: a * v for k, v in self.coeffs.items()})
-
-    def scale_scalar(self, c):
-        return GammaElement(self.pres, {k: v.scale(c) for k, v in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, GammaElement):
-            return NotImplemented
-        return self.pres is other.pres and self.coeffs == other.coeffs
+        return GammaElement(self.pres, {k: a * v for k, v in self.terms.items()})
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
-        return " + ".join(f"({v!r}).{k}" for k, v in sorted(self.coeffs.items()))
+        return " + ".join(f"({v!r}).{k}" for k, v in sorted(self.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -112,24 +91,15 @@ class FodcData:
         """(sum_k c_k omega_k) a = sum_{k,j} c_k (f^k_j |> a) omega_j."""
         out = {}
         for k, label in enumerate(self.labels):
-            c = g.coeffs.get(label)
+            c = g.terms.get(label)
             if c is None:
                 continue
             for j, label_j in enumerate(self.labels):
                 acted = self.f[k][j].left_act(a)
                 if acted.is_zero():
                     continue
-                _gamma_accum(out, label_j, c * acted)
+                _accum(out, label_j, c * acted)
         return GammaElement(self.pres, out)
-
-
-def _gamma_accum(d, label, poly):
-    cur = d.get(label)
-    s = poly if cur is None else cur + poly
-    if s.is_zero():
-        d.pop(label, None)
-    else:
-        d[label] = s
 
 
 def fodc_validate(F, degree=3):
@@ -364,20 +334,20 @@ class QuantumSpaceCalculus:
         cur = g
         for gen in word:
             out = {}
-            for label, c in cur.coeffs.items():
+            for label, c in cur.terms.items():
                 row = self.rows.get((label, gen))
                 if row is None:
                     raise FodcError(
                         f"calculus {self.name!r} has no row for ({label}, {gen})")
-                for lab2, h in row.coeffs.items():
-                    _gamma_accum(out, lab2, c * h)
+                for lab2, h in row.terms.items():
+                    _accum(out, lab2, c * h)
             cur = GammaElement(self.pres, out)
         return cur
 
     def right_mul_poly(self, g, a):
         total = GammaElement.zero(self.pres)
         for w, c in a.terms.items():
-            total = total + self.right_mul_word(g, w).scale_scalar(c)
+            total = total + self.right_mul_word(g, w).scale(c)
         return total
 
     def differential_word(self, w):
@@ -398,7 +368,7 @@ class QuantumSpaceCalculus:
     def differential(self, a):
         total = GammaElement.zero(self.pres)
         for w, c in a.terms.items():
-            total = total + self.differential_word(w).scale_scalar(c)
+            total = total + self.differential_word(w).scale(c)
         return total
 
     def gamma_star(self, g):
@@ -406,7 +376,7 @@ class QuantumSpaceCalculus:
         if self.label_star is None:
             raise FodcError(f"calculus {self.name!r} carries no star data")
         total = GammaElement.zero(self.pres)
-        for label, c in g.coeffs.items():
+        for label, c in g.terms.items():
             unit = GammaElement.basis(self.pres, self.label_star[label])
             total = total + self.right_mul_poly(unit, c.star())
         return total
@@ -425,7 +395,7 @@ def calculus_consistency_report(calc):
             continue
         image = calc.differential_word(lhs)
         for w, c in rhs.items():
-            image = image - calc.differential_word(w).scale_scalar(c)
+            image = image - calc.differential_word(w).scale(c)
         results.append((" ".join(lhs), "pass" if image.is_zero() else "fail",
                         None if image.is_zero() else repr(image)))
     return results
@@ -443,7 +413,7 @@ def star_row_closure_report(calc):
         gstar = pres.gen(gen).star()
         lhs = GammaElement.basis(pres, calc.label_star[label]).left_mul(gstar)
         rhs = GammaElement.zero(pres)
-        for lab2, h in row.coeffs.items():
+        for lab2, h in row.terms.items():
             unit = GammaElement.basis(pres, calc.label_star[lab2])
             rhs = rhs + calc.right_mul_poly(unit, h.star())
         ok = lhs == rhs
@@ -636,7 +606,7 @@ def quantum_space_to_doc(calc):
                 {"coeff": scalar_to_str(c), "word": " ".join(w)}
                 for w, c in poly.sorted_terms()
             ]}
-            for label, poly in sorted(g.coeffs.items())
+            for label, poly in sorted(g.terms.items())
         ]
 
     return {

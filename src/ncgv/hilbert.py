@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraPresentation, NCPoly
+from .algebra import AlgebraPresentation, LinComb, _accum
 from .commrep import quantum_space_commrep_report
 from .fodc import GammaElement, builtin_calculus
 from .presentations import builtin_presentation
@@ -147,8 +147,8 @@ def numeric_verify(rep, F=None, calc=None, tol=1e-12, double=False):
         if calc is not None:
             comms = {}
             for gen, dg in calc.dmap.items():
-                if len(dg.coeffs) == 1:
-                    (label, coeff), = dg.coeffs.items()
+                if len(dg.terms) == 1:
+                    (label, coeff), = dg.terms.items()
                     if coeff == rep.pres.one():
                         pm = rep.poly_matrix(rep.pres.gen(gen))
                         comms[label] = F @ pm - pm @ F
@@ -160,7 +160,7 @@ def numeric_verify(rep, F=None, calc=None, tol=1e-12, double=False):
                 lhs = comms[label] @ pm
                 rhs = np.zeros_like(lhs)
                 ok = True
-                for lab2, h in row.coeffs.items():
+                for lab2, h in row.terms.items():
                     if lab2 not in comms:
                         ok = False
                         break
@@ -274,9 +274,9 @@ def weyl_commrep_residuals(m, tol=1e-12):
         numeric = Cnum @ rho - rho @ Cnum
         dg = calc.dmap[gen]
         derived = np.zeros_like(numeric)
-        for label, coeff in dg.coeffs.items():
+        for label, coeff in dg.terms.items():
             derived = derived + block_matrix(
-                comms[label].scale_poly_left(coeff) if coeff != pres.one()
+                comms[label].scale_poly(coeff) if coeff != pres.one()
                 else comms[label])
         out[gen] = _norm(numeric - derived)
     xy = rep.mats["x"] @ rep.mats["y"] - \
@@ -337,85 +337,65 @@ def ex3_ring(M):
                                star_mode=REAL, weights=weights)
 
 
-class SlotOperator:
-    """Operator on the formal module: slot n maps to a list of
-    (slot, ring coefficient) contributions.  Slots outside 0..top vanish."""
+class SlotOperator(LinComb):
+    """Operator on the formal module: ``terms`` maps (slot n, target slot m)
+    to the ring coefficient of the move n -> m.  Slots outside 0..top
+    vanish."""
 
-    def __init__(self, ring, top, table):
+    __slots__ = ("ring", "top", "terms")
+
+    def __init__(self, ring, top, terms):
         self.ring = ring
         self.top = top
-        self.table = {}
-        for n, moves in table.items():
-            kept = [(m, c) for m, c in moves if 0 <= m <= top and not c.is_zero()]
-            if kept:
-                self.table[n] = kept
+        self.terms = terms
+
+    def _owner(self):
+        return (self.ring, self.top)
+
+    def _same(self, other):
+        if self.ring is not other.ring or self.top != other.top:
+            raise HilbertError("slot operators over different modules")
 
     @classmethod
     def build(cls, ring, top, rule):
         """rule(n) -> list of (target slot, coefficient)."""
-        return cls(ring, top, {n: rule(n) for n in range(top + 1)})
+        terms = {}
+        for n in range(top + 1):
+            for m, c in rule(n):
+                if 0 <= m <= top:
+                    _accum(terms, (n, m), c)
+        return cls(ring, top, terms)
 
-    def apply(self, n, coeff=None):
-        c0 = coeff if coeff is not None else self.ring.one()
-        out = {}
-        for m, c in self.table.get(n, ()):
-            cur = out.get(m)
-            val = c * c0 if coeff is not None else c
-            out[m] = val if cur is None else cur + val
-        return {m: c for m, c in out.items() if not c.is_zero()}
+    @property
+    def table(self):
+        """Moves by source slot: {n: [(m, coefficient), ...]}."""
+        rows = {}
+        for (n, m), c in self.terms.items():
+            rows.setdefault(n, []).append((m, c))
+        return rows
+
+    def apply(self, n):
+        """Images of slot n as {target slot: coefficient}."""
+        return {m: c for (k, m), c in self.terms.items() if k == n}
 
     def compose(self, other):
         """self after other."""
-        table = {}
-        for n in range(self.top + 1):
-            acc = {}
-            for m, c in other.table.get(n, ()):
-                for k, c2 in self.table.get(m, ()):
-                    cur = acc.get(k)
-                    val = c2 * c
-                    acc[k] = val if cur is None else cur + val
-            moves = [(k, c) for k, c in acc.items() if not c.is_zero()]
-            if moves:
-                table[n] = moves
-        return SlotOperator(self.ring, self.top, table)
-
-    def __add__(self, other):
-        table = {}
-        for n in range(self.top + 1):
-            acc = {}
-            for m, c in list(self.table.get(n, ())) + list(other.table.get(n, ())):
-                cur = acc.get(m)
-                acc[m] = c if cur is None else cur + c
-            moves = [(k, c) for k, c in acc.items() if not c.is_zero()]
-            if moves:
-                table[n] = moves
-        return SlotOperator(self.ring, self.top, table)
-
-    def __sub__(self, other):
-        return self + other.scale(QScalar.from_int(-1))
-
-    def scale(self, c):
-        return SlotOperator(self.ring, self.top, {
-            n: [(m, v.scale(c)) for m, v in moves]
-            for n, moves in self.table.items()})
-
-    def scale_ring(self, r):
-        return SlotOperator(self.ring, self.top, {
-            n: [(m, r * v) for m, v in moves]
-            for n, moves in self.table.items()})
+        rows = self.table
+        out = {}
+        for (n, m), c in other.terms.items():
+            for k, c2 in rows.get(m, ()):
+                _accum(out, (n, k), c2 * c)
+        return SlotOperator(self.ring, self.top, out)
 
     def commutator(self, other):
         return self.compose(other) - other.compose(self)
 
     def vanishes_below(self, mask):
         """Exact zero on every slot n <= mask."""
-        return all(n > mask for n in self.table)
+        return all(n > mask for n, _ in self.terms)
 
     def entry(self, m, n):
-        for k, c in self.table.get(n, ()):
-            if k == m:
-                return c
-        return self.ring.zero()
+        return self.terms.get((n, m), self.ring.zero())
 
 
 class Ex3Model:
@@ -518,7 +498,7 @@ class Ex3Model:
         for (label, gen), row in sorted(self.calc.rows.items()):
             lhs = comms[label].compose(self.pi[gen])
             rhs = None
-            for lab2, h in row.coeffs.items():
+            for lab2, h in row.terms.items():
                 piece = self.pi_poly(h).compose(comms[lab2])
                 rhs = piece if rhs is None else rhs + piece
             if rhs is None:
@@ -550,9 +530,10 @@ class Ex3Model:
 
 
 def _slot_witness(op, mask):
-    for n in sorted(op.table):
+    rows = op.table
+    for n in sorted(rows):
         if n <= mask:
-            m, c = op.table[n][0]
+            m, c = rows[n][0]
             return {"slot": n, "target": m, "coefficient": repr(c)}
     return None
 

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import json
 
-from .algebra import NCPoly, _accum
+from .algebra import LinComb, NCPoly, _accum
 from .linalg import solve_field
 from .exprparse import base_env, parse_scalar, scalar_to_str
-from .scalars import ONE, QScalar, ZERO
+from .scalars import ONE, ZERO
 
 
 class HopfError(ValueError):
     pass
 
 
-class Tensor:
+class Tensor(LinComb):
     """Sum of elementary tensors with a fixed number of legs; every leg is a
     normal-form word, coefficients collected in front."""
 
@@ -36,29 +36,16 @@ class Tensor:
     def of_poly(cls, p):
         return cls(p.pres, 1, {(w,): c for w, c in p.terms.items()})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accum(out, k, c)
-        return Tensor(self.pres, self.nlegs, out)
+    def _owner(self):
+        return (self.pres, self.nlegs)
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accum(out, k, -c)
-        return Tensor(self.pres, self.nlegs, out)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = QScalar.from_int(c)
-        if c.is_zero():
-            return Tensor(self.pres, self.nlegs, {})
-        return Tensor(self.pres, self.nlegs, {k: c * v for k, v in self.terms.items()})
+    def _same(self, other):
+        if self.pres is not other.pres or self.nlegs != other.nlegs:
+            raise HopfError("tensor leg or presentation mismatch")
 
     def mul(self, other):
         """Legwise product, re-normalizing every leg."""
-        if self.nlegs != other.nlegs:
-            raise HopfError("tensor leg mismatch")
+        self._same(other)
         pres = self.pres
         out = {}
         for k1, c1 in self.terms.items():
@@ -98,13 +85,6 @@ class Tensor:
             for k, cc in expanded:
                 _accum(out, k, cc)
         return Tensor(pres, self.nlegs, out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, Tensor) and self.pres is other.pres
-                and self.nlegs == other.nlegs and self.terms == other.terms)
 
     def __repr__(self):
         parts = []

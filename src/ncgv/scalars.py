@@ -74,25 +74,6 @@ def _pprimitive(a):
     return tuple(c // g for c in a), g
 
 
-def _pdivmod_frac(a, b):
-    """Division with remainder over Q; a, b integer tuples, b nonzero."""
-    r = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lb = Fraction(b[-1])
-    for i in range(len(a) - len(b), -1, -1):
-        if len(r) < i + len(b):
-            continue
-        coef = r[i + len(b) - 1] / lb
-        q[i] = coef
-        if coef:
-            for j, cb in enumerate(b):
-                r[i + j] -= coef * cb
-        del r[i + len(b) - 1]
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
 def _pdiv_exact(a, b):
     """Exact division in Z[s]; raises if not divisible."""
     if not a:
@@ -381,15 +362,3 @@ ONE = QScalar((1,))
 S = QScalar.s_power(1)
 Q = QScalar.q_power(1)
 
-
-def scalar_ops(x, y, op, mode=REAL):
-    """Field operations dispatch; division by zero raises ZeroDivisionError."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "star":
-        return x.star(mode)
-    raise ValueError(f"unknown op {op!r}")

@@ -210,7 +210,7 @@ def test_ex3_literal_row_fails_exactly():
     row = m.calc.rows[("dx", "x*")]
     lhs = comms["dx"].compose(m.pi["x*"])
     rhs = None
-    for lab2, h in row.coeffs.items():
+    for lab2, h in row.terms.items():
         piece = m.pi_poly(h).compose(comms[lab2])
         rhs = piece if rhs is None else rhs + piece
     delta = lhs - rhs
