@@ -10,7 +10,7 @@ reduction terminate; confluence is checked, not assumed.
 from __future__ import annotations
 
 from .exprparse import base_env, parse_scalar, scalar_to_str
-from .scalars import ONE, REAL, UNIT, ZERO, QScalar
+from .scalars import ONE, REAL, ZERO, QScalar
 
 Word = tuple
 

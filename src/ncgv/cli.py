@@ -18,9 +18,9 @@ import sys
 from importlib import resources
 
 from . import __version__
-from .algebra import RewriteError, confluence_check, load_presentation, random_poly
-from .dual import CrossElement, make_slq2_context, mixed_word_to_cross
-from .exprparse import parse_scalar, scalar_to_str
+from .algebra import RewriteError, confluence_check, random_poly
+from .dual import make_slq2_context, mixed_word_to_cross
+from .exprparse import parse_scalar
 from .fodc import (bicovariant_build, bicovariant_to_doc, builtin_calculus,
                    calculus_consistency_report, fodc_validate,
                    star_row_closure_report)
@@ -177,12 +177,10 @@ def check_calculus_consistency(session, params):
     variant = params.get("variant")
     if variant is None:
         raise ScenarioError("calculus_consistency needs a 'variant' parameter")
-    calc = builtin_calculus(variant)
+    report = calculus_consistency_report(builtin_calculus(variant))
     triples = [(rel, status == "pass", wit)
-               for rel, status, wit in calculus_consistency_report(calc)
-               if status != "skipped"]
-    skipped = [rel for rel, status, _ in calculus_consistency_report(calc)
-               if status == "skipped"]
+               for rel, status, wit in report if status != "skipped"]
+    skipped = [rel for rel, status, _ in report if status == "skipped"]
     out = _from_triples("calculus_consistency", triples, variant=variant)
     if skipped:
         out["skipped"] = skipped
@@ -224,10 +222,12 @@ def check_disc_numeric(session, params):
     q = params.get("q", 0.5)
     tol = params.get("tol", 1e-12)
     rep2, F = disc_commrep(dim, q)
-    if "mask" in params:
-        rep2.mask = int(params["mask"])
-    report = numeric_verify(rep2, F=F, calc=builtin_calculus("disc"),
-                            tol=tol, double=True)
+    mask = params.get("mask", rep2.mask)
+    if type(mask) is not int or not 1 <= mask < dim:
+        raise ScenarioError(
+            f"disc_numeric needs an integer mask in 1..{dim - 1}, got {mask!r}")
+    rep2.mask = mask
+    report = numeric_verify(rep2, F=F, calc=builtin_calculus("disc"), tol=tol)
     report["check"] = "disc_numeric"
     report["q"] = q
     return report

@@ -10,7 +10,9 @@ carries the same power on both sides, so exactness is unaffected.
 
 from __future__ import annotations
 
-from .algebra import NCPoly, _accum
+from functools import cache
+
+from .algebra import NCPoly
 from .dual import CrossElement, DualElement, mixed_word_to_cross
 from .fodc import GammaElement
 from .linalg import exact_rank
@@ -90,6 +92,8 @@ class MatrixOverAlgebra:
                 out.append(acc)
             ent.append(out)
         return self._new(ent, self.iu + other.iu)._norm()
+
+    __matmul__ = __mul__
 
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
@@ -519,42 +523,71 @@ def block_commutator(C, p):
     return C * rho - rho * C
 
 
-def quantum_space_commrep_report(calc, C):
-    """Exact row transport for a block C: for every bimodule row
-    (omega_gamma g -> sum c h omega_gamma'),
-        [C, rho(gamma)] rho(g) = sum c rho(h) [C, rho(gamma')].
-    Also reports the derived generator commutators."""
+def row_transport(calc, rho, F):
+    """Every bimodule row (omega_gamma g -> sum c h omega_gamma') transported
+    to commutators under rho (algebra element -> operator with @, + and -):
+
+        [F, rho(gamma)] rho(g) - sum rho(c h) [F, rho(gamma')],
+
+    with [F, rho(g)] = F @ rho(g) - rho(g) @ F for each unit differential
+    d g = omega_gamma.  Returns (rows, comms): comms maps labels to their
+    commutators, and rows yields, in sorted row order and one residual at a
+    time, (label, generator, residual, skip reason), where exactly one of
+    residual and reason is None."""
     pres = calc.pres
+    rho_gen = cache(lambda g: rho(pres.gen(g)))
     comms = {}
     for gen, dg in calc.dmap.items():
         if len(dg.terms) == 1:
             (label, coeff), = dg.terms.items()
             if coeff == pres.one():
-                comms[label] = block_commutator(C, pres.gen(gen))
-    results = []
-    for (label, gen), row in sorted(calc.rows.items()):
-        if label not in comms:
-            results.append((f"{label}.{gen}", "skipped", "label without generator"))
-            continue
-        lhs = comms[label] * MatrixOverAlgebra.diagonal([pres.gen(gen)] * C.size)
+                pm = rho_gen(gen)
+                comms[label] = F @ pm - pm @ F
+
+    def residual(label, gen, row):
+        # its own frame, so that only the residual outlives the row: dense
+        # operands of a large model are freed before the next row
+        lhs = comms[label] @ rho_gen(gen)
         rhs = None
-        ok = True
         for lab2, h in row.terms.items():
-            if lab2 not in comms:
-                results.append((f"{label}.{gen}", "skipped",
-                                f"no commutator image for {lab2}"))
-                ok = False
-                break
-            piece = comms[lab2].scale_poly(h)
+            piece = rho(h) @ comms[lab2]
             rhs = piece if rhs is None else rhs + piece
-        if not ok:
-            continue
-        if rhs is None:
-            rhs = MatrixOverAlgebra.diagonal([pres.zero()] * C.size)
-        good = lhs == rhs
-        results.append((f"{label}.{gen}", "pass" if good else "fail",
-                        None if good else repr(lhs - rhs)))
-    return results, comms
+        return lhs if rhs is None else lhs - rhs
+
+    def rows():
+        for (label, gen), row in sorted(calc.rows.items()):
+            missing = [lab for lab in (label, *row.terms) if lab not in comms]
+            if not missing:
+                yield label, gen, residual(label, gen, row), None
+            elif missing[0] == label:
+                yield label, gen, None, "label without generator"
+            else:
+                yield label, gen, None, f"no commutator image for {missing[0]}"
+
+    return rows(), comms
+
+
+def quantum_space_commrep_report(calc, C):
+    """Exact row transport for a block C: for every bimodule row
+    (omega_gamma g -> sum c h omega_gamma'),
+        [C, rho(gamma)] rho(g) = sum c rho(h) [C, rho(gamma')].
+    Also reports the derived generator commutators."""
+    rows, comms = row_transport(
+        calc, lambda p: MatrixOverAlgebra.diagonal([p] * C.size), C)
+    return row_statuses(
+        rows, lambda delta: None if delta.is_zero() else repr(delta)), comms
+
+
+def row_statuses(rows, witness):
+    """(row, status, witness) for each transported row; ``witness(residual)``
+    is None exactly when the residual vanishes, and a skipped row carries
+    its reason."""
+    out = []
+    for label, gen, delta, skip in rows:
+        wit = skip or witness(delta)
+        status = "skipped" if skip else "pass" if wit is None else "fail"
+        out.append((f"{label}.{gen}", status, wit))
+    return out
 
 
 def disc_commutator_comparison(calc, C):

@@ -10,7 +10,7 @@ stored in left normal form: coefficients to the left of the basis symbols.
 from __future__ import annotations
 
 from .algebra import LinComb, NCPoly, _accum
-from .dual import BF, CHAR, DualElement, LP, SLM, DualError
+from .dual import BF, CHAR, DualElement, LP, SLM
 from .exprparse import base_env, parse_scalar, scalar_to_str
 from .presentations import builtin_presentation
 from .scalars import ONE, QScalar, ZERO

@@ -15,10 +15,10 @@ import math
 import numpy as np
 
 from .algebra import AlgebraPresentation, LinComb, _accum
-from .commrep import quantum_space_commrep_report
-from .fodc import GammaElement, builtin_calculus
+from .commrep import quantum_space_commrep_report, row_statuses, row_transport
+from .fodc import builtin_calculus
 from .presentations import builtin_presentation
-from .scalars import ONE, QScalar, REAL, ZERO
+from .scalars import ONE, QScalar, REAL
 
 _Q = QScalar.q_power
 
@@ -28,14 +28,16 @@ class HilbertError(ValueError):
 
 
 def _norm(mat):
-    return float(np.linalg.norm(mat, 2)) if mat.size else 0.0
+    return float(np.linalg.norm(mat, 2)) if mat.any() else 0.0
 
 
 class TruncatedRep:
-    """Finite matrix model with truncation metadata: identities are asserted
-    on the leading mask x mask block only."""
+    """Finite matrix model with truncation metadata: a model made of
+    ``copies`` equal diagonal blocks asserts identities on the leading
+    mask x mask block of every copy only."""
 
-    def __init__(self, pres, dim, s_value, mats, mask, adjoint_pairs=(), notes=()):
+    def __init__(self, pres, dim, s_value, mats, mask, adjoint_pairs=(), notes=(),
+                 copies=1):
         self.pres = pres
         self.dim = dim
         self.s_value = complex(s_value)
@@ -43,6 +45,7 @@ class TruncatedRep:
         self.mask = mask
         self.adjoint_pairs = tuple(adjoint_pairs)
         self.notes = tuple(notes)
+        self.copies = copies
 
     def word_matrix(self, w):
         out = np.eye(self.dim, dtype=complex)
@@ -57,7 +60,9 @@ class TruncatedRep:
         return out
 
     def masked(self, mat):
-        return mat[: self.mask, : self.mask]
+        block = self.dim // self.copies
+        idx = (block * np.arange(self.copies)[:, None] + np.arange(self.mask)).ravel()
+        return mat[np.ix_(idx, idx)]
 
     def relation_residuals(self):
         out = []
@@ -118,19 +123,16 @@ def disc_commrep(M, q):
     F[:M, M:] = Z / (1 - q * q)
     F[M:, :M] = Z.conj().T / (1 - q * q)
     rep2 = TruncatedRep(rep.pres, two, rep.s_value, mats, mask=M - 1,
-                        adjoint_pairs=rep.adjoint_pairs)
+                        adjoint_pairs=rep.adjoint_pairs, copies=2)
     return rep2, F
 
 
-def _masked_double(mat, M, mask):
-    idx = np.r_[0:mask, M:M + mask]
-    return mat[np.ix_(idx, idx)]
-
-
-def numeric_verify(rep, F=None, calc=None, tol=1e-12, double=False):
+def numeric_verify(rep, F=None, calc=None, tol=1e-12):
     """Masked residuals per class: algebra relations, declared adjoint pairs,
     symmetry of F, and every bimodule row transported to commutators.
-    Returns a report dict with the max residual per class."""
+    Returns a report dict with the max residual per class.  Rows whose label
+    has no unit differential are left out; a row that names a label without
+    a commutator is listed with residual None."""
     classes = {}
     classes["relations"] = max((r for _, r in rep.relation_residuals()), default=0.0)
     adj = rep.adjoint_residuals()
@@ -138,46 +140,16 @@ def numeric_verify(rep, F=None, calc=None, tol=1e-12, double=False):
         classes["star_compatibility"] = max(r for _, r in adj)
     rows_detail = []
     if F is not None:
-        if double:
-            M = rep.dim // 2
-            mask_f = _masked_double(F, M, rep.mask)
-        else:
-            mask_f = rep.masked(F)
+        mask_f = rep.masked(F)
         classes["f_symmetry"] = _norm(mask_f - mask_f.conj().T)
         if calc is not None:
-            comms = {}
-            for gen, dg in calc.dmap.items():
-                if len(dg.terms) == 1:
-                    (label, coeff), = dg.terms.items()
-                    if coeff == rep.pres.one():
-                        pm = rep.poly_matrix(rep.pres.gen(gen))
-                        comms[label] = F @ pm - pm @ F
-            worst = 0.0
-            for (label, gen), row in sorted(calc.rows.items()):
-                if label not in comms:
-                    continue
-                pm = rep.poly_matrix(rep.pres.gen(gen))
-                lhs = comms[label] @ pm
-                rhs = np.zeros_like(lhs)
-                ok = True
-                for lab2, h in row.terms.items():
-                    if lab2 not in comms:
-                        ok = False
-                        break
-                    rhs = rhs + rep.poly_matrix(h) @ comms[lab2]
-                if not ok:
-                    rows_detail.append((f"{label}.{gen}", None))
-                    continue
-                delta = lhs - rhs
-                if double:
-                    M = rep.dim // 2
-                    resid = _norm(_masked_double(delta, M, rep.mask))
-                else:
-                    resid = _norm(rep.masked(delta))
-                rows_detail.append((f"{label}.{gen}", resid))
-                worst = max(worst, resid)
-            classes["bimodule_rows"] = worst
-    degenerate = F is not None and _norm(F) == 0.0
+            rows, comms = row_transport(calc, rep.poly_matrix, F)
+            rows_detail = [(f"{label}.{gen}",
+                            None if delta is None else _norm(rep.masked(delta)))
+                           for label, gen, delta, _ in rows if label in comms]
+            classes["bimodule_rows"] = max(
+                [0.0] + [r for _, r in rows_detail if r is not None])
+    degenerate = F is not None and not F.any()
     report = {
         "check": "numeric_verify",
         "dim": rep.dim,
@@ -258,11 +230,7 @@ def weyl_commrep_residuals(m, tol=1e-12):
         raise HilbertError("exact row transport failed; cannot transport")
 
     def block_matrix(mx):
-        top = np.hstack([rep.poly_matrix(mx.entries[0][0]),
-                         rep.poly_matrix(mx.entries[0][1])])
-        bot = np.hstack([rep.poly_matrix(mx.entries[1][0]),
-                         rep.poly_matrix(mx.entries[1][1])])
-        return np.vstack([top, bot])
+        return np.block([[rep.poly_matrix(e) for e in row] for row in mx.entries])
 
     Cnum = block_matrix(C)
     out = {}
@@ -387,6 +355,8 @@ class SlotOperator(LinComb):
                 _accum(out, (n, k), c2 * c)
         return SlotOperator(self.ring, self.top, out)
 
+    __matmul__ = compose
+
     def commutator(self, other):
         return self.compose(other) - other.compose(self)
 
@@ -454,16 +424,9 @@ class Ex3Model:
         ])
 
     def pi_poly(self, p):
-        out = None
+        out = SlotOperator(self.ring, self.top, {})
         for w, c in p.terms.items():
-            cur = SlotOperator.build(self.ring, self.top,
-                                     lambda n: [(n, self.ring.one())])
-            for g in reversed(w):
-                cur = self.pi[g].compose(cur)
-            cur = cur.scale(c)
-            out = cur if out is None else out + cur
-        if out is None:
-            return SlotOperator(self.ring, self.top, {})
+            out = out + self.pi_word(w).scale(c)
         return out
 
     def relation_report(self):
@@ -490,24 +453,9 @@ class Ex3Model:
     def row_transport_report(self):
         """[F, pi(gamma)] pi(g) = sum c pi(h) [F, pi(gamma')], exactly on the
         masked slots, for every bimodule row."""
-        results = []
-        comms = {
-            "dx": self.F.commutator(self.pi["x"]),
-            "dy": self.F.commutator(self.pi["y"]),
-        }
-        for (label, gen), row in sorted(self.calc.rows.items()):
-            lhs = comms[label].compose(self.pi[gen])
-            rhs = None
-            for lab2, h in row.terms.items():
-                piece = self.pi_poly(h).compose(comms[lab2])
-                rhs = piece if rhs is None else rhs + piece
-            if rhs is None:
-                rhs = SlotOperator(self.ring, self.top, {})
-            delta = lhs - rhs
-            ok = delta.vanishes_below(self.mask)
-            results.append((f"{label}.{gen}", "pass" if ok else "fail",
-                            None if ok else _slot_witness(delta, self.mask)))
-        return results
+        rows, _ = row_transport(self.calc, self.pi_poly, self.F)
+        return row_statuses(rows, lambda delta: None if delta.vanishes_below(self.mask)
+                            else _slot_witness(delta, self.mask))
 
     def f_symmetry_report(self):
         """Formal symmetry: entry (m, n) of F equals the star of entry (n, m)

@@ -6,7 +6,7 @@ matrix, so no rational-function arithmetic happens in the pivoting loop.
 
 from __future__ import annotations
 
-from .scalars import ONE, QScalar, ZERO, _pdiv_exact, _pmul, _psub  # noqa: F401
+from .scalars import ZERO, _pdiv_exact, _pmul, _psub
 
 
 def _clear_denominators(row):

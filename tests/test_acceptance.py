@@ -108,7 +108,7 @@ def test_criterion_7_disc_numeric():
     M, q = 64, 0.5
     rep2, F = disc_commrep(M, q)
     res = numeric_verify(rep2, F=F, calc=builtin_calculus("disc"),
-                         tol=TOL, double=True)
+                         tol=TOL)
     ok = res["status"] == "pass"
     ok = ok and res["classes"]["relations"] <= TOL
     ok = ok and res["classes"]["f_symmetry"] <= TOL

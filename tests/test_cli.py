@@ -1,17 +1,25 @@
 """Scenario runner: exit codes, determinism, report completeness."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ncgv
 from ncgv.cli import load_scenario, main, run_scenario
+
+# the directory holding the package, for child interpreters
+PACKAGE_ROOT = str(Path(ncgv.__file__).resolve().parent.parent)
 
 
 def run_cli(args):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "ncgv.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -118,3 +126,21 @@ def test_run_scenario_override():
     doc = load_scenario("builtin:disc_m64")
     report = run_scenario(doc, seed=0, overrides={"tol": 1e-30})
     assert report["status"] == "fail"
+
+
+@pytest.mark.parametrize("mask", [0, 40, 7.5])
+def test_disc_numeric_rejects_bad_mask(tmp_path, capsys, mask):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "bad", "algebra": "disc", "checks": [
+        {"name": "disc_numeric", "dim": 16, "mask": mask, "tol": 1e-30}]}))
+    assert main(["verify", str(bad)]) == 2
+    assert "mask" in capsys.readouterr().err
+
+
+def test_disc_numeric_accepts_mask_in_range(tmp_path):
+    scenario = tmp_path / "ok.json"
+    scenario.write_text(json.dumps({"name": "ok", "algebra": "disc", "checks": [
+        {"name": "disc_numeric", "dim": 16, "mask": 8}]}))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(scenario), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"][0]["mask"] == 8

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ncgv.algebra import confluence_check
-from ncgv.fodc import builtin_calculus
+from ncgv.commrep import disc_block_c, quantum_space_commrep_report
+from ncgv.fodc import GammaElement, QuantumSpaceCalculus, builtin_calculus
 from ncgv.hilbert import (Ex3Model, HilbertError, disc_commrep, disc_rep,
                           ex3_build, ex3_report, ex3_ring, numeric_verify,
                           shift_weights, summability_report, weyl_commrep_residuals,
@@ -46,7 +47,7 @@ def test_disc_commrep_all_classes():
     M, q = 64, 0.5
     rep2, F = disc_commrep(M, q)
     calc = builtin_calculus("disc")
-    report = numeric_verify(rep2, F=F, calc=calc, tol=TOL, double=True)
+    report = numeric_verify(rep2, F=F, calc=calc, tol=TOL)
     assert report["status"] == "pass", report
     assert report["classes"]["f_symmetry"] <= TOL
     assert report["classes"]["bimodule_rows"] <= TOL
@@ -71,16 +72,57 @@ def test_disc_perturbation_detected():
     F2 = F.copy()
     F2[3, M + 4] += 1e-6
     calc = builtin_calculus("disc")
-    report = numeric_verify(rep2, F=F2, calc=calc, tol=TOL, double=True)
+    report = numeric_verify(rep2, F=F2, calc=calc, tol=TOL)
     assert report["status"] == "fail"
     assert 1e-8 < report["classes"]["bimodule_rows"] < 1e-3
+
+
+def test_disc_second_copy_perturbation_detected():
+    # the doubled model masks the leading block of both copies
+    M, q = 32, 0.5
+    rep2, F = disc_commrep(M, q)
+    F2 = F.copy()
+    F2[M + 3, 4] += 1e-6
+    report = numeric_verify(rep2, F=F2, calc=builtin_calculus("disc"), tol=TOL)
+    assert report["classes"]["f_symmetry"] > TOL
+    assert report["classes"]["bimodule_rows"] > TOL
+
+
+def partial_disc_calculus():
+    """The disc calculus without d z, so the rows of dz name a label that has
+    no unit differential, and with one dz* row that names dz."""
+    calc = builtin_calculus("disc")
+    pres = calc.pres
+    rows = dict(calc.rows)
+    rows[("dz*", "z")] = GammaElement(pres, {"dz*": pres.gen("z").scale(qp(2)),
+                                             "dz": pres.gen("z")})
+    return QuantumSpaceCalculus("disc-partial", pres, calc.labels,
+                                {"z*": calc.dmap["z*"]}, rows)
+
+
+def test_rows_without_commutator_are_skipped():
+    calc = partial_disc_calculus()
+    results, comms = quantum_space_commrep_report(calc, disc_block_c(calc.pres))
+    assert list(comms) == ["dz*"]
+    assert results == [
+        ("dz.z", "skipped", "label without generator"),
+        ("dz.z*", "skipped", "label without generator"),
+        ("dz*.z", "skipped", "no commutator image for dz"),
+        ("dz*.z*", "pass", None),
+    ]
+    rep2, F = disc_commrep(16, 0.5)
+    report = numeric_verify(rep2, F=F, calc=calc, tol=TOL)
+    assert [row for row, _ in report["rows"]] == ["dz*.z", "dz*.z*"]
+    assert report["rows"][0][1] is None
+    assert report["classes"]["bimodule_rows"] == report["rows"][1][1] <= TOL
+    assert report["status"] == "pass"
 
 
 def test_degenerate_f_flagged():
     M, q = 16, 0.5
     rep2, F = disc_commrep(M, q)
     report = numeric_verify(rep2, F=np.zeros_like(F), calc=builtin_calculus("disc"),
-                            tol=TOL, double=True)
+                            tol=TOL)
     assert any("degenerate" in note for note in report["notes"])
 
 
