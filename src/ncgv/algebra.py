@@ -338,6 +338,20 @@ class NCPoly(LinComb):
 
 
 # ---------------------------------------------------------------------------
+# check protocol
+# ---------------------------------------------------------------------------
+
+
+def first_failure(name, witnesses):
+    """(name, ok, witness) of a check whose counterexamples ``witnesses``
+    yields lazily: only the first one is consumed, and the check passes when
+    there is none.  A witness is never None, but may be falsy (the empty
+    word ``()``)."""
+    witness = next(iter(witnesses), None)
+    return name, witness is None, witness
+
+
+# ---------------------------------------------------------------------------
 # diamond-lemma overlap checking
 # ---------------------------------------------------------------------------
 

@@ -5,26 +5,36 @@ checks with per-check parameters.  Reports are deterministic: randomized
 property checks take an explicit seed (default 0) which is recorded, and all
 output is sorted, so identical inputs produce byte-identical reports.
 
+Each check declares its parameters as keyword-only arguments with defaults,
+and every check of a scenario is bound to them before the first one runs.
+
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 the scenario
-could not be loaded (parse error, missing reference, unknown check name).
+could not be loaded (parse error, missing reference, unknown check name, or
+an unknown, missing or mistyped check parameter).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import random
 import sys
+import types
+import typing
 from importlib import resources
 
 from . import __version__
-from .algebra import RewriteError, confluence_check, random_poly
+from .algebra import RewriteError, confluence_check, first_failure, random_poly
+from .commrep import (centrality_check, disc_block_c, disc_commutator_comparison,
+                      faithfulness_rank, hermiticity_check, prop1_build, prop1_verify,
+                      prop4_verify, quantum_space_commrep_report)
 from .dual import make_slq2_context, mixed_word_to_cross
 from .exprparse import parse_scalar
 from .fodc import (bicovariant_build, bicovariant_to_doc, builtin_calculus,
-                   calculus_consistency_report, fodc_validate,
+                   calculus_consistency_report, fodc_from_doc, fodc_validate,
                    star_row_closure_report)
-from .hilbert import (disc_commrep, ex3_build, ex3_report, numeric_verify,
+from .hilbert import (HilbertError, disc_commrep, ex3_build, ex3_report, numeric_verify,
                       summability_report, weyl_commrep_residuals)
 from .hopf import hopf_axiom_report
 from .presentations import builtin_presentation
@@ -42,11 +52,31 @@ def _result(name, status, degree=None, witness=None, **data):
 
 
 def _from_triples(name, triples, degree=None, **data):
-    bad = [(label, wit) for label, ok, wit in triples if not ok]
-    return _result(name, "pass" if not bad else "fail", degree=degree,
-                   witness=_printable(bad[0]) if bad else None,
+    failed = [(label, wit) for label, ok, wit in triples if not ok]
+    return _result(name, "fail" if failed else "pass", degree=degree,
+                   witness=_printable(failed[0]) if failed else None,
                    items=[[label, "pass" if ok else "fail"] for label, ok, _ in triples],
                    **data)
+
+
+def _from_statuses(name, rows, **data):
+    """``_from_triples`` for (label, status, witness) rows: a skipped row
+    counts neither way and is listed under "skipped"."""
+    skipped = [label for label, status, _ in rows if status == "skipped"]
+    if skipped:
+        data["skipped"] = skipped
+    return _from_triples(name, [(label, status == "pass", wit)
+                                for label, status, wit in rows if status != "skipped"],
+                         **data)
+
+
+def _random_check(name, session, samples, seed, witnesses):
+    """Result of a randomized property check drawn from ``seed`` (the
+    session's seed when None); ``witnesses(rng)`` yields counterexamples."""
+    seed = session.seed if seed is None else seed
+    _, ok, witness = first_failure(name, witnesses(random.Random(seed)))
+    return _result(name, "pass" if ok else "fail", witness=witness,
+                   samples=samples, seed=seed)
 
 
 def _printable(obj):
@@ -82,50 +112,44 @@ class Session:
             self._bico[zeta] = bicovariant_build(self.context(), zeta)
         return self._bico[zeta]
 
-    def rng(self, params):
-        return random.Random(params.get("seed", self.seed))
-
 
 # --------------------------------------------------------------------------
 # check implementations
+#
+# A check takes the session and its scenario parameters as keyword-only
+# arguments.  The type of a parameter is its annotation, or else the type of
+# its default; list defaults are tuples, so that no call shares a mutable one.
 # --------------------------------------------------------------------------
 
 
-def check_hopf_axioms(session, params):
-    degree = params.get("degree", 3)
+def check_hopf_axioms(session, *, degree=3):
     ctx = session.context()
     return _from_triples("hopf_axioms", hopf_axiom_report(ctx.hopf, degree),
                          degree=degree)
 
 
-def check_confluence(session, params):
-    degree = params.get("degree", 6)
-    name = params.get("presentation", session.doc.get("algebra", "slq2"))
+def check_confluence(session, *, degree=6, presentation: str | None = None):
+    name = session.doc.get("algebra", "slq2") if presentation is None else presentation
     report = confluence_check(builtin_presentation(name), degree)
     return _result("confluence", "pass" if report.ok else "fail", degree=degree,
                    witness=None if report.ok else _printable(report.failures[0][0]),
                    presentation=name)
 
 
-def check_fodc_validate(session, params):
-    degree = params.get("degree", 3)
-    if "file" in params:
-        from .fodc import fodc_from_doc
-        with open(params["file"]) as fh:
+def check_fodc_validate(session, *, degree=3, zeta="eps", file: str | None = None):
+    if file is not None:
+        with open(file) as fh:
             doc = json.load(fh)
         fodc = fodc_from_doc(session.context(), doc)
         return _from_triples("fodc_validate", fodc_validate(fodc, degree),
-                             degree=degree, source=params["file"])
-    B = session.bicovariant(params.get("zeta", "eps"))
+                             degree=degree, source=file)
+    B = session.bicovariant(zeta)
     return _from_triples("fodc_validate", fodc_validate(B.fodc, degree),
                          degree=degree, zeta=B.zeta_name)
 
 
-def check_prop1(session, params):
-    from .commrep import prop1_build, prop1_verify
-
-    degree = params.get("degree", 2)
-    B = session.bicovariant(params.get("zeta", "eps"))
+def check_prop1(session, *, degree=2, zeta="eps"):
+    B = session.bicovariant(zeta)
     C, Omegas, _ = prop1_build(B.fodc)
     triples = prop1_verify(C, Omegas, B.fodc, degree_a=degree, degree_b=1)
     return _from_triples("prop1", triples, degree=degree,
@@ -133,35 +157,23 @@ def check_prop1(session, params):
                               "slotwise linear)")
 
 
-def check_prop4(session, params):
-    from .commrep import prop4_verify
-
-    degree = params.get("degree", 2)
-    B = session.bicovariant(params.get("zeta", "eps"))
+def check_prop4(session, *, degree=2, zeta="eps"):
+    B = session.bicovariant(zeta)
     return _from_triples("prop4", prop4_verify(B, degree), degree=degree)
 
 
-def check_centrality(session, params):
-    from .commrep import centrality_check
-
-    degree = params.get("degree", 3)
-    B = session.bicovariant(params.get("zeta", "eps"))
+def check_centrality(session, *, degree=3, zeta="eps"):
+    B = session.bicovariant(zeta)
     return _from_triples("centrality", centrality_check(B, degree), degree=degree)
 
 
-def check_hermiticity(session, params):
-    from .commrep import hermiticity_check
-
-    degree = params.get("degree", 3)
-    B = session.bicovariant(params.get("zeta", "eps"))
+def check_hermiticity(session, *, degree=3, zeta="eps"):
+    B = session.bicovariant(zeta)
     return _from_triples("hermiticity", hermiticity_check(B, degree), degree=degree)
 
 
-def check_faithfulness(session, params):
-    from .commrep import faithfulness_rank
-
-    degrees = params.get("degrees", [1, 2])
-    B = session.bicovariant(params.get("zeta", "eps"))
+def check_faithfulness(session, *, degrees: list[int] = (1, 2), zeta="eps"):
+    B = session.bicovariant(zeta)
     reports = [faithfulness_rank(B, degree=d) for d in degrees]
     ranks = [r["tau_rank"] for r in reports]
     ok = all(r["faithful_on_corpus"] for r in reports)
@@ -173,18 +185,10 @@ def check_faithfulness(session, params):
                    detail=[{k: v for k, v in r.items()} for r in reports])
 
 
-def check_calculus_consistency(session, params):
-    variant = params.get("variant")
-    if variant is None:
-        raise ScenarioError("calculus_consistency needs a 'variant' parameter")
-    report = calculus_consistency_report(builtin_calculus(variant))
-    triples = [(rel, status == "pass", wit)
-               for rel, status, wit in report if status != "skipped"]
-    skipped = [rel for rel, status, _ in report if status == "skipped"]
-    out = _from_triples("calculus_consistency", triples, variant=variant)
-    if skipped:
-        out["skipped"] = skipped
-    expect = params.get("expect", "pass")
+def check_calculus_consistency(session, *, variant: str, expect="pass"):
+    out = _from_statuses("calculus_consistency",
+                         calculus_consistency_report(builtin_calculus(variant)),
+                         variant=variant)
     if expect == "fail":
         flipped = "pass" if out["status"] == "fail" else "fail"
         out["status"] = flipped
@@ -192,8 +196,7 @@ def check_calculus_consistency(session, params):
     return out
 
 
-def check_variant_selection(session, params):
-    variants = params.get("variants", ["pw-a", "pw-b"])
+def check_variant_selection(session, *, variants: list[str] = ("pw-a", "pw-b")):
     passing = []
     for v in variants:
         report = calculus_consistency_report(builtin_calculus(v))
@@ -202,134 +205,104 @@ def check_variant_selection(session, params):
     ok = len(passing) == 1
     return _result("variant_selection", "pass" if ok else "fail",
                    witness=None if ok else passing,
-                   variants=variants, admissible=passing)
+                   variants=list(variants), admissible=passing)
 
 
-def check_star_closure(session, params):
-    variant = params.get("variant", "disc")
-    calc = builtin_calculus(variant)
-    triples = [(row, status == "pass", wit)
-               for row, status, wit in star_row_closure_report(calc)
-               if status != "skipped"]
-    if not triples:
+def check_star_closure(session, *, variant="disc"):
+    rows = star_row_closure_report(builtin_calculus(variant))
+    if all(status == "skipped" for _, status, _ in rows):
         return _result("star_closure", "skipped", variant=variant,
                        witness="calculus carries no star data")
-    return _from_triples("star_closure", triples, variant=variant)
+    return _from_statuses("star_closure", rows, variant=variant)
 
 
-def check_disc_numeric(session, params):
-    dim = params.get("dim", 64)
-    q = params.get("q", 0.5)
-    tol = params.get("tol", 1e-12)
+def check_disc_numeric(session, *, dim=64, q=0.5, tol=1e-12, mask: int | None = None):
     rep2, F = disc_commrep(dim, q)
-    mask = params.get("mask", rep2.mask)
-    if type(mask) is not int or not 1 <= mask < dim:
-        raise ScenarioError(
-            f"disc_numeric needs an integer mask in 1..{dim - 1}, got {mask!r}")
-    rep2.mask = mask
+    if mask is not None:
+        if not 1 <= mask < dim:
+            raise ScenarioError(
+                f"disc_numeric needs an integer mask in 1..{dim - 1}, got {mask!r}")
+        rep2.mask = mask
     report = numeric_verify(rep2, F=F, calc=builtin_calculus("disc"), tol=tol)
     report["check"] = "disc_numeric"
     report["q"] = q
     return report
 
 
-def check_disc_block_exact(session, params):
-    from .commrep import (disc_block_c, disc_commutator_comparison,
-                          quantum_space_commrep_report)
-
+def check_disc_block_exact(session):
     calc = builtin_calculus("disc")
     C = disc_block_c(calc.pres)
     results, _ = quantum_space_commrep_report(calc, C)
-    triples = [(row, status == "pass", wit) for row, status, wit in results]
-    out = _from_triples("disc_block_exact", triples)
-    out["commutator_comparison"] = disc_commutator_comparison(calc, C)
-    return out
+    return _from_statuses("disc_block_exact", results,
+                          commutator_comparison=disc_commutator_comparison(calc, C))
 
 
-def check_weyl_numeric(session, params):
-    m = params.get("m", 8)
-    tol = params.get("tol", 1e-12)
+def check_weyl_numeric(session, *, m=8, tol=1e-12):
     return weyl_commrep_residuals(m, tol=tol)
 
 
-def check_ex3_symbolic(session, params):
-    M = params.get("M", 6)
-    model = ex3_build(M,
-                      pi_variant=params.get("pi_variant", "consistent"),
-                      rows_variant=params.get("rows_variant", "consistent"))
-    return ex3_report(model)
+def check_ex3_symbolic(session, *, M=6, pi_variant="consistent",
+                       rows_variant="consistent"):
+    return ex3_report(ex3_build(M, pi_variant=pi_variant, rows_variant=rows_variant))
 
 
-def check_summability(session, params):
-    q = params.get("q", 0.5)
-    M = params.get("dim", 64)
-    tol = params.get("tol", 1e-12)
-    report = summability_report(q, M)
+def check_summability(session, *, q=0.5, dim=64, tol=1e-12):
+    report = summability_report(q, dim)
     report["status"] = "pass" if report["difference"] <= tol and report["monotone"] \
         else "fail"
     report["tol"] = tol
     return report
 
 
-def check_leibniz_random(session, params):
-    samples = params.get("samples", 200)
-    degree = params.get("degree", 2)
-    rng = session.rng(params)
-    B = session.bicovariant(params.get("zeta", "eps"))
+def check_leibniz_random(session, *, samples=200, degree=2, zeta="eps",
+                         seed: int | None = None):
+    B = session.bicovariant(zeta)
     pres = session.context().pres
     F = B.fodc
-    witness = None
-    for _ in range(samples):
-        a = random_poly(pres, rng, degree, 2)
-        b = random_poly(pres, rng, degree, 2)
-        lhs = F.differential(a * b)
-        rhs = F.differential(b).left_mul(a) + F.right_mul(F.differential(a), b)
-        if lhs != rhs:
-            witness = {"a": repr(a), "b": repr(b)}
-            break
-    return _result("leibniz_random", "pass" if witness is None else "fail",
-                   witness=witness, samples=samples,
-                   seed=params.get("seed", session.seed))
+
+    def witnesses(rng):
+        for _ in range(samples):
+            a = random_poly(pres, rng, degree, 2)
+            b = random_poly(pres, rng, degree, 2)
+            lhs = F.differential(a * b)
+            rhs = F.differential(b).left_mul(a) + F.right_mul(F.differential(a), b)
+            if lhs != rhs:
+                yield {"a": repr(a), "b": repr(b)}
+
+    return _random_check("leibniz_random", session, samples, seed, witnesses)
 
 
-def check_idempotence_random(session, params):
-    samples = params.get("samples", 500)
-    names = params.get("presentations", ["disc", "real_plane", "ext_plane", "slq2"])
-    rng = session.rng(params)
-    witness = None
-    for name in names:
-        pres = builtin_presentation(name)
-        for _ in range(samples // len(names)):
-            p = random_poly(pres, rng, 3, 3)
-            if pres.normal_form_terms(p.terms) != p.terms:
-                witness = {"presentation": name, "p": repr(p)}
-                break
-        if witness:
-            break
-    return _result("idempotence_random", "pass" if witness is None else "fail",
-                   witness=witness, samples=samples,
-                   seed=params.get("seed", session.seed))
+def check_idempotence_random(session, *, samples=500, seed: int | None = None,
+                             presentations: list[str] = (
+                                 "disc", "real_plane", "ext_plane", "slq2")):
+    def witnesses(rng):
+        for name in presentations:
+            pres = builtin_presentation(name)
+            for _ in range(samples // len(presentations)):
+                p = random_poly(pres, rng, 3, 3)
+                if pres.normal_form_terms(p.terms) != p.terms:
+                    yield {"presentation": name, "p": repr(p)}
+
+    return _random_check("idempotence_random", session, samples, seed, witnesses)
 
 
-def check_cross_assoc_random(session, params):
-    samples = params.get("samples", 20)
-    rng = session.rng(params)
+def check_cross_assoc_random(session, *, samples=20, zeta="eps",
+                             seed: int | None = None):
     ctx = session.context()
-    B = session.bicovariant(params.get("zeta", "eps"))
+    B = session.bicovariant(zeta)
     pres = ctx.pres
-    witness = None
-    for _ in range(samples):
-        a = random_poly(pres, rng, 1, 2)
-        b = random_poly(pres, rng, 1, 2)
-        target = random_poly(pres, rng, 2, 2)
-        x = mixed_word_to_cross(ctx, [a, B.C])
-        y = mixed_word_to_cross(ctx, [B.C, b])
-        if (x * y).act(target) != x.act(y.act(target)):
-            witness = {"a": repr(a), "b": repr(b)}
-            break
-    return _result("cross_assoc_random", "pass" if witness is None else "fail",
-                   witness=witness, samples=samples,
-                   seed=params.get("seed", session.seed))
+
+    def witnesses(rng):
+        for _ in range(samples):
+            a = random_poly(pres, rng, 1, 2)
+            b = random_poly(pres, rng, 1, 2)
+            target = random_poly(pres, rng, 2, 2)
+            x = mixed_word_to_cross(ctx, [a, B.C])
+            y = mixed_word_to_cross(ctx, [B.C, b])
+            if (x * y).act(target) != x.act(y.act(target)):
+                yield {"a": repr(a), "b": repr(b)}
+
+    return _random_check("cross_assoc_random", session, samples, seed, witnesses)
 
 
 CHECKS = {
@@ -369,37 +342,69 @@ def load_scenario(path):
         return json.load(fh)
 
 
-def validate_scenario(doc):
-    checks = doc.get("checks")
+def _has_type(value, kind):
+    """Whether a JSON value has the declared type ``kind``: a class, a union
+    or ``list[X]``.  A bool is never a number; an int is accepted for a
+    float."""
+    if isinstance(kind, types.UnionType):
+        return any(_has_type(value, k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is list:
+        item, = typing.get_args(kind)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if kind is float:
+        return type(value) in (int, float)
+    return type(value) is kind
+
+
+def _bind(item, overrides):
+    """(check name, keyword arguments) of one scenario item.  Every key must
+    be a parameter the check declares, with the declared type, and every
+    parameter without a default must be given.  An override reaches only
+    the checks that declare it."""
+    if not isinstance(item, dict):
+        raise ScenarioError(f"a check must be an object, got {item!r}")
+    name = item.get("name")
+    if type(name) is not str or name not in CHECKS:
+        raise ScenarioError(f"unknown check {name!r}")
+    declared = inspect.signature(CHECKS[name], eval_str=True).parameters
+    kwargs = {k: v for k, v in item.items() if k != "name"}
+    kwargs.update((k, v) for k, v in overrides.items() if k in declared)
+    for key, value in kwargs.items():
+        param = declared.get(key)
+        if param is None or param.kind is not param.KEYWORD_ONLY:
+            raise ScenarioError(f"check {name!r} has no parameter {key!r}")
+        kind = type(param.default) if param.annotation is param.empty else param.annotation
+        if not _has_type(value, kind):
+            shown = kind.__name__ if isinstance(kind, type) else str(kind)
+            raise ScenarioError(
+                f"check {name!r} parameter {key!r} must be {shown}, got {value!r}")
+    for param in declared.values():
+        if param.kind is param.KEYWORD_ONLY and param.default is param.empty \
+                and param.name not in kwargs:
+            raise ScenarioError(f"check {name!r} needs a {param.name!r} parameter")
+    if name in ("calculus_consistency", "star_closure") and "variant" in kwargs:
+        builtin_calculus(kwargs["variant"])  # raises for unknown variants
+    return name, kwargs
+
+
+def validate_scenario(doc, overrides=None):
+    """Bind every check of the scenario to its parameters, before any check
+    runs; returns [(check name, keyword arguments)]."""
+    checks = doc.get("checks") if isinstance(doc, dict) else None
     if not isinstance(checks, list) or not checks:
         raise ScenarioError("scenario needs a non-empty 'checks' list")
-    for item in checks:
-        name = item.get("name")
-        if name not in CHECKS:
-            raise ScenarioError(f"unknown check {name!r}")
-        variant = item.get("variant")
-        if name in ("calculus_consistency", "star_closure") and variant:
-            builtin_calculus(variant)  # raises for unknown variants
+    return [_bind(item, overrides or {}) for item in checks]
 
 
 def run_scenario(doc, seed=0, overrides=None):
-    validate_scenario(doc)
+    bound = validate_scenario(doc, overrides)
     session = Session(doc, seed)
-    results = []
-    for item in doc["checks"]:
-        params = {k: v for k, v in item.items() if k != "name"}
-        if overrides:
-            params.update(overrides)
-        results.append(CHECKS[item["name"]](session, params))
-    worst = "pass"
-    for r in results:
-        if r["status"] == "fail":
-            worst = "fail"
+    results = [CHECKS[name](session, **kwargs) for name, kwargs in bound]
     return {
         "scenario": doc.get("name", "unnamed"),
         "tool": {"name": "ncgv", "version": __version__},
         "seed": seed,
-        "status": worst,
+        "status": "fail" if any(r["status"] == "fail" for r in results) else "pass",
         "checks": results,
     }
 
@@ -454,7 +459,11 @@ def cmd_build_bicovariant(args):
 
 
 def cmd_summability(args):
-    report = summability_report(args.q, args.dim)
+    try:
+        report = summability_report(args.q, args.dim)
+    except HilbertError as e:
+        sys.stderr.write(f"summability error: {e}\n")
+        return 2
     write_report(report, args.out)
     return 0
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .algebra import NCPoly
-from .dual import CrossElement, DualElement, mixed_word_to_cross
+from .algebra import NCPoly, first_failure, random_poly
+from .dual import BF, CHAR, LM, LP, CrossElement, DualElement, mixed_word_to_cross
 from .fodc import GammaElement
 from .linalg import exact_rank
 from .scalars import ONE, QScalar, ZERO
@@ -217,7 +217,6 @@ def prop1_verify(C, Omegas, F, degree_a=2, degree_b=1, tuple_slots=None):
     slots = range(size) if tuple_slots is None else tuple_slots
     words_a = [w for w in ctx.corpus(degree_a)]
     words_b = [w for w in ctx.corpus(degree_b)]
-    checks = []
 
     def tuples():
         for slot in slots:
@@ -226,50 +225,39 @@ def prop1_verify(C, Omegas, F, degree_a=2, degree_b=1, tuple_slots=None):
                 tup[slot] = NCPoly(pres, {wb: ONE})
                 yield slot, wb, tup
 
-    witness = None
-    for wa in words_a:
-        if witness:
-            break
-        a = NCPoly(pres, {wa: ONE})
-        lhs_op = (_mul_by_algebra_right(C, a) - C.scale_poly(a)).times_i()
-        xa = [F.X[k].left_act(a) for k in range(n)]
-        rhs_op = BOperator.zero(ctx, size)
-        rhs_op = BOperator(ctx, rhs_op.entries, iu=1)
-        for k in range(n):
-            if not xa[k].is_zero():
-                rhs_op = rhs_op + Omegas[k].scale_poly(xa[k])
+    def omega_sum(coeffs):
+        """sum_l c_l Omega_l, carrying the formal unit power of Omega."""
+        out = BOperator(ctx, BOperator.zero(ctx, size).entries, iu=1)
+        for l, c in enumerate(coeffs):
+            if not c.is_zero():
+                out = out + Omegas[l].scale_poly(c)
+        return out
+
+    def mismatches(lhs_op, rhs_op):
         for slot, wb, tup in tuples():
             left, ul = lhs_op.act(tup)
             right, ur = rhs_op.act(tup)
             if ul != ur or left != right:
-                witness = {"identity": "r1", "a": wa, "slot": slot, "b": wb}
-                break
-    checks.append(("prop1_r1", witness is None, witness))
+                yield slot, wb
 
-    witness = None
-    for wa in words_a:
-        if witness:
-            break
-        a = NCPoly(pres, {wa: ONE})
-        for k in range(n):
-            if witness:
-                break
-            lhs_op = _mul_by_algebra_right(Omegas[k], a)
-            rhs_op = BOperator.zero(ctx, size)
-            rhs_op = BOperator(ctx, rhs_op.entries, iu=1)
-            for l in range(n):
-                fa = F.f[k][l].left_act(a)
-                if not fa.is_zero():
-                    rhs_op = rhs_op + Omegas[l].scale_poly(fa)
-            for slot, wb, tup in tuples():
-                left, ul = lhs_op.act(tup)
-                right, ur = rhs_op.act(tup)
-                if ul != ur or left != right:
-                    witness = {"identity": "r2", "a": wa, "k": k,
-                               "slot": slot, "b": wb}
-                    break
-    checks.append(("prop1_r2", witness is None, witness))
-    return checks
+    def r1():
+        for wa in words_a:
+            a = NCPoly(pres, {wa: ONE})
+            lhs_op = (_mul_by_algebra_right(C, a) - C.scale_poly(a)).times_i()
+            rhs_op = omega_sum([F.X[k].left_act(a) for k in range(n)])
+            for slot, wb in mismatches(lhs_op, rhs_op):
+                yield {"identity": "r1", "a": wa, "slot": slot, "b": wb}
+
+    def r2():
+        for wa in words_a:
+            a = NCPoly(pres, {wa: ONE})
+            for k in range(n):
+                lhs_op = _mul_by_algebra_right(Omegas[k], a)
+                rhs_op = omega_sum([F.f[k][l].left_act(a) for l in range(n)])
+                for slot, wb in mismatches(lhs_op, rhs_op):
+                    yield {"identity": "r2", "a": wa, "k": k, "slot": slot, "b": wb}
+
+    return [first_failure("prop1_r1", r1()), first_failure("prop1_r2", r2())]
 
 
 def tau_block(pairs, C, rho):
@@ -308,66 +296,54 @@ def prop4_verify(B, degree=2):
     pres = ctx.pres
     n2 = len(B.labels)
     words = ctx.corpus(degree)
-    checks = []
+
+    def tau_gamma(gamma):
+        """tau of a calculus element sum_l a_l theta_l: sum_l a_l Omega_l."""
+        out = CrossElement(ctx, {})
+        for lab, coeff in gamma.terms.items():
+            out = out + mixed_word_to_cross(ctx, [coeff, B.Omega[B.labels.index(lab)]])
+        return out
 
     # Omega_kj a = sum_il (f^{kj}_{il} |> a) Omega_il, exactly in the cross product
-    witness = None
-    for idx in range(n2):
-        if witness:
-            break
-        omega = B.Omega[idx]
-        for wa in words:
-            a = NCPoly(pres, {wa: ONE})
-            lhs = mixed_word_to_cross(ctx, [omega, a])
-            rhs = CrossElement(ctx, {})
-            for idx2 in range(n2):
-                acted = B.fodc.f[idx][idx2].left_act(a)
-                if not acted.is_zero():
-                    rhs = rhs + mixed_word_to_cross(ctx, [acted, B.Omega[idx2]])
-            if lhs != rhs:
-                witness = {"identity": "omega_rows", "label": B.labels[idx], "a": wa}
-                break
-    checks.append(("prop4_omega_rows", witness is None, witness))
+    def omega_rows():
+        for idx in range(n2):
+            omega = B.Omega[idx]
+            for wa in words:
+                a = NCPoly(pres, {wa: ONE})
+                lhs = mixed_word_to_cross(ctx, [omega, a])
+                rhs = CrossElement(ctx, {})
+                for idx2 in range(n2):
+                    acted = B.fodc.f[idx][idx2].left_act(a)
+                    if not acted.is_zero():
+                        rhs = rhs + mixed_word_to_cross(ctx, [acted, B.Omega[idx2]])
+                if lhs != rhs:
+                    yield {"identity": "omega_rows", "label": B.labels[idx], "a": wa}
 
     # bimodule map: tau(theta_kj . a) = Omega_kj a and tau(a . theta_kj) = a Omega_kj
-    witness = None
-    for idx in range(n2):
-        if witness:
-            break
-        for wa in words:
-            if len(wa) > 1:
-                continue
-            a = NCPoly(pres, {wa: ONE})
-            g = GammaElement.basis(pres, B.labels[idx])
-            moved = B.fodc.right_mul(g, a)
-            lhs = CrossElement(ctx, {})
-            for lab, coeff in moved.terms.items():
-                lhs = lhs + mixed_word_to_cross(
-                    ctx, [coeff, B.Omega[B.labels.index(lab)]])
-            rhs = mixed_word_to_cross(ctx, [B.Omega[idx], a])
-            if lhs != rhs:
-                witness = {"identity": "bimodule", "label": B.labels[idx], "a": wa}
-                break
-    checks.append(("prop4_bimodule_map", witness is None, witness))
+    def bimodule_map():
+        for idx in range(n2):
+            for wa in words:
+                if len(wa) > 1:
+                    continue
+                a = NCPoly(pres, {wa: ONE})
+                g = GammaElement.basis(pres, B.labels[idx])
+                lhs = tau_gamma(B.fodc.right_mul(g, a))
+                if lhs != mixed_word_to_cross(ctx, [B.Omega[idx], a]):
+                    yield {"identity": "bimodule", "label": B.labels[idx], "a": wa}
 
     # tau(a db) = a(Cb - bC)
-    witness = None
-    for wa in words:
-        if witness:
-            break
-        a = NCPoly(pres, {wa: ONE})
-        for wb in words:
-            b = NCPoly(pres, {wb: ONE})
-            gamma = B.fodc.differential(b).left_mul(a)
-            lhs = CrossElement(ctx, {})
-            for lab, coeff in gamma.terms.items():
-                lhs = lhs + mixed_word_to_cross(
-                    ctx, [coeff, B.Omega[B.labels.index(lab)]])
-            rhs = tau_central([(a, b)], B)
-            if lhs != rhs:
-                witness = {"identity": "tau_formula", "a": wa, "b": wb}
-                break
-    checks.append(("prop4_tau_formula", witness is None, witness))
+    def tau_formula():
+        for wa in words:
+            a = NCPoly(pres, {wa: ONE})
+            for wb in words:
+                b = NCPoly(pres, {wb: ONE})
+                lhs = tau_gamma(B.fodc.differential(b).left_mul(a))
+                if lhs != tau_central([(a, b)], B):
+                    yield {"identity": "tau_formula", "a": wa, "b": wb}
+
+    checks = [first_failure("prop4_omega_rows", omega_rows()),
+              first_failure("prop4_bimodule_map", bimodule_map()),
+              first_failure("prop4_tau_formula", tau_formula())]
 
     # tau(theta) = C + Tr(A) eps, extensionally on the corpus
     theta_image = CrossElement(ctx, {})
@@ -385,8 +361,6 @@ def prop4_verify(B, degree=2):
 def centrality_check(B, degree=3):
     """<Cg - gC, a> = 0 for every structural generator functional g and every
     corpus word a."""
-    from .dual import BF, CHAR, LM, LP
-
     ctx = B.ctx
     letters = [BF(LP, i, j) for i in range(1, ctx.n + 1) for j in range(1, ctx.n + 1)]
     letters += [BF(LM, i, j) for i in range(1, ctx.n + 1) for j in range(1, ctx.n + 1)]
@@ -396,19 +370,18 @@ def centrality_check(B, degree=3):
 
 def dual_centrality(C, letters, degree=3):
     ctx = C.ctx
-    witness = None
-    for bf in letters:
-        if witness:
-            break
-        g = DualElement(ctx, {ctx.canonical_word((bf,)): ONE})
-        comm = C * g - g * C
-        if not comm.terms:
-            continue
-        for w in ctx.corpus(degree):
-            if not comm.evaluate(w).is_zero():
-                witness = {"letter": repr(bf), "word": w}
-                break
-    return [("centrality", witness is None, witness)]
+
+    def witnesses():
+        for bf in letters:
+            g = DualElement(ctx, {ctx.canonical_word((bf,)): ONE})
+            comm = C * g - g * C
+            if not comm.terms:
+                continue
+            for w in ctx.corpus(degree):
+                if not comm.evaluate(w).is_zero():
+                    yield {"letter": repr(bf), "word": w}
+
+    return [first_failure("centrality", witnesses())]
 
 
 def hermiticity_check(B, degree=3):
@@ -416,21 +389,12 @@ def hermiticity_check(B, degree=3):
     conj(A^j_k) = A^k_j (entrywise, in the REAL star mode)."""
     ctx = B.ctx
     mode = ctx.pres.star_mode
-    checks = []
-    witness = None
     n = len(B.A)
-    for j in range(n):
-        for k in range(n):
-            if B.A[j][k].star(mode) != B.A[k][j]:
-                witness = {"entry": (j + 1, k + 1)}
-                break
-        if witness:
-            break
-    checks.append(("twist_matrix_conjugate_transpose", witness is None, witness))
+    twist = first_failure("twist_matrix_conjugate_transpose",
+                          ({"entry": (j + 1, k + 1)} for j in range(n) for k in range(n)
+                           if B.A[j][k].star(mode) != B.A[k][j]))
     ok = B.C.star().ext_equal(B.C, degree)
-    checks.append(("central_element_hermitean", ok,
-                   None if ok else {"degree": degree}))
-    return checks
+    return [twist, ("central_element_hermitean", ok, None if ok else {"degree": degree})]
 
 
 # ---------------------------------------------------------------------------
@@ -626,30 +590,27 @@ def direct_sum_central(outputs, degree=2):
                        [name for name, ok, _ in summand if not ok] or None))
         total = total + B.C
     # linearity of the commutator against the sum, on corpus pairs
-    witness = None
     pres = ctx.pres
-    for wa in ctx.corpus(1):
-        if witness:
-            break
-        a = NCPoly(pres, {wa: ONE})
-        for wb in ctx.corpus(1):
-            b = NCPoly(pres, {wb: ONE})
-            lhs = (mixed_word_to_cross(ctx, [a, total, b])
-                   - mixed_word_to_cross(ctx, [a, b, total]))
-            rhs = CrossElement(ctx, {})
-            for B in outputs:
-                rhs = rhs + tau_central([(a, b)], B)
-            if lhs != rhs:
-                witness = {"a": wa, "b": wb}
-                break
-    checks.append(("sum_linearity", witness is None, witness))
+
+    def nonlinear_pairs():
+        for wa in ctx.corpus(1):
+            a = NCPoly(pres, {wa: ONE})
+            for wb in ctx.corpus(1):
+                b = NCPoly(pres, {wb: ONE})
+                lhs = (mixed_word_to_cross(ctx, [a, total, b])
+                       - mixed_word_to_cross(ctx, [a, b, total]))
+                rhs = CrossElement(ctx, {})
+                for B in outputs:
+                    rhs = rhs + tau_central([(a, b)], B)
+                if lhs != rhs:
+                    yield {"a": wa, "b": wb}
+
+    checks.append(first_failure("sum_linearity", nonlinear_pairs()))
     return total, checks
 
 
 def leibniz_coherence_check(B, rng, samples=40, degree=2):
     """tau(d(ab)) = tau(a db) + tau(da) b, exactly, randomized."""
-    from .algebra import random_poly
-
     ctx = B.ctx
     pres = ctx.pres
     for _ in range(samples):

@@ -25,6 +25,18 @@ class DualError(ValueError):
     pass
 
 
+def _character_value(vals, terms):
+    """sum c vals[g1] ... vals[gk] over the terms {(g1, ..., gk): c} of a
+    polynomial or word: a character with generator values ``vals``."""
+    total = ZERO
+    for w, c in terms.items():
+        t = c
+        for g in w:
+            t = t * vals[g]
+        total = total + t
+    return total
+
+
 @dataclass(frozen=True)
 class BF:
     """A basic functional letter."""
@@ -90,16 +102,7 @@ class DualContext:
             if g not in vals:
                 raise DualError(f"character {name!r} missing value at {g!r}")
         for lhs, rhs in self.pres.rules:
-            left = ONE
-            for g in lhs:
-                left = left * vals[g]
-            right = ZERO
-            for w, c in rhs.items():
-                v = c
-                for g in w:
-                    v = v * vals[g]
-                right = right + v
-            if left != right:
+            if _character_value(vals, {lhs: ONE}) != _character_value(vals, rhs):
                 raise DualError(
                     f"character {name!r} does not respect relation {' '.join(lhs)}")
 
@@ -107,24 +110,26 @@ class DualContext:
         """<zeta*, a> = conj <zeta, S(a)*> defines another character."""
         if name in self._star_char_cache:
             return self._star_char_cache[name]
-        vals = self.character_values(name)
-        mode = self.pres.star_mode
-        out = {}
-        for g in self.pres.generators:
-            p = self.hopf.antipode(self.pres.gen(g)).star()
-            v = ZERO
-            for w, c in p.terms.items():
-                t = c
-                for h in w:
-                    t = t * vals[h]
-                v = v + t
-            out[g] = v.star(mode)
         star_name = name + "*"
-        self.characters[star_name] = out
+        self.characters[star_name] = self._after_antipode(name, star=True)
         self._star_char_cache[name] = star_name
         # involution: the star of the star character is the original
         self._star_char_cache[star_name] = name
         return star_name
+
+    def _after_antipode(self, name, star=False):
+        """Generator values of zeta o S, or with ``star`` of
+        g -> conj <zeta, S(g)*>."""
+        vals = self.character_values(name)
+        mode = self.pres.star_mode
+        out = {}
+        for g in self.pres.generators:
+            p = self.hopf.antipode(self.pres.gen(g))
+            if star:
+                out[g] = _character_value(vals, p.star().terms).star(mode)
+            else:
+                out[g] = _character_value(vals, p.terms)
+        return out
 
     def is_counital(self, bf):
         """True when the letter acts exactly as the counit (dropped from
@@ -165,11 +170,7 @@ class DualContext:
         if bf.kind == EPS:
             return self.hopf.counit_word(w)
         if bf.kind == CHAR:
-            vals = self.character_values(bf.name)
-            v = ONE
-            for g in w:
-                v = v * vals[g]
-            return v
+            return _character_value(self.character_values(bf.name), {w: ONE})
         if bf.kind in (LP, LM):
             # matrix coproduct: product of per-generator matrices
             vec = {bf.i: ONE}
@@ -271,20 +272,9 @@ class DualContext:
             return bf
         if bf.kind == CHAR:
             # characters are group-like: S(zeta) = zeta o S, again a character
-            vals = self.character_values(bf.name)
             name = bf.name + "_S"
             if name not in self.characters:
-                out = {}
-                for g in self.pres.generators:
-                    p = self.hopf.antipode(self.pres.gen(g))
-                    v = ZERO
-                    for w, c in p.terms.items():
-                        t = c
-                        for h in w:
-                            t = t * vals[h]
-                        v = v + t
-                    out[g] = v
-                self.characters[name] = out
+                self.characters[name] = self._after_antipode(bf.name)
             return BF(CHAR, name=name)
         if bf.kind == LP:
             return BF(SLP, bf.i, bf.j)

@@ -9,7 +9,7 @@ stored in left normal form: coefficients to the left of the basis symbols.
 
 from __future__ import annotations
 
-from .algebra import LinComb, NCPoly, _accum
+from .algebra import LinComb, NCPoly, _accum, first_failure
 from .dual import BF, CHAR, DualElement, LP, SLM
 from .exprparse import base_env, parse_scalar, scalar_to_str
 from .presentations import builtin_presentation
@@ -110,76 +110,58 @@ def fodc_validate(F, degree=3):
     ctx = F.ctx
     pres = F.pres
     words = ctx.corpus(degree)
-    checks = []
 
-    witness = None
-    for k in range(F.n):
-        if not F.X[k].evaluate(pres.one()).is_zero():
-            witness = ("X_at_1", k)
-            break
-        for j in range(F.n):
-            want = ONE if j == k else ZERO
-            if F.f[k][j].evaluate(pres.one()) != want:
-                witness = ("f_at_1", k, j)
-                break
-        if witness:
-            break
-    checks.append(("unit_values", witness is None, witness))
+    def unit_values():
+        for k in range(F.n):
+            if not F.X[k].evaluate(pres.one()).is_zero():
+                yield ("X_at_1", k)
+            for j in range(F.n):
+                want = ONE if j == k else ZERO
+                if F.f[k][j].evaluate(pres.one()) != want:
+                    yield ("f_at_1", k, j)
 
-    witness = None
-    for k in range(F.n):
-        if witness:
-            break
-        for wa in words:
-            if witness:
-                break
-            a = NCPoly(pres, {wa: ONE})
-            eps_a = ctx.hopf.counit(a)
-            xa = [F.X[j].evaluate(a) for j in range(F.n)]
-            for wb in words:
-                b = NCPoly(pres, {wb: ONE})
-                lhs = F.X[k].evaluate(a * b)
-                rhs = eps_a * F.X[k].evaluate(b)
-                for j in range(F.n):
-                    if not xa[j].is_zero():
-                        rhs = rhs + xa[j] * F.f[j][k].evaluate(b)
-                if lhs != rhs:
-                    witness = ("tangent_coproduct", k, wa, wb)
-                    break
-    checks.append(("tangent_coproduct", witness is None, witness))
-
-    witness = None
-    for k in range(F.n):
-        if witness:
-            break
-        for j in range(F.n):
-            if witness:
-                break
+    def tangent_coproduct():
+        for k in range(F.n):
             for wa in words:
-                if witness:
-                    break
                 a = NCPoly(pres, {wa: ONE})
-                fa = [F.f[k][l].evaluate(a) for l in range(F.n)]
+                eps_a = ctx.hopf.counit(a)
+                xa = [F.X[j].evaluate(a) for j in range(F.n)]
                 for wb in words:
                     b = NCPoly(pres, {wb: ONE})
-                    lhs = F.f[k][j].evaluate(a * b)
-                    rhs = ZERO
-                    for l in range(F.n):
-                        if not fa[l].is_zero():
-                            rhs = rhs + fa[l] * F.f[l][j].evaluate(b)
+                    lhs = F.X[k].evaluate(a * b)
+                    rhs = eps_a * F.X[k].evaluate(b)
+                    for j in range(F.n):
+                        if not xa[j].is_zero():
+                            rhs = rhs + xa[j] * F.f[j][k].evaluate(b)
                     if lhs != rhs:
-                        witness = ("f_comultiplicative", k, j, wa, wb)
-                        break
-    checks.append(("f_comultiplicative", witness is None, witness))
+                        yield ("tangent_coproduct", k, wa, wb)
 
-    if F.star_permutation is not None:
-        witness = None
+    def f_comultiplicative():
+        for k in range(F.n):
+            for j in range(F.n):
+                for wa in words:
+                    a = NCPoly(pres, {wa: ONE})
+                    fa = [F.f[k][l].evaluate(a) for l in range(F.n)]
+                    for wb in words:
+                        b = NCPoly(pres, {wb: ONE})
+                        lhs = F.f[k][j].evaluate(a * b)
+                        rhs = ZERO
+                        for l in range(F.n):
+                            if not fa[l].is_zero():
+                                rhs = rhs + fa[l] * F.f[l][j].evaluate(b)
+                        if lhs != rhs:
+                            yield ("f_comultiplicative", k, j, wa, wb)
+
+    def tangent_star():
         for k, k_star in enumerate(F.star_permutation):
             if not F.X[k].star().ext_equal(F.X[k_star], degree):
-                witness = ("tangent_star", k)
-                break
-        checks.append(("tangent_star_invariance", witness is None, witness))
+                yield ("tangent_star", k)
 
+    checks = [first_failure("unit_values", unit_values()),
+              first_failure("tangent_coproduct", tangent_coproduct()),
+              first_failure("f_comultiplicative", f_comultiplicative())]
+    if F.star_permutation is not None:
+        checks.append(first_failure("tangent_star_invariance", tangent_star()))
     return checks
 
 
@@ -285,9 +267,9 @@ def bicovariant_build(ctx, zeta_name="eps", validate_degree=2):
 
     fodc = FodcData(ctx, labels, X, f, star_permutation=perm)
     report = fodc_validate(fodc, degree=validate_degree)
-    bad = [name for name, ok, _ in report if not ok]
-    if bad:
-        raise FodcError(f"bicovariant build fails validation: {bad}")
+    failed = [name for name, ok, _ in report if not ok]
+    if failed:
+        raise FodcError(f"bicovariant build fails validation: {failed}")
     return BicovariantOutput(ctx, zeta_name, fodc, C, Omega, A, TrA)
 
 

@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraPresentation, LinComb, _accum
-from .commrep import quantum_space_commrep_report, row_statuses, row_transport
+from .algebra import AlgebraPresentation, LinComb, _accum, first_failure
+from .commrep import (plane_block_c, quantum_space_commrep_report, row_statuses,
+                      row_transport)
 from .fodc import builtin_calculus
 from .presentations import builtin_presentation
 from .scalars import ONE, QScalar, REAL
@@ -170,6 +171,8 @@ def summability_report(q, M):
     the closed geometric form, with the tail bound q^{2M+2}/(1-q^2)."""
     if not (0.0 < q < 1.0):
         raise HilbertError("summability needs 0 < q < 1")
+    if M < 1:
+        raise HilbertError("summability needs at least one term (M >= 1)")
     terms = [q ** (2 * n + 2) for n in range(M)]
     partial = []
     acc = 0.0
@@ -182,9 +185,9 @@ def summability_report(q, M):
         "check": "summability",
         "q": q,
         "terms": M,
-        "partial_sum": partial[-1] if partial else 0.0,
+        "partial_sum": acc,
         "closed_form": closed,
-        "difference": abs((partial[-1] if partial else 0.0) - closed),
+        "difference": abs(acc - closed),
         "tail_bound": tail,
         "monotone": all(b >= a for a, b in zip(partial, partial[1:])),
         "verdict": "trace-norm partial sums consistent with a summable sequence",
@@ -219,8 +222,6 @@ def weyl_rep(m):
 def weyl_commrep_residuals(m, tol=1e-12):
     """Numeric commutators of the block C against the exactly derived
     images, evaluated in the clock/shift model."""
-    from .commrep import plane_block_c
-
     rep = weyl_rep(m)
     pres = rep.pres
     calc = builtin_calculus("pw-a")
@@ -460,15 +461,10 @@ class Ex3Model:
     def f_symmetry_report(self):
         """Formal symmetry: entry (m, n) of F equals the star of entry (n, m)
         in the operator ring."""
-        bad = None
-        for n in range(self.mask + 1):
-            for m in range(max(0, n - 1), min(self.top, n + 1) + 1):
-                if self.F.entry(m, n) != self.F.entry(n, m).star():
-                    bad = (m, n)
-                    break
-            if bad:
-                break
-        return [("f_formal_symmetry", bad is None, bad)]
+        return [first_failure("f_formal_symmetry", (
+            (m, n) for n in range(self.mask + 1)
+            for m in range(max(0, n - 1), min(self.top, n + 1) + 1)
+            if self.F.entry(m, n) != self.F.entry(n, m).star()))]
 
     def boundary_report(self):
         """lam_0 = 0 kills the lowering operator at slot 0."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import LinComb, NCPoly, _accum
+from .algebra import LinComb, NCPoly, _accum, first_failure
 from .linalg import solve_field
 from .exprparse import base_env, parse_scalar, scalar_to_str
 from .scalars import ONE, ZERO
@@ -269,73 +269,58 @@ def hopf_axiom_report(H, degree=3):
     the relation ideal.  Returns a list of (check, ok, witness)."""
     pres = H.pres
     words = pres.normal_words(degree)
-    results = []
 
     def poly_of(w):
         return NCPoly(pres, {w: ONE})
 
-    bad = None
-    for w in words:
-        d = H.coproduct(poly_of(w))
-        left = _expand_leg(H, d, 0)
-        right = _expand_leg(H, d, 1)
-        if left != right:
-            bad = w
-            break
-    results.append(("coassociativity", bad is None, bad))
+    def coassociativity():
+        for w in words:
+            d = H.coproduct(poly_of(w))
+            if _expand_leg(H, d, 0) != _expand_leg(H, d, 1):
+                yield w
 
-    bad = None
-    for w in words:
-        p = poly_of(w)
-        d = H.coproduct(p)
-        lhs = _contract_counit(H, d, 0)
-        rhs = _contract_counit(H, d, 1)
-        if lhs != p or rhs != p:
-            bad = w
-            break
-    results.append(("counit", bad is None, bad))
+    def counit():
+        for w in words:
+            p = poly_of(w)
+            d = H.coproduct(p)
+            if _contract_counit(H, d, 0) != p or _contract_counit(H, d, 1) != p:
+                yield w
 
-    bad = None
-    for w in words:
-        p = poly_of(w)
-        d = H.coproduct(p)
-        left = pres.zero()
-        right = pres.zero()
-        for (w1, w2), c in d.terms.items():
-            left = left + (H.antipode(poly_of(w1)) * poly_of(w2)).scale(c)
-            right = right + (poly_of(w1) * H.antipode(poly_of(w2))).scale(c)
-        target = pres.one().scale(H.counit(p))
-        if left != target or right != target:
-            bad = w
-            break
-    results.append(("antipode", bad is None, bad))
+    def antipode():
+        for w in words:
+            p = poly_of(w)
+            left = pres.zero()
+            right = pres.zero()
+            for (w1, w2), c in H.coproduct(p).terms.items():
+                left = left + (H.antipode(poly_of(w1)) * poly_of(w2)).scale(c)
+                right = right + (poly_of(w1) * H.antipode(poly_of(w2))).scale(c)
+            target = pres.one().scale(H.counit(p))
+            if left != target or right != target:
+                yield w
 
-    if pres.star is not None:
-        bad = None
+    def star_compatibility():
         for w in words:
             p = poly_of(w)
             if H.coproduct(p.star()) != H.coproduct(p).star_legwise():
-                bad = w
-                break
-        results.append(("star_compatibility", bad is None, bad))
+                yield w
 
-    bad = None
-    for lhs, rhs in pres.rules:
-        rel = NCPoly(pres, pres.normal_form_terms(dict(rhs)))
-        d_lhs = H.coproduct_word(lhs)
-        if d_lhs != H.coproduct(rel):
-            bad = lhs
-            break
-        if H.counit_word(lhs) != H.counit(rel):
-            bad = lhs
-            break
-        s_lhs = pres.one()
-        for g in reversed(lhs):
-            s_lhs = s_lhs * H.antipode_table[g]
-        if s_lhs != H.antipode(rel):
-            bad = lhs
-            break
-    results.append(("relation_consistency", bad is None, bad))
+    def relation_consistency():
+        for lhs, rhs in pres.rules:
+            rel = NCPoly(pres, pres.normal_form_terms(dict(rhs)))
+            s_lhs = pres.one()
+            for g in reversed(lhs):
+                s_lhs = s_lhs * H.antipode_table[g]
+            if (H.coproduct_word(lhs) != H.coproduct(rel)
+                    or H.counit_word(lhs) != H.counit(rel)
+                    or s_lhs != H.antipode(rel)):
+                yield lhs
+
+    results = [first_failure("coassociativity", coassociativity()),
+               first_failure("counit", counit()),
+               first_failure("antipode", antipode())]
+    if pres.star is not None:
+        results.append(first_failure("star_compatibility", star_compatibility()))
+    results.append(first_failure("relation_consistency", relation_consistency()))
     return results
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,13 @@ from pathlib import Path
 import pytest
 
 import ncgv
+from ncgv import cli
+from ncgv.algebra import first_failure
 from ncgv.cli import load_scenario, main, run_scenario
 
 # the directory holding the package, for child interpreters
 PACKAGE_ROOT = str(Path(ncgv.__file__).resolve().parent.parent)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args):
@@ -144,3 +148,86 @@ def test_disc_numeric_accepts_mask_in_range(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", str(scenario), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["checks"][0]["mask"] == 8
+
+
+def write_scenario(tmp_path, checks, algebra="slq2"):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"name": "t", "algebra": algebra, "checks": checks}))
+    return str(path)
+
+
+@pytest.mark.parametrize("item, key", [
+    ({"name": "hopf_axioms", "degre": 1}, "degre"),
+    ({"name": "disc_numeric", "dim": "64"}, "dim"),
+    ({"name": "prop1", "degree": "2"}, "degree"),
+    ({"name": "summability", "tol": True}, "tol"),
+    ({"name": "faithfulness", "degrees": [1, "2"]}, "degrees"),
+    ({"name": "calculus_consistency"}, "variant"),
+])
+def test_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, item, key):
+    assert main(["verify", write_scenario(tmp_path, [item])]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_bad_last_item_rejected_before_first_check_runs(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli.Session, "context", lambda session: built.append(session))
+    path = write_scenario(tmp_path, [{"name": "hopf_axioms", "degree": 1},
+                                     {"name": "summability", "dimm": 8}])
+    assert main(["verify", path]) == 2
+    assert "'dimm'" in capsys.readouterr().err
+    assert built == []
+
+
+def test_overrides_reach_only_checks_that_declare_them(tmp_path):
+    plain = tmp_path / "plain.json"
+    with_degree = tmp_path / "with_degree.json"
+    assert main(["verify", "builtin:disc_m64", "--out", str(plain)]) == 0
+    assert main(["verify", "builtin:disc_m64", "--degree", "2",
+                 "--out", str(with_degree)]) == 0
+    assert plain.read_bytes() == with_degree.read_bytes()
+
+
+def test_int_accepted_for_float_parameter(tmp_path):
+    out = tmp_path / "report.json"
+    path = write_scenario(tmp_path, [{"name": "summability", "dim": 8, "tol": 1}])
+    assert main(["verify", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"][0]["tol"] == 1
+
+
+def test_summability_without_terms_exits_2(tmp_path, capsys):
+    path = write_scenario(tmp_path, [{"name": "summability", "dim": 0}], algebra="disc")
+    assert main(["verify", path]) == 2
+    assert "summability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--q", "1.5"], ["--dim", "0"]])
+def test_summability_subcommand_rejects_bad_input(args):
+    code, _, err = run_cli(["summability", *args])
+    assert code == 2
+    assert err.startswith("summability error:")
+    assert "Traceback" not in err
+
+
+def test_first_failure_consumes_only_the_first_witness():
+    consumed = []
+
+    def witnesses():
+        for w in [("a",), ("b",)]:
+            consumed.append(w)
+            yield w
+
+    assert first_failure("c", witnesses()) == ("c", False, ("a",))
+    assert consumed == [("a",)]
+    assert first_failure("c", iter([])) == ("c", True, None)
+
+
+def test_first_failure_reports_the_empty_word():
+    assert first_failure("c", iter([()])) == ("c", False, ())
+
+
+def test_readme_lists_every_check():
+    text = README.read_text()
+    paragraph = text[text.index("Check names:"):].split("\n\n")[0]
+    names = re.findall(r"`([a-z0-9_]+)`", paragraph)
+    assert sorted(names) == sorted(cli.CHECKS)
