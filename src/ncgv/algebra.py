@@ -9,7 +9,7 @@ reduction terminate; confluence is checked, not assumed.
 
 from __future__ import annotations
 
-from .exprparse import base_env, parse_scalar, scalar_to_str
+from .exprparse import base_env, parse_scalar, scalar_to_str, terms_from_doc, terms_to_doc
 from .scalars import ONE, REAL, ZERO, QScalar
 
 Word = tuple
@@ -445,13 +445,6 @@ def star_closure_report(pres):
 # ---------------------------------------------------------------------------
 
 
-def _parse_word(text):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(text.split())
-
-
 def load_presentation(doc, params=None, name=None):
     """Build a presentation from its JSON document form.
 
@@ -478,15 +471,8 @@ def load_presentation(doc, params=None, name=None):
             star[g["name"]] = (entry, ONE)
         else:
             star[g["name"]] = (entry["gen"], parse_scalar(entry["coeff"], env))
-    rules = []
-    for rel in doc["relations"]:
-        lhs = _parse_word(rel["lhs"])
-        rhs = {}
-        for t in rel["rhs"]:
-            w = _parse_word(t["word"])
-            c = parse_scalar(t["coeff"], env)
-            rhs[w] = rhs.get(w, ZERO) + c
-        rules.append((lhs, rhs))
+    rules = [(tuple(rel["lhs"].split()), terms_from_doc(rel["rhs"], env))
+             for rel in doc["relations"]]
     weights = doc.get("weights")
     return AlgebraPresentation(
         name or doc.get("name", "loaded"),
@@ -514,10 +500,7 @@ def presentation_to_doc(pres):
     for lhs, rhs in pres.rules:
         rels.append({
             "lhs": " ".join(lhs),
-            "rhs": [
-                {"coeff": scalar_to_str(c), "word": " ".join(w)}
-                for w, c in sorted(rhs.items(), key=lambda kv: pres.word_key(kv[0]))
-            ],
+            "rhs": terms_to_doc(sorted(rhs.items(), key=lambda kv: pres.word_key(kv[0]))),
         })
     doc = {
         "name": pres.name,

@@ -10,7 +10,7 @@ and every check of a scenario is bound to them before the first one runs.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 the scenario
 could not be loaded (parse error, missing reference, unknown check name, or
-an unknown, missing or mistyped check parameter).
+an unknown, missing, mistyped or out-of-range check parameter).
 """
 
 from __future__ import annotations
@@ -356,11 +356,18 @@ def _has_type(value, kind):
     return type(value) is kind
 
 
+# The smallest value of a parameter, or of each entry of a list parameter, on
+# every check that declares it: below it the check's corpus is empty, and the
+# check would pass without testing anything.
+_AT_LEAST = {"degree": 0, "degrees": 1, "samples": 1}
+
+
 def _bind(item, overrides):
     """(check name, keyword arguments) of one scenario item.  Every key must
-    be a parameter the check declares, with the declared type, and every
-    parameter without a default must be given.  An override reaches only
-    the checks that declare it."""
+    be a parameter the check declares, with the declared type and within
+    ``_AT_LEAST``, a list must not be empty, and every parameter without a
+    default must be given.  An override reaches only the checks that declare
+    it."""
     if not isinstance(item, dict):
         raise ScenarioError(f"a check must be an object, got {item!r}")
     name = item.get("name")
@@ -378,12 +385,25 @@ def _bind(item, overrides):
             shown = kind.__name__ if isinstance(kind, type) else str(kind)
             raise ScenarioError(
                 f"check {name!r} parameter {key!r} must be {shown}, got {value!r}")
+        values = value if isinstance(value, list) else [value]
+        if not values:
+            raise ScenarioError(f"check {name!r} parameter {key!r} must not be empty")
+        if key in _AT_LEAST and min(values) < _AT_LEAST[key]:
+            raise ScenarioError(f"check {name!r} parameter {key!r} must be at least "
+                                f"{_AT_LEAST[key]}, got {value!r}")
     for param in declared.values():
         if param.kind is param.KEYWORD_ONLY and param.default is param.empty \
                 and param.name not in kwargs:
             raise ScenarioError(f"check {name!r} needs a {param.name!r} parameter")
     if name in ("calculus_consistency", "star_closure") and "variant" in kwargs:
         builtin_calculus(kwargs["variant"])  # raises for unknown variants
+    if name == "idempotence_random":
+        samples = kwargs.get("samples", declared["samples"].default)
+        n = len(kwargs.get("presentations", declared["presentations"].default))
+        if samples < n:
+            raise ScenarioError(
+                f"check {name!r} parameter 'samples' must be at least the number of "
+                f"'presentations' ({n}), got {samples!r}")
     return name, kwargs
 
 

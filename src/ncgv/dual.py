@@ -172,37 +172,33 @@ class DualContext:
         if bf.kind == CHAR:
             return _character_value(self.character_values(bf.name), {w: ONE})
         if bf.kind in (LP, LM):
-            # matrix coproduct: product of per-generator matrices
-            vec = {bf.i: ONE}
-            for g in w:
-                nxt = {}
-                for k, c in vec.items():
-                    for t in range(1, self.n + 1):
-                        e = self._matrix_entry(bf.kind, k, t, g)
-                        if not e.is_zero():
-                            nxt[t] = nxt.get(t, ZERO) + c * e
-                vec = {k: c for k, c in nxt.items() if not c.is_zero()}
-                if not vec:
-                    return ZERO
-            return vec.get(bf.j, ZERO)
-        if bf.kind in (SLP, SLM):
+            gens = w
+
+            def entry(k, t, g):
+                return self._matrix_entry(bf.kind, k, t, g)
+        elif bf.kind in (SLP, SLM):
             # <S(f), g1..gd> = <f, S(gd)..S(g1)>: reversed product of the
             # antipode evaluations
-            base = BF(LP if bf.kind == SLP else LM, bf.i, bf.j)
-            vec = {bf.i: ONE}
-            for g in reversed(w):
-                sg = self.hopf.antipode_table[g]
-                nxt = {}
-                for k, c in vec.items():
-                    for t in range(1, self.n + 1):
-                        e = self.eval_letter_poly(BF(base.kind, k, t), sg)
-                        if not e.is_zero():
-                            nxt[t] = nxt.get(t, ZERO) + c * e
-                vec = {k: c for k, c in nxt.items() if not c.is_zero()}
-                if not vec:
-                    return ZERO
-            return vec.get(bf.j, ZERO)
-        raise DualError(f"unknown letter kind {bf.kind!r}")
+            base = LP if bf.kind == SLP else LM
+            gens = reversed(w)
+
+            def entry(k, t, g):
+                return self.eval_letter_poly(BF(base, k, t), self.hopf.antipode_table[g])
+        else:
+            raise DualError(f"unknown letter kind {bf.kind!r}")
+        # matrix coproduct: row bf.i of the product of per-generator matrices
+        vec = {bf.i: ONE}
+        for g in gens:
+            nxt = {}
+            for k, c in vec.items():
+                for t in range(1, self.n + 1):
+                    e = entry(k, t, g)
+                    if not e.is_zero():
+                        nxt[t] = nxt.get(t, ZERO) + c * e
+            vec = {k: c for k, c in nxt.items() if not c.is_zero()}
+            if not vec:
+                return ZERO
+        return vec.get(bf.j, ZERO)
 
     def eval_letter_poly(self, bf, p):
         v = ZERO
@@ -224,17 +220,24 @@ class DualContext:
         elif m == 1:
             val = self.eval_letter_word(fword[0], w)
         else:
-            it = self.hopf.iterated_coproduct_word(w, m)
-            val = ZERO
-            for legs, c in it.terms.items():
-                t = c
-                for bf, leg in zip(fword, legs):
-                    t = t * self.eval_letter_word(bf, leg)
-                    if t.is_zero():
-                        break
-                val = val + t
+            val = self.pair_legs(fword, w, 0).get((), ZERO)
         self._word_eval_cache[key] = val
         return val
+
+    def pair_legs(self, fword, w, free):
+        """Pair f1...fm with the last m legs of the (free + m)-fold coproduct
+        of w: {first ``free`` legs: sum of c <f1, leg> ... <fm, leg>}."""
+        out = {}
+        it = self.hopf.iterated_coproduct_word(w, free + len(fword))
+        for legs, c in it.terms.items():
+            t = c
+            for bf, leg in zip(fword, legs[free:]):
+                t = t * self.eval_letter_word(bf, leg)
+                if t.is_zero():
+                    break
+            else:
+                _accum(out, legs[:free], t)
+        return out
 
     # -- letter structure -----------------------------------------------------------
 
@@ -324,15 +327,11 @@ class DualElement(LinComb):
     def evaluate(self, a):
         """Pairing with an algebra element (NCPoly or raw word)."""
         ctx = self.ctx
-        if isinstance(a, NCPoly):
-            val = ZERO
-            for w, c in a.terms.items():
-                for fw, fc in self.terms.items():
-                    val = val + c * fc * ctx.eval_word_on_word(fw, w)
-            return val
+        terms = a.terms if isinstance(a, NCPoly) else {tuple(a): ONE}
         val = ZERO
-        for fw, fc in self.terms.items():
-            val = val + fc * ctx.eval_word_on_word(fw, tuple(a))
+        for w, c in terms.items():
+            for fw, fc in self.terms.items():
+                val = val + c * fc * ctx.eval_word_on_word(fw, w)
         return val
 
     def ext_equal(self, other, degree=None):
@@ -387,26 +386,12 @@ class DualElement(LinComb):
         pres = ctx.pres
         total = {}
         for fw, fc in self.terms.items():
-            m = len(fw)
             for w, c in a.terms.items():
                 key = (fw, w)
                 hit = ctx._act_cache.get(key)
                 if hit is None:
-                    hit = {}
-                    if m == 0:
-                        hit[w] = ONE
-                    else:
-                        it = ctx.hopf.iterated_coproduct_word(w, m + 1)
-                        for legs, lc in it.terms.items():
-                            t = lc
-                            for bf, leg in zip(fw, legs[1:]):
-                                t = t * ctx.eval_letter_word(bf, leg)
-                                if t.is_zero():
-                                    break
-                            if not t.is_zero():
-                                _accum(hit, legs[0], t)
-                    ctx._act_cache[key] = hit
-                for u, cu in hit.items():
+                    hit = ctx._act_cache[key] = ctx.pair_legs(fw, w, 1)
+                for (u,), cu in hit.items():
                     _accum(total, u, fc * c * cu)
         return NCPoly(pres, total)
 
@@ -604,13 +589,9 @@ def validate_letters(ctx):
                 letters.append(BF(kind, i, j))
     failures = []
     for lhs, rhs in pres.rules:
-        rel_terms = dict(rhs)
+        rel = pres.poly(rhs)
         for bf in letters:
-            left = ctx.eval_letter_word(bf, lhs)
-            right = ZERO
-            for w, c in pres.normal_form_terms(rel_terms).items():
-                right = right + c * ctx.eval_letter_word(bf, w)
-            if left != right:
+            if ctx.eval_letter_word(bf, lhs) != ctx.eval_letter_poly(bf, rel):
                 failures.append((bf, lhs))
     return failures
 

@@ -2,14 +2,15 @@
 
 Grammar: integers, names, + - * / ^ and parentheses; exponents are integers
 (possibly negative).  Used by all structured-text inputs (presentations,
-R-matrices, characters, calculi).
+R-matrices, characters, calculi), which write a polynomial as a term list
+[{"coeff": expression, "word": "g1 g2 ..."}].
 """
 
 from __future__ import annotations
 
 import re
 
-from .scalars import ONE, Q, QScalar, S
+from .scalars import ONE, Q, QScalar, S, ZERO
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
@@ -131,3 +132,17 @@ def parse_scalar(text, env=None):
 def scalar_to_str(x):
     """Canonical, re-parseable rendering of a QScalar."""
     return repr(x)
+
+
+def terms_from_doc(items, env):
+    """{word: coefficient} of a term list; a repeated word adds up."""
+    out = {}
+    for t in items:
+        w = tuple(t["word"].split())
+        out[w] = out.get(w, ZERO) + parse_scalar(t["coeff"], env)
+    return out
+
+
+def terms_to_doc(terms):
+    """Term list of (word, coefficient) pairs, in the order given."""
+    return [{"coeff": scalar_to_str(c), "word": " ".join(w)} for w, c in terms]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebra import LinComb, NCPoly, _accum, first_failure
 from .dual import BF, CHAR, DualElement, LP, SLM
-from .exprparse import base_env, parse_scalar, scalar_to_str
+from .exprparse import base_env, parse_scalar, scalar_to_str, terms_from_doc, terms_to_doc
 from .presentations import builtin_presentation
 from .scalars import ONE, QScalar, ZERO
 
@@ -394,10 +394,7 @@ def star_row_closure_report(calc):
     for (label, gen), row in sorted(calc.rows.items()):
         gstar = pres.gen(gen).star()
         lhs = GammaElement.basis(pres, calc.label_star[label]).left_mul(gstar)
-        rhs = GammaElement.zero(pres)
-        for lab2, h in row.terms.items():
-            unit = GammaElement.basis(pres, calc.label_star[lab2])
-            rhs = rhs + calc.right_mul_poly(unit, h.star())
+        rhs = calc.gamma_star(row)
         ok = lhs == rhs
         results.append((f"{label}.{gen}", "pass" if ok else "fail",
                         None if ok else repr(lhs - rhs)))
@@ -584,10 +581,7 @@ def bicovariant_to_doc(B):
 def quantum_space_to_doc(calc):
     def gamma_doc(g):
         return [
-            {"label": label, "coeff": [
-                {"coeff": scalar_to_str(c), "word": " ".join(w)}
-                for w, c in poly.sorted_terms()
-            ]}
+            {"label": label, "coeff": terms_to_doc(poly.sorted_terms())}
             for label, poly in sorted(g.terms.items())
         ]
 
@@ -618,13 +612,8 @@ def quantum_space_from_doc(doc, pres):
     env = base_env({k: v for k, v in pres.params.items()})
 
     def gamma_from(items):
-        coeffs = {}
-        for item in items:
-            terms = {}
-            for t in item["coeff"]:
-                _accum(terms, tuple(t["word"].split()), parse_scalar(t["coeff"], env))
-            coeffs[item["label"]] = pres.poly(terms)
-        return GammaElement(pres, coeffs)
+        return GammaElement(pres, {item["label"]: pres.poly(terms_from_doc(item["coeff"], env))
+                                   for item in items})
 
     dmap = {g: gamma_from(v) for g, v in doc["d"].items()}
     rows = {(r["label"], r["gen"]): gamma_from(r["value"]) for r in doc["rows"]}

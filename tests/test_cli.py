@@ -231,3 +231,35 @@ def test_readme_lists_every_check():
     paragraph = text[text.index("Check names:"):].split("\n\n")[0]
     names = re.findall(r"`([a-z0-9_]+)`", paragraph)
     assert sorted(names) == sorted(cli.CHECKS)
+
+
+def rejected_before_any_check(tmp_path, capsys, monkeypatch, checks, *args):
+    """stderr of a scenario that exits 2 before any check builds its context."""
+    built = []
+    monkeypatch.setattr(cli.Session, "context", lambda session: built.append(session))
+    assert main(["verify", write_scenario(tmp_path, checks), *args]) == 2
+    assert built == []
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("degrees", [[], [0, 1]])
+def test_faithfulness_degrees_rejected_at_bind_time(tmp_path, capsys, monkeypatch, degrees):
+    err = rejected_before_any_check(tmp_path, capsys, monkeypatch, [
+        {"name": "hopf_axioms", "degree": 1},
+        {"name": "faithfulness", "degrees": degrees}])
+    assert "'degrees'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("item, args, key", [
+    ({"name": "leibniz_random", "samples": -5}, [], "samples"),
+    ({"name": "cross_assoc_random", "samples": 0}, [], "samples"),
+    ({"name": "idempotence_random", "presentations": []}, [], "presentations"),
+    ({"name": "idempotence_random", "samples": 3}, [], "samples"),
+    ({"name": "hopf_axioms", "degree": -1}, [], "degree"),
+    ({"name": "hopf_axioms", "degree": 1}, ["--degree", "-1"], "degree"),
+])
+def test_empty_corpus_rejected_at_bind_time(tmp_path, capsys, monkeypatch, item, args, key):
+    err = rejected_before_any_check(tmp_path, capsys, monkeypatch, [
+        {"name": "hopf_axioms", "degree": 1}, item], *args)
+    assert repr(key) in err

@@ -291,3 +291,31 @@ def test_pairing_kills_relations_words(ctx):
             left = f.evaluate(NCPoly(ctx.pres, ctx.pres.normal_form_terms({lhs: ONE})))
             right = f.evaluate(NCPoly(ctx.pres, ctx.pres.normal_form_terms(dict(rhs))))
             assert left == right
+
+
+def structural_letters(ctx):
+    letters = [BF(EPS)] + [BF(CHAR, name=name) for name in sorted(ctx.characters)]
+    return letters + [BF(kind, i, j) for kind in (LP, LM, SLP, SLM)
+                      for i in (1, 2) for j in (1, 2)]
+
+
+def test_pairing_is_counit_of_left_action(ctx):
+    # <f, a> = eps(f |> a): the pairing and the left action share one path
+    letters = structural_letters(ctx)
+    fwords = [()] + [(a,) for a in letters] + [(a, b) for a in letters for b in letters]
+    for w in ctx.corpus(2):
+        a = NCPoly(ctx.pres, {w: ONE})
+        for fw in fwords:
+            f = DualElement(ctx, {fw: ONE})
+            assert f.evaluate(a) == ctx.hopf.counit(f.left_act(a)), (fw, w)
+
+
+def test_antipode_letters_pair_through_algebra_antipode(ctx):
+    # <S(l)[i,j], w> = <l[i,j], S(w)>, with S(w) from the Hopf structure
+    for w in ctx.corpus(3):
+        s_w = ctx.hopf.antipode(NCPoly(ctx.pres, {w: ONE}))
+        for kind, base in ((SLP, LP), (SLM, LM)):
+            for i in (1, 2):
+                for j in (1, 2):
+                    assert (ctx.eval_letter_word(BF(kind, i, j), w)
+                            == ctx.eval_letter_poly(BF(base, i, j), s_w)), (kind, i, j, w)
