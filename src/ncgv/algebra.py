@@ -57,6 +57,7 @@ class AlgebraPresentation:
         for idx, (lhs, rhs) in enumerate(self.rules):
             self._by_first.setdefault(lhs[0], []).append((lhs, rhs))
         self._nf_cache = {}
+        self._words_cache = {}
         self._step_budget = 500_000
 
     # -- order ------------------------------------------------------------
@@ -191,7 +192,11 @@ class AlgebraPresentation:
     # -- corpora ---------------------------------------------------------------
 
     def normal_words(self, max_degree):
-        """All normal-form words of length <= max_degree, sorted."""
+        """All normal-form words of length <= max_degree, sorted; a tuple,
+        computed once per degree."""
+        cached = self._words_cache.get(max_degree)
+        if cached is not None:
+            return cached
         words = [()]
         frontier = [()]
         for _ in range(max_degree):
@@ -204,6 +209,7 @@ class AlgebraPresentation:
             words.extend(nxt)
             frontier = nxt
         words.sort(key=self.word_key)
+        self._words_cache[max_degree] = words = tuple(words)
         return words
 
     def __repr__(self):
@@ -386,43 +392,42 @@ def _one_step(pres, word, pos, lhs, rhs):
     return out
 
 
-def confluence_check(pres, max_degree=6):
-    """Resolve all overlap and inclusion ambiguities up to the given degree."""
-    failures = []
+def ambiguities(pres):
+    """The overlap and inclusion ambiguities of the rules, each once, as
+    (word, l1, r1, p2, l2, r2): the word starts with l1, so it reduces by
+    rule (l1, r1) at 0, and it reduces by rule (l2, r2) at p2."""
     seen = set()
     rules = pres.rules
     for l1, r1 in rules:
         for l2, r2 in rules:
             # overlaps: proper suffix of l1 equals proper prefix of l2
-            for k in range(1, min(len(l1), len(l2))):
-                if l1[-k:] == l2[:k]:
-                    w = l1 + l2[k:]
-                    _check_ambiguity(pres, w, 0, l1, r1, len(l1) - k, l2, r2,
-                                     max_degree, failures, seen)
+            found = [(l1 + l2[k:], len(l1) - k)
+                     for k in range(1, min(len(l1), len(l2))) if l1[-k:] == l2[:k]]
             # inclusions: l2 occurs inside l1 (identical lhs with a different
             # rhs is a conflict too)
             if len(l2) < len(l1):
-                for i in range(len(l1) - len(l2) + 1):
-                    if l1[i:i + len(l2)] == l2:
-                        _check_ambiguity(pres, l1, 0, l1, r1, i, l2, r2,
-                                         max_degree, failures, seen)
+                found += [(l1, i) for i in range(len(l1) - len(l2) + 1)
+                          if l1[i:i + len(l2)] == l2]
             elif l1 == l2 and r1 != r2:
-                _check_ambiguity(pres, l1, 0, l1, r1, 0, l2, r2,
-                                 max_degree, failures, seen)
+                found.append((l1, 0))
+            for w, p2 in found:
+                key = (w, l1, p2, l2)
+                if key not in seen:
+                    seen.add(key)
+                    yield w, l1, r1, p2, l2, r2
+
+
+def confluence_check(pres, max_degree=6):
+    """Resolve all overlap and inclusion ambiguities up to the given degree."""
+    failures = []
+    for w, l1, r1, p2, l2, r2 in ambiguities(pres):
+        if pres.word_weight(w) > max_degree:
+            continue
+        a = pres.normal_form_terms(_one_step(pres, w, 0, l1, r1))
+        b = pres.normal_form_terms(_one_step(pres, w, p2, l2, r2))
+        if a != b:
+            failures.append((w, NCPoly(pres, a), NCPoly(pres, b)))
     return ConfluenceReport(pres.name, max_degree, failures)
-
-
-def _check_ambiguity(pres, w, p1, l1, r1, p2, l2, r2, max_degree, failures, seen):
-    if pres.word_weight(w) > max_degree:
-        return
-    key = (w, p1, l1, p2, l2)
-    if key in seen:
-        return
-    seen.add(key)
-    a = pres.normal_form_terms(_one_step(pres, w, p1, l1, r1))
-    b = pres.normal_form_terms(_one_step(pres, w, p2, l2, r2))
-    if a != b:
-        failures.append((w, NCPoly(pres, a), NCPoly(pres, b)))
 
 
 def star_closure_report(pres):
@@ -514,15 +519,17 @@ def presentation_to_doc(pres):
     return doc
 
 
-def random_poly(pres, rng, max_degree=2, n_terms=3, coeff_pool=None):
+# coefficients of random_poly
+_COEFF_POOL = (ONE, -ONE, QScalar.from_int(2), QScalar.q_power(1),
+               QScalar.q_power(-1), ONE - QScalar.q_power(1))
+
+
+def random_poly(pres, rng, max_degree=2, n_terms=3):
     """Deterministic random polynomial for property checks."""
-    if coeff_pool is None:
-        coeff_pool = [ONE, -ONE, QScalar.from_int(2), QScalar.q_power(1),
-                      QScalar.q_power(-1), ONE - QScalar.q_power(1)]
     words = pres.normal_words(max_degree)
     terms = {}
     for _ in range(n_terms):
         w = words[rng.randrange(len(words))]
-        c = coeff_pool[rng.randrange(len(coeff_pool))]
+        c = _COEFF_POOL[rng.randrange(len(_COEFF_POOL))]
         _accum(terms, w, c)
     return NCPoly(pres, pres.normal_form_terms(terms))

@@ -25,7 +25,8 @@ import typing
 from importlib import resources
 
 from . import __version__
-from .algebra import RewriteError, confluence_check, first_failure, random_poly
+from .algebra import (RewriteError, ambiguities, confluence_check, first_failure,
+                      random_poly)
 from .commrep import (centrality_check, disc_block_c, disc_commutator_comparison,
                       faithfulness_rank, hermiticity_check, prop1_build, prop1_verify,
                       prop4_verify, quantum_space_commrep_report)
@@ -219,9 +220,6 @@ def check_star_closure(session, *, variant="disc"):
 def check_disc_numeric(session, *, dim=64, q=0.5, tol=1e-12, mask: int | None = None):
     rep2, F = disc_commrep(dim, q)
     if mask is not None:
-        if not 1 <= mask < dim:
-            raise ScenarioError(
-                f"disc_numeric needs an integer mask in 1..{dim - 1}, got {mask!r}")
         rep2.mask = mask
     report = numeric_verify(rep2, F=F, calc=builtin_calculus("disc"), tol=tol)
     report["check"] = "disc_numeric"
@@ -356,18 +354,22 @@ def _has_type(value, kind):
     return type(value) is kind
 
 
-# The smallest value of a parameter, or of each entry of a list parameter, on
-# every check that declares it: below it the check's corpus is empty, and the
-# check would pass without testing anything.
-_AT_LEAST = {"degree": 0, "degrees": 1, "samples": 1}
+# The smallest value of a parameter, or of each entry of a list parameter,
+# keyed by the parameter on every check that declares it, or by (check,
+# parameter) on one check.  Below it the check's corpus is empty, and the
+# check would pass without testing anything, or its model does not exist,
+# and the check would fail only after the checks before it have run.
+_AT_LEAST = {"degree": 0, "degrees": 1, "samples": 1,
+             ("disc_numeric", "dim"): 2, ("summability", "dim"): 1,
+             ("weyl_numeric", "m"): 3, ("ex3_symbolic", "M"): 3}
 
 
-def _bind(item, overrides):
+def _bind(item, overrides, algebra):
     """(check name, keyword arguments) of one scenario item.  Every key must
     be a parameter the check declares, with the declared type and within
     ``_AT_LEAST``, a list must not be empty, and every parameter without a
     default must be given.  An override reaches only the checks that declare
-    it."""
+    it.  ``algebra`` is the scenario's algebra."""
     if not isinstance(item, dict):
         raise ScenarioError(f"a check must be an object, got {item!r}")
     name = item.get("name")
@@ -388,15 +390,31 @@ def _bind(item, overrides):
         values = value if isinstance(value, list) else [value]
         if not values:
             raise ScenarioError(f"check {name!r} parameter {key!r} must not be empty")
-        if key in _AT_LEAST and min(values) < _AT_LEAST[key]:
+        least = _AT_LEAST.get((name, key), _AT_LEAST.get(key))
+        if least is not None and min(values) < least:
             raise ScenarioError(f"check {name!r} parameter {key!r} must be at least "
-                                f"{_AT_LEAST[key]}, got {value!r}")
+                                f"{least}, got {value!r}")
     for param in declared.values():
         if param.kind is param.KEYWORD_ONLY and param.default is param.empty \
                 and param.name not in kwargs:
             raise ScenarioError(f"check {name!r} needs a {param.name!r} parameter")
     if name in ("calculus_consistency", "star_closure") and "variant" in kwargs:
         builtin_calculus(kwargs["variant"])  # raises for unknown variants
+    if name == "confluence":
+        # below the lightest ambiguity the check resolves nothing
+        pres_name = kwargs.get("presentation")
+        pres = builtin_presentation(algebra if pres_name is None else pres_name)
+        least = min((pres.word_weight(w) for w, *_ in ambiguities(pres)), default=0)
+        degree = kwargs.get("degree", declared["degree"].default)
+        if degree < least:
+            raise ScenarioError(
+                f"check {name!r} parameter 'degree' must be at least {least}, the "
+                f"smallest ambiguity weight of {pres.name!r}, got {degree!r}")
+    if name == "disc_numeric" and kwargs.get("mask") is not None:
+        dim = kwargs.get("dim", declared["dim"].default)
+        if not 1 <= kwargs["mask"] < dim:
+            raise ScenarioError(f"check {name!r} parameter 'mask' must be in "
+                                f"1..{dim - 1}, got {kwargs['mask']!r}")
     if name == "idempotence_random":
         samples = kwargs.get("samples", declared["samples"].default)
         n = len(kwargs.get("presentations", declared["presentations"].default))
@@ -413,7 +431,8 @@ def validate_scenario(doc, overrides=None):
     checks = doc.get("checks") if isinstance(doc, dict) else None
     if not isinstance(checks, list) or not checks:
         raise ScenarioError("scenario needs a non-empty 'checks' list")
-    return [_bind(item, overrides or {}) for item in checks]
+    algebra = doc.get("algebra", "slq2")
+    return [_bind(item, overrides or {}, algebra) for item in checks]
 
 
 def run_scenario(doc, seed=0, overrides=None):
@@ -468,13 +487,7 @@ def cmd_build_bicovariant(args):
     except Exception as e:  # validation failures carry witnesses
         sys.stderr.write(f"build failed: {e}\n")
         return 1
-    doc = bicovariant_to_doc(B)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_report(bicovariant_to_doc(B), args.out)
     return 0
 
 

@@ -15,100 +15,12 @@ from functools import cache
 from .algebra import NCPoly, first_failure, random_poly
 from .dual import BF, CHAR, LM, LP, CrossElement, DualElement, mixed_word_to_cross
 from .fodc import GammaElement
-from .linalg import exact_rank
+from .linalg import MatrixOverAlgebra, exact_rank
 from .scalars import ONE, QScalar, ZERO
 
 
 class CommRepError(ValueError):
     pass
-
-
-class MatrixOverAlgebra:
-    """Square matrix whose entries are NCPoly or CrossElement values: the
-    block model of a commutator representation.  ``iu`` is the formal power
-    of the complex unit in front; it is 0 here and in {0, 1} after ``_norm``
-    for a BOperator."""
-
-    __slots__ = ("entries", "size")
-    iu = 0
-
-    def __init__(self, entries):
-        self.entries = entries
-        self.size = len(entries)
-
-    @classmethod
-    def diagonal(cls, polys):
-        pres = polys[0].pres
-        n = len(polys)
-        ent = [[pres.zero() for _ in range(n)] for _ in range(n)]
-        for i, p in enumerate(polys):
-            ent[i][i] = p
-        return cls(ent)
-
-    def _new(self, entries, iu):
-        """A matrix of the same kind as self."""
-        return MatrixOverAlgebra(entries)
-
-    def _cell(self, p):
-        """An algebra element as an entry."""
-        return p
-
-    def _norm(self):
-        return self
-
-    def __add__(self, other):
-        a, b = self._norm(), other._norm()
-        if a.iu != b.iu:
-            if a.is_zero():
-                return b
-            if b.is_zero():
-                return a
-            raise CommRepError("cannot add operators with different unit powers")
-        ent = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
-        return a._new(ent, a.iu)
-
-    def __sub__(self, other):
-        return self + other.scale(QScalar.from_int(-1))
-
-    def scale(self, c):
-        return self._new([[e.scale(c) for e in row] for row in self.entries], self.iu)
-
-    def scale_poly(self, p):
-        """Left multiplication by an algebra element."""
-        cell = self._cell(p)
-        return self._new([[cell * e for e in row] for row in self.entries], self.iu)
-
-    def __mul__(self, other):
-        if not isinstance(other, MatrixOverAlgebra):
-            return NotImplemented
-        cols = range(1, self.size)
-        ent = []
-        for row in self.entries:
-            out = []
-            for j in range(self.size):
-                acc = row[0] * other.entries[0][j]
-                for k in cols:
-                    acc = acc + row[k] * other.entries[k][j]
-                out.append(acc)
-            ent.append(out)
-        return self._new(ent, self.iu + other.iu)._norm()
-
-    __matmul__ = __mul__
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixOverAlgebra):
-            return NotImplemented
-        a, b = self._norm(), other._norm()
-        if a.is_zero() and b.is_zero():
-            return True
-        return a.iu == b.iu and a.entries == b.entries
-
-    def __repr__(self):
-        return "[" + "; ".join(
-            ", ".join(repr(e) for e in row) for row in self.entries) + "]"
 
 
 class BOperator(MatrixOverAlgebra):
@@ -202,7 +114,7 @@ def _mul_by_algebra_right(op, a):
     return BOperator(op.ctx, ent, op.iu)
 
 
-def prop1_verify(C, Omegas, F, degree_a=2, degree_b=1, tuple_slots=None):
+def prop1_verify(C, Omegas, F, degree_a=2, degree_b=1):
     """Exact check of the two defining operator identities on corpus data:
 
       (r1)  i(Ca - aC) . b = sum_k (X_k |> a) Omega_k . b
@@ -214,12 +126,11 @@ def prop1_verify(C, Omegas, F, degree_a=2, degree_b=1, tuple_slots=None):
     pres = ctx.pres
     n = F.n
     size = n + 1
-    slots = range(size) if tuple_slots is None else tuple_slots
-    words_a = [w for w in ctx.corpus(degree_a)]
-    words_b = [w for w in ctx.corpus(degree_b)]
+    words_a = ctx.corpus(degree_a)
+    words_b = ctx.corpus(degree_b)
 
     def tuples():
-        for slot in slots:
+        for slot in range(size):
             for wb in words_b:
                 tup = [pres.zero()] * size
                 tup[slot] = NCPoly(pres, {wb: ONE})

@@ -58,12 +58,11 @@ class BF:
 class DualContext:
     """Evaluation and coproduct data shared by all functionals of one algebra."""
 
-    def __init__(self, pres, hopf, rmatrix, characters=None, default_degree=4):
+    def __init__(self, pres, hopf, rmatrix, characters=None):
         self.pres = pres
         self.hopf = hopf
         self.R = rmatrix
         self.characters = dict(characters or {})
-        self.default_degree = default_degree
         self.n = rmatrix.n if rmatrix is not None else 0
         self.gen_index = {}
         if rmatrix is not None:
@@ -76,16 +75,14 @@ class DualContext:
         self._letter_word_cache = {}
         self._word_eval_cache = {}
         self._act_cache = {}
-        self._corpus_cache = {}
         self._star_char_cache = {}
 
     # -- corpora -------------------------------------------------------------
 
-    def corpus(self, degree=None):
-        d = self.default_degree if degree is None else degree
-        if d not in self._corpus_cache:
-            self._corpus_cache[d] = self.pres.normal_words(d)
-        return self._corpus_cache[d]
+    def corpus(self, degree):
+        """The normal words of length <= degree, sorted (cached by the
+        presentation)."""
+        return self.pres.normal_words(degree)
 
     # -- characters ------------------------------------------------------------
 
@@ -334,7 +331,7 @@ class DualElement(LinComb):
                 val = val + c * fc * ctx.eval_word_on_word(fw, w)
         return val
 
-    def ext_equal(self, other, degree=None):
+    def ext_equal(self, other, degree):
         """Extensional equality over the evaluation corpus of the given degree."""
         self._same(other)
         diff = self - other
@@ -479,7 +476,7 @@ class CrossElement(LinComb):
             total = total + (NCPoly(ctx.pres, {w: ONE}) * acted).scale(c)
         return total
 
-    def ext_equal(self, other, degree=None):
+    def ext_equal(self, other, degree):
         """Extensional equality as operators on the corpus."""
         self._same(other)
         diff = self - other
@@ -596,7 +593,7 @@ def validate_letters(ctx):
     return failures
 
 
-def make_slq2_context(default_degree=4):
+def make_slq2_context():
     """Presentation + Hopf structure + R-matrix + builtin characters."""
     import json as _json
     from importlib import resources
@@ -613,7 +610,7 @@ def make_slq2_context(default_degree=4):
     env = base_env()
     for name, values in raw.items():
         chars[name] = {g: parse_scalar(v, env) for g, v in values.items()}
-    ctx = DualContext(pres, H, R, chars, default_degree=default_degree)
+    ctx = DualContext(pres, H, R, chars)
     for name in list(chars):
         ctx.validate_character(name)
     return ctx

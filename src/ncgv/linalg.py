@@ -1,4 +1,5 @@
-"""Exact linear algebra over Q(s): fraction-free rank and field solving.
+"""Exact linear algebra over Q(s): the one exact matrix type, fraction-free
+rank and field solving.
 
 Rank uses Bareiss elimination on a denominator-cleared integer-polynomial
 matrix, so no rational-function arithmetic happens in the pivoting loop.
@@ -6,7 +7,107 @@ matrix, so no rational-function arithmetic happens in the pivoting loop.
 
 from __future__ import annotations
 
-from .scalars import ZERO, _pdiv_exact, _pmul, _psub
+from itertools import product
+
+from .scalars import ZERO, QScalar, _pdiv_exact, _pmul, _psub
+
+
+class MatrixOverAlgebra:
+    """Square matrix whose entries are QScalar, NCPoly or CrossElement
+    values: the R-matrix identities, the RTT relations and the block model
+    of a commutator representation.  ``iu`` is the formal power of the
+    complex unit in front; it is 0 here and in {0, 1} after ``_norm`` for a
+    ``commrep.BOperator``."""
+
+    __slots__ = ("entries", "size")
+    iu = 0
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.size = len(entries)
+
+    @classmethod
+    def diagonal(cls, polys):
+        pres = polys[0].pres
+        n = len(polys)
+        ent = [[pres.zero() for _ in range(n)] for _ in range(n)]
+        for i, p in enumerate(polys):
+            ent[i][i] = p
+        return cls(ent)
+
+    @classmethod
+    def from_index(cls, n, k, entry):
+        """The n^k x n^k matrix with ``entry(*row, *col)`` at row and column
+        indices in {1..n}^k, numbered in lexicographic order: for k = 2,
+        ``entry(a, b, c, d)`` sits in row (a-1)n + b-1 and column
+        (c-1)n + d-1."""
+        idx = list(product(range(1, n + 1), repeat=k))
+        return cls([[entry(*row, *col) for col in idx] for row in idx])
+
+    def _new(self, entries, iu):
+        """A matrix of the same kind as self."""
+        return MatrixOverAlgebra(entries)
+
+    def _cell(self, p):
+        """An algebra element as an entry."""
+        return p
+
+    def _norm(self):
+        return self
+
+    def __add__(self, other):
+        a, b = self._norm(), other._norm()
+        if a.iu != b.iu:
+            if a.is_zero():
+                return b
+            if b.is_zero():
+                return a
+            raise ValueError("cannot add operators with different unit powers")
+        ent = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
+        return a._new(ent, a.iu)
+
+    def __sub__(self, other):
+        return self + other.scale(QScalar.from_int(-1))
+
+    def scale(self, c):
+        return self._new([[e.scale(c) for e in row] for row in self.entries], self.iu)
+
+    def scale_poly(self, p):
+        """Left multiplication by an algebra element."""
+        cell = self._cell(p)
+        return self._new([[cell * e for e in row] for row in self.entries], self.iu)
+
+    def __mul__(self, other):
+        if not isinstance(other, MatrixOverAlgebra):
+            return NotImplemented
+        cols = range(1, self.size)
+        ent = []
+        for row in self.entries:
+            out = []
+            for j in range(self.size):
+                acc = row[0] * other.entries[0][j]
+                for k in cols:
+                    acc = acc + row[k] * other.entries[k][j]
+                out.append(acc)
+            ent.append(out)
+        return self._new(ent, self.iu + other.iu)._norm()
+
+    __matmul__ = __mul__
+
+    def is_zero(self):
+        return all(e.is_zero() for row in self.entries for e in row)
+
+    def __eq__(self, other):
+        if not isinstance(other, MatrixOverAlgebra):
+            return NotImplemented
+        a, b = self._norm(), other._norm()
+        if a.is_zero() and b.is_zero():
+            return True
+        return a.iu == b.iu and a.entries == b.entries
+
+    def __repr__(self):
+        return "[" + "; ".join(
+            ", ".join(repr(e) for e in row) for row in self.entries) + "]"
 
 
 def _clear_denominators(row):

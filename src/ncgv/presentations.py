@@ -1,53 +1,40 @@
 """Built-in algebra presentations.
 
 The quantum SL(2) relations are not typed in: they are generated from the
-R-matrix data file by expanding R T1 T2 = T2 T1 R entrywise, oriented by
-degree-lex, and completed with the quantum determinant rule.  The quantum
-space presentations (disc, real plane, extended plane) are entered directly
-and confluence-checked.
+R-matrix data file as the entries of R T1 T2 - T2 T1 R, a product of
+``linalg.MatrixOverAlgebra`` over the free algebra on the matrix
+generators, oriented by degree-lex, and completed with the quantum
+determinant rule.  The quantum space presentations (disc, real plane,
+extended plane) are entered directly and confluence-checked.
 """
 
 from __future__ import annotations
 
 from .algebra import AlgebraPresentation, PresentationError
+from .linalg import MatrixOverAlgebra
 from .rmatrix import builtin_rmatrix
-from .scalars import ONE, REAL, UNIT, ZERO, QScalar
+from .scalars import ONE, REAL, UNIT, QScalar
 
 _Q = QScalar.q_power
 
 
-def _orient(pres_order, index, terms):
-    """Orient a vanishing combination as (leading word -> rest)."""
-    lead = max(terms, key=lambda w: (sum(1 for _ in w), -len(w), tuple(index[g] for g in w)))
-    c = terms[lead]
-    rhs = {w: -(cv / c) for w, cv in terms.items() if w != lead}
-    return lead, rhs
-
-
 def rtt_relations(R, gen_name):
-    """Quadratic relations from R T1 T2 = T2 T1 R entrywise."""
+    """Quadratic relations from R T1 T2 = T2 T1 R: the term maps of the
+    nonzero entries of R T1 T2 - T2 T1 R in row-major order, over the free
+    algebra on the matrix generators gen_name(i, j)."""
     n = R.n
     rng = range(1, n + 1)
-    rels = []
-    for i in rng:
-        for k in rng:
-            for j in rng:
-                for l in rng:
-                    terms = {}
-                    for a in rng:
-                        for b in rng:
-                            c1 = R.entry(i, k, a, b)
-                            if not c1.is_zero():
-                                w = (gen_name(a, j), gen_name(b, l))
-                                terms[w] = terms.get(w, ZERO) + c1
-                            c2 = R.entry(a, b, j, l)
-                            if not c2.is_zero():
-                                w = (gen_name(k, b), gen_name(i, a))
-                                terms[w] = terms.get(w, ZERO) - c2
-                    terms = {w: c for w, c in terms.items() if not c.is_zero()}
-                    if terms:
-                        rels.append(terms)
-    return rels
+    free = AlgebraPresentation("free", [gen_name(i, j) for i in rng for j in rng], [])
+    zero = free.zero()
+
+    def matrix(entry):
+        return MatrixOverAlgebra.from_index(n, 2, entry)
+
+    Rm = matrix(lambda i, k, j, l: free.one().scale(R.entry(i, k, j, l)))
+    T1 = matrix(lambda i, k, j, l: free.gen(gen_name(i, j)) if k == l else zero)
+    T2 = matrix(lambda i, k, j, l: free.gen(gen_name(k, l)) if i == j else zero)
+    rtt = Rm @ T1 @ T2 - T2 @ T1 @ Rm
+    return [e.terms for row in rtt.entries for e in row if not e.is_zero()]
 
 
 def slq2_presentation():
@@ -59,15 +46,17 @@ def slq2_presentation():
         return f"v{i}{j}"
 
     order = [gen_name(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    index = {g: i for i, g in enumerate(order)}
     # interreduce: a derived relation already implied by the accepted ones
-    # (e.g. restated through b c = c b) is dropped
+    # (e.g. restated through b c = c b) is dropped; the others are oriented
+    # as leading word -> rest
     rules = []
     for rel in rtt_relations(R, gen_name):
         probe = AlgebraPresentation("slq2-partial", order, rules)
         reduced = probe.normal_form_terms(rel)
         if reduced:
-            rules.append(_orient(order, index, reduced))
+            lead = max(reduced, key=probe.word_key)
+            c = reduced[lead]
+            rules.append((lead, {w: -(cv / c) for w, cv in reduced.items() if w != lead}))
     # quantum determinant = 1; leading term under degree-lex is v12 v21
     det_lead = (gen_name(1, 2), gen_name(2, 1))
     rules.append((det_lead, {(gen_name(1, 1), gen_name(2, 2)): _Q(-1), (): -_Q(-1)}))

@@ -4,6 +4,8 @@ normalization constant c, with exact inverse and Yang-Baxter checks on load.
 Index convention: R maps e_j (x) e_l to sum_{i,k} R^{ik}_{jl} e_i (x) e_k;
 the stored matrix is indexed by composite row (i,k) and column (j,l).
 The universal r-form on matrix generators is r(v^i_j (x) v^k_l) = c*R^{ik}_{jl}.
+Both checks are products of ``linalg.MatrixOverAlgebra``, built in that
+index convention by ``MatrixOverAlgebra.from_index``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 from importlib import resources
 
 from .exprparse import base_env, parse_scalar
+from .linalg import MatrixOverAlgebra
 from .scalars import ONE, ZERO
 
 
@@ -20,15 +23,14 @@ class RMatrixError(ValueError):
 
 
 class RMatrixData:
-    def __init__(self, name, n, c, R, Rinv, check=True):
+    def __init__(self, name, n, c, R, Rinv):
         self.name = name
         self.n = n
         self.c = c
         self.c_inv = c.inverse()
         self.R = R          # dict (i,k,j,l) -> QScalar, 1-based indices
         self.Rinv = Rinv
-        if check:
-            self.validate()
+        self.validate()
 
     def entry(self, i, k, j, l):
         return self.R.get((i, k, j, l), ZERO)
@@ -45,65 +47,24 @@ class RMatrixData:
         return self.c_inv * self.inv_entry(i, k, j, l)
 
     def validate(self):
+        """R R^{-1} = 1 and R12 R13 R23 = R23 R13 R12, as products of exact
+        matrices on the double and the triple tensor space."""
         n = self.n
-        rng = range(1, n + 1)
-        for i in rng:
-            for k in rng:
-                for j in rng:
-                    for l in rng:
-                        acc = ZERO
-                        for a in rng:
-                            for b in rng:
-                                acc = acc + self.entry(i, k, a, b) * self.inv_entry(a, b, j, l)
-                        want = ONE if (i == j and k == l) else ZERO
-                        if acc != want:
-                            raise RMatrixError(
-                                f"R*Rinv != id at ({i}{k},{j}{l}) in {self.name!r}")
-        if not self._yang_baxter():
+        R = MatrixOverAlgebra.from_index(n, 2, self.entry)
+        Rinv = MatrixOverAlgebra.from_index(n, 2, self.inv_entry)
+        one = MatrixOverAlgebra.from_index(
+            n, 2, lambda i, k, j, l: ONE if (i, k) == (j, l) else ZERO)
+        if R @ Rinv != one:
+            raise RMatrixError(f"R*Rinv != id in {self.name!r}")
+        # R_ab acts on tensor legs a and b, as the identity on the third
+        r12 = MatrixOverAlgebra.from_index(
+            n, 3, lambda a, b, c, d, e, f: self.entry(a, b, d, e) if c == f else ZERO)
+        r13 = MatrixOverAlgebra.from_index(
+            n, 3, lambda a, b, c, d, e, f: self.entry(a, c, d, f) if b == e else ZERO)
+        r23 = MatrixOverAlgebra.from_index(
+            n, 3, lambda a, b, c, d, e, f: self.entry(b, c, e, f) if a == d else ZERO)
+        if r12 @ r13 @ r23 != r23 @ r13 @ r12:
             raise RMatrixError(f"Yang-Baxter equation fails for {self.name!r}")
-
-    def _yang_baxter(self):
-        # R12 R13 R23 = R23 R13 R12 on the triple tensor space, exactly
-        n = self.n
-        rng = range(1, n + 1)
-
-        def r12(a, b, c, d, e, f):
-            return self.entry(a, b, d, e) if c == f else ZERO
-
-        def r13(a, b, c, d, e, f):
-            return self.entry(a, c, d, f) if b == e else ZERO
-
-        def r23(a, b, c, d, e, f):
-            return self.entry(b, c, e, f) if a == d else ZERO
-
-        def compose(f1, f2, out, inn):
-            # (f1 . f2)(out; inn) with summation over the middle indices
-            acc = ZERO
-            for m1 in rng:
-                for m2 in rng:
-                    for m3 in rng:
-                        acc = acc + f1(*out, m1, m2, m3) * f2(m1, m2, m3, *inn)
-            return acc
-
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    for d in rng:
-                        for e in rng:
-                            for f in rng:
-                                lhs = ZERO
-                                rhs = ZERO
-                                for m1 in rng:
-                                    for m2 in rng:
-                                        for m3 in rng:
-                                            mid = (m1, m2, m3)
-                                            lhs = lhs + r12(a, b, c, *mid) * compose(
-                                                r13, r23, mid, (d, e, f))
-                                            rhs = rhs + r23(a, b, c, *mid) * compose(
-                                                r13, r12, mid, (d, e, f))
-                                if lhs != rhs:
-                                    return False
-        return True
 
 
 def _grid_to_dict(grid, n, env):
@@ -118,7 +79,7 @@ def _grid_to_dict(grid, n, env):
     return out
 
 
-def load_rmatrix(doc, check=True):
+def load_rmatrix(doc):
     """Load from document form {"n":..., "c":..., "R": [[...]], "Rinv": [[...]]}."""
     if isinstance(doc, str):
         with open(doc) as fh:
@@ -128,11 +89,11 @@ def load_rmatrix(doc, check=True):
     c = parse_scalar(doc["c"], env)
     R = _grid_to_dict(doc["R"], n, env)
     Rinv = _grid_to_dict(doc["Rinv"], n, env)
-    return RMatrixData(doc.get("name", "rmatrix"), n, c, R, Rinv, check=check)
+    return RMatrixData(doc.get("name", "rmatrix"), n, c, R, Rinv)
 
 
-def builtin_rmatrix(name="slq2", check=True):
+def builtin_rmatrix(name="slq2"):
     if name != "slq2":
         raise RMatrixError(f"no builtin R-matrix named {name!r}")
     text = resources.files("ncgv.data").joinpath("slq2_rmatrix.json").read_text()
-    return load_rmatrix(json.loads(text), check=check)
+    return load_rmatrix(json.loads(text))

@@ -263,3 +263,48 @@ def test_empty_corpus_rejected_at_bind_time(tmp_path, capsys, monkeypatch, item,
     err = rejected_before_any_check(tmp_path, capsys, monkeypatch, [
         {"name": "hopf_axioms", "degree": 1}, item], *args)
     assert repr(key) in err
+
+
+@pytest.mark.parametrize("item, args", [
+    ({"name": "confluence", "degree": 2}, []),
+    ({"name": "confluence"}, ["--degree", "2"]),
+    ({"name": "confluence", "degree": 0, "presentation": "real_plane"}, []),
+    ({"name": "confluence", "degree": 2, "presentation": "ext_plane"}, []),
+    ({"name": "confluence", "degree": 2, "presentation": None}, []),
+])
+def test_vacuous_confluence_degree_rejected_at_bind_time(tmp_path, capsys, monkeypatch,
+                                                         item, args):
+    err = rejected_before_any_check(tmp_path, capsys, monkeypatch, [
+        {"name": "hopf_axioms", "degree": 1}, item], *args)
+    assert "'degree'" in err
+    assert "ambiguity" in err
+
+
+@pytest.mark.parametrize("algebra, item", [
+    ("slq2", {"name": "confluence", "degree": 3}),
+    ("disc", {"name": "confluence", "degree": 0}),
+    ("slq2", {"name": "confluence", "degree": 0, "presentation": "disc"}),
+    ("disc", {"name": "confluence", "degree": 0, "presentation": None}),
+])
+def test_confluence_degree_bound_follows_the_presentation(algebra, item):
+    assert cli.validate_scenario({"algebra": algebra, "checks": [item]}) \
+        == [("confluence", {k: v for k, v in item.items() if k != "name"})]
+
+
+@pytest.mark.parametrize("item, key", [
+    ({"name": "weyl_numeric", "m": 2}, "m"),
+    ({"name": "ex3_symbolic", "M": 2}, "M"),
+    ({"name": "disc_numeric", "dim": 1}, "dim"),
+    ({"name": "summability", "dim": 0}, "dim"),
+    ({"name": "disc_numeric", "dim": 16, "mask": 16}, "mask"),
+])
+def test_model_size_rejected_at_bind_time(tmp_path, capsys, monkeypatch, item, key):
+    err = rejected_before_any_check(tmp_path, capsys, monkeypatch, [
+        {"name": "hopf_axioms", "degree": 1}, item])
+    assert repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_model_size_bounds_are_per_check():
+    bound = cli.validate_scenario({"checks": [{"name": "summability", "dim": 1}]})
+    assert bound == [("summability", {"dim": 1})]

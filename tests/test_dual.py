@@ -80,7 +80,7 @@ def test_wrong_normalization_fails():
 
     pres = builtin_presentation("slq2")
     R0 = builtin_rmatrix("slq2")
-    bad = RMatrixData("bad_c", R0.n, ONE, R0.R, R0.Rinv, check=True)
+    bad = RMatrixData("bad_c", R0.n, ONE, R0.R, R0.Rinv)
     ctx = DualContext(pres, slq2_hopf(pres), bad)
     assert validate_letters(ctx) != []
 
