@@ -410,6 +410,10 @@ def _bind(item, overrides, algebra):
             raise ScenarioError(
                 f"check {name!r} parameter 'degree' must be at least {least}, the "
                 f"smallest ambiguity weight of {pres.name!r}, got {degree!r}")
+    if name in ("disc_numeric", "summability"):
+        q = kwargs.get("q", declared["q"].default)
+        if not 0 < q < 1:
+            raise ScenarioError(f"check {name!r} parameter 'q' must be in (0, 1), got {q!r}")
     if name == "disc_numeric" and kwargs.get("mask") is not None:
         dim = kwargs.get("dim", declared["dim"].default)
         if not 1 <= kwargs["mask"] < dim:

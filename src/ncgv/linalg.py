@@ -1,15 +1,19 @@
 """Exact linear algebra over Q(s): the one exact matrix type, fraction-free
 rank and field solving.
 
-Rank uses Bareiss elimination on a denominator-cleared integer-polynomial
-matrix, so no rational-function arithmetic happens in the pivoting loop.
+Rank is the sum of the ranks of the connected blocks of the matrix: the
+components of the bipartite graph of rows and columns joined by nonzero
+entries.  Each block is ranked by Bareiss elimination on its rows scaled by
+the lcm of their denominators, an integer-polynomial matrix over Z[s], so no
+rational-function arithmetic happens in the pivoting loop.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import gcd as _igcd
 
-from .scalars import ZERO, QScalar, _pdiv_exact, _pmul, _psub
+from .scalars import ZERO, QScalar, _pcontent, _pdiv_exact, _pgcd, _pmul, _psub
 
 
 class MatrixOverAlgebra:
@@ -111,20 +115,52 @@ class MatrixOverAlgebra:
 
 
 def _clear_denominators(row):
-    """Scale a row of QScalars to integer polynomials (common multiple of
-    denominators; any nonzero scaling preserves rank)."""
-    out = [x.num for x in row]
-    for j, x in enumerate(row):
-        if len(x.den) == 1 and x.den[0] == 1:
-            continue
-        for k in range(len(out)):
-            if k == j:
-                continue
-            out[k] = _pmul(out[k], x.den)
-    return out
+    """Scale a row of QScalars to integer polynomials by the lcm of its
+    denominators (any nonzero scaling preserves rank)."""
+    lcm = (1,)
+    for x in row:
+        if x.den != (1,):
+            c = _igcd(_pcontent(lcm), _pcontent(x.den))
+            g = tuple(c * k for k in _pgcd(lcm, x.den))
+            lcm = _pmul(lcm, _pdiv_exact(x.den, g))
+    return [_pmul(x.num, _pdiv_exact(lcm, x.den)) for x in row]
+
+
+def _blocks(rows):
+    """The connected blocks of a matrix as (row indices, column indices):
+    rows that share a nonzero column are joined, through the first row
+    that owns each column (union-find).  Zero rows belong to no block."""
+    parent = list(range(len(rows)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner = {}
+    for i, row in enumerate(rows):
+        for c, x in enumerate(row):
+            if x:
+                j = owner.setdefault(c, i)
+                parent[find(i)] = find(j)
+    blocks = {}
+    for i in range(len(rows)):
+        blocks.setdefault(find(i), ([], []))[0].append(i)
+    for c, i in sorted(owner.items()):
+        blocks[find(i)][1].append(c)
+    return [block for block in blocks.values() if block[1]]
 
 
 def exact_rank(rows):
+    """Rank of a matrix of QScalars: the sum of the exact ranks of its
+    connected blocks."""
+    rows = [list(r) for r in rows]
+    return sum(_bareiss_rank([[rows[i][c] for c in cs] for i in rs])
+               for rs, cs in _blocks(rows))
+
+
+def _bareiss_rank(rows):
     """Rank of a matrix of QScalars by fraction-free (Bareiss) elimination."""
     m = [_clear_denominators(list(r)) for r in rows]
     m = [r for r in m if any(r)]

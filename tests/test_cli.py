@@ -308,3 +308,21 @@ def test_model_size_rejected_at_bind_time(tmp_path, capsys, monkeypatch, item, k
 def test_model_size_bounds_are_per_check():
     bound = cli.validate_scenario({"checks": [{"name": "summability", "dim": 1}]})
     assert bound == [("summability", {"dim": 1})]
+
+
+@pytest.mark.parametrize("item", [
+    {"name": "summability", "q": 1.5},
+    {"name": "disc_numeric", "q": 0},
+    {"name": "disc_numeric", "q": 1},
+])
+def test_q_outside_the_unit_interval_rejected_at_bind_time(tmp_path, capsys, monkeypatch,
+                                                          item):
+    ran = []
+    monkeypatch.setattr(cli, "confluence_check", lambda *args: ran.append(args))
+    path = write_scenario(tmp_path, [{"name": "confluence", "degree": 0}, item],
+                          algebra="disc")
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert "'q'" in err
+    assert "Traceback" not in err
+    assert ran == []

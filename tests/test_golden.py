@@ -32,7 +32,7 @@ gate = _load_gate()
 
 def test_every_scenario_has_a_golden_report():
     assert SCENARIOS == sorted(p.stem for p in GOLDEN.glob("*.json"))
-    assert len(SCENARIOS) == 7
+    assert len(SCENARIOS) == 8
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

@@ -1,0 +1,167 @@
+"""Exact rank over Q(s): connected blocks, each ranked by Bareiss elimination,
+checked by hand-made cases and against sympy's rank over QQ(s)."""
+
+import random
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
+
+from ncgv import commrep
+from ncgv.dual import make_slq2_context
+from ncgv.fodc import bicovariant_build
+from ncgv.linalg import exact_rank
+from ncgv.scalars import ONE, Q, QScalar, S, ZERO
+
+
+def scalar(num, k=0):
+    """(num[0] + num[1] s + ...) * s^k."""
+    return QScalar(tuple(num)) * QScalar.s_power(k)
+
+
+def combine(coeffs, rows):
+    """The row sum(c * row)."""
+    out = [ZERO] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [x + c * y for x, y in zip(out, row)]
+    return out
+
+
+def test_empty_matrices_have_rank_zero():
+    assert exact_rank([]) == 0
+    assert exact_rank([[], []]) == 0
+    assert exact_rank([[ZERO] * 3] * 2) == 0
+
+
+def test_shuffled_block_diagonal_matrix_has_full_rank():
+    blocks = [
+        [[ONE, S, Q], [S, ONE, ZERO], [scalar((1, 2), -1), ZERO, ONE]],
+        [[Q, ONE + Q], [ONE, S]],
+        [[scalar((0, 3), -2)]],
+    ]
+    ncols = sum(len(b[0]) for b in blocks)
+    rows, offset = [], 0
+    for block in blocks:
+        for brow in block:
+            row = [ZERO] * ncols
+            row[offset:offset + len(brow)] = brow
+            rows.append(row)
+        offset += len(block[0])
+    rng = random.Random(7)
+    rng.shuffle(rows)
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    rows = [[row[c] for c in perm] for row in rows]
+    assert exact_rank(rows) == 6
+    assert exact_rank(rows[:4]) == 4
+
+
+def test_blocks_sharing_a_column_are_merged():
+    # a1, a2 live in columns 0-2 and b1, b2 in columns 2-4: they share
+    # column 2.  The first row, a1 + b1, depends on the others.
+    a1 = [ONE, S, ONE, ZERO, ZERO]
+    a2 = [Q, ONE, ZERO, ZERO, ZERO]
+    b1 = [ZERO, ZERO, ONE, S, ONE]
+    b2 = [ZERO, ZERO, ZERO, ONE, Q]
+    rows = [combine([ONE, ONE], [a1, b1]), a1, a2, b1, b2]
+    assert exact_rank(rows) == 4
+    assert exact_rank(rows[:2] + rows[3:4]) == 2
+    # the last row joins the blocks of the first two, through columns 1 and 2
+    assert exact_rank([[ONE, S, ZERO], [ZERO, ZERO, ONE], [ZERO, ONE, Q]]) == 3
+
+
+def test_rank_is_over_q_of_s_not_at_a_point():
+    # det [[1, s], [s, 1]] = 1 - s^2 vanishes at s = 1 but not in Q(s)
+    assert exact_rank([[ONE, S], [S, ONE]]) == 2
+    assert exact_rank([[ONE, S], [S, Q]]) == 1
+    assert exact_rank([[ONE / (ONE - Q), ONE], [ONE, ONE - Q]]) == 1
+
+
+laurent = st.builds(scalar,
+                    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+                    st.integers(-2, 2))
+entries = st.one_of(st.just(ZERO), st.just(ZERO), laurent)
+
+
+@st.composite
+def planted_matrices(draw):
+    """A sparse matrix whose last rows are combinations of its first ones,
+    with its rows shuffled."""
+    ncols = draw(st.integers(1, 6))
+    base = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    planted = draw(st.lists(
+        st.lists(st.one_of(st.just(ZERO), laurent), min_size=len(base),
+                 max_size=len(base)).map(lambda cs: combine(cs, base)),
+        max_size=3))
+    return draw(st.permutations(base + planted))
+
+
+def sympy_rank(rows):
+    s = sympy.Symbol("s")
+
+    def value(x):
+        num = sum(sympy.Integer(c) * s**i for i, c in enumerate(x.num))
+        den = sum(sympy.Integer(c) * s**i for i, c in enumerate(x.den))
+        return num / den
+
+    field = sympy.QQ.frac_field(s)
+    return DomainMatrix.from_Matrix(sympy.Matrix([[value(x) for x in row] for row in rows])
+                                    ).convert_to(field).rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_matrices())
+def test_rank_matches_sympy_over_q_of_s(rows):
+    assert exact_rank(rows) == sympy_rank(rows)
+
+
+def fraction_rank(rows, point):
+    """Rank of the matrix evaluated at s = point, by sparse elimination over
+    the rationals."""
+
+    def value(poly):
+        v = Fraction(0)
+        for c in reversed(poly):
+            v = v * point + c
+        return v
+
+    pivots = {}
+    for row in rows:
+        vec = {c: value(x.num) / value(x.den) for c, x in enumerate(row) if x}
+        vec = {c: v for c, v in vec.items() if v}
+        while vec:
+            col = min(vec)
+            if col not in pivots:
+                lead = vec[col]
+                pivots[col] = {c: v / lead for c, v in vec.items()}
+                break
+            f = vec[col]
+            for c, v in pivots[col].items():
+                vec[c] = vec.get(c, 0) - f * v
+                if not vec[c]:
+                    del vec[c]
+    return len(pivots)
+
+
+def test_fraction_rank_sees_the_dependence():
+    assert fraction_rank([[ONE, S], [S, Q]], Fraction(3, 5)) == 1
+    assert fraction_rank([[ONE, S], [S, ONE]], Fraction(3, 5)) == 2
+    assert fraction_rank([[ONE, S], [S, ONE]], Fraction(1)) == 1
+
+
+def test_degree_4_faithfulness_has_full_rank_at_a_rational_point(monkeypatch):
+    # Evaluation can only lower rank, so full row rank at s = 3/5 certifies
+    # full rank over Q(s), independently of the Bareiss elimination.
+    shapes = []
+
+    def rank_at_point(rows):
+        shapes.append((len(rows), len(rows[0])))
+        return fraction_rank(rows, Fraction(3, 5))
+
+    monkeypatch.setattr(commrep, "exact_rank", rank_at_point)
+    B = bicovariant_build(make_slq2_context(), "eps")
+    report = commrep.faithfulness_rank(B, degree=4)
+    assert shapes == [(120, 202), (120, 404)]
+    assert report["corpus_size"] == report["gamma_span_dim"] == report["tau_rank"] == 120
