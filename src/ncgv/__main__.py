@@ -1,0 +1,9 @@
+"""``python -m ncgv``: the ``ncgv`` command, also from a checkout without an
+install."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

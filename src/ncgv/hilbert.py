@@ -3,8 +3,14 @@
 Numeric side: truncated weighted-shift representations of the quantum disc,
 clock/shift pairs for the root-of-unity plane, with masked residual checks
 (shift operators corrupt the top basis rows, so identities are asserted on a
-leading block only).  Symbolic side: the extended-plane representation on a
-formal module with an exact quotient coefficient ring, where zero means zero.
+leading block only).  The disc models are scipy sparse (CSR) matrices; the
+clock/shift model is dense.  A residual's masked spectral norm is exact: a
+weighted partial permutation (at most one nonzero in each row and column, as
+every residual of the disc model is) has norm max |entry|, and any other
+matrix takes a dense SVD.  scipy is imported only where a sparse model is
+built, so that the exact checks do not pay for it.  Symbolic side: the
+extended-plane representation on a formal module with an exact quotient
+coefficient ring, where zero means zero.
 """
 
 from __future__ import annotations
@@ -29,13 +35,24 @@ class HilbertError(ValueError):
 
 
 def _norm(mat):
+    """Spectral norm.  A sparse matrix with at most one nonzero in each row
+    and each column is a weighted partial permutation P D Q, whose norm is
+    exactly its largest |entry|; any other matrix takes the dense SVD."""
+    if not isinstance(mat, np.ndarray):
+        coo = mat.tocoo()
+        nz = coo.data != 0
+        rows, cols = coo.row[nz], coo.col[nz]
+        if len(np.unique(rows)) == len(rows) == len(np.unique(cols)):
+            return float(np.abs(coo.data[nz]).max(initial=0.0))
+        mat = mat.toarray()
     return float(np.linalg.norm(mat, 2)) if mat.any() else 0.0
 
 
 class TruncatedRep:
     """Finite matrix model with truncation metadata: a model made of
     ``copies`` equal diagonal blocks asserts identities on the leading
-    mask x mask block of every copy only."""
+    mask x mask block of every copy only.  The matrices are all dense
+    ndarrays or all scipy sparse, and products stay in that format."""
 
     def __init__(self, pres, dim, s_value, mats, mask, adjoint_pairs=(), notes=(),
                  copies=1):
@@ -47,15 +64,22 @@ class TruncatedRep:
         self.adjoint_pairs = tuple(adjoint_pairs)
         self.notes = tuple(notes)
         self.copies = copies
+        # the identity in the format of the model's matrices
+        first = next(iter(self.mats.values()))
+        if isinstance(first, np.ndarray):
+            self.one = np.eye(dim, dtype=complex)
+        else:  # scipy sparse, so scipy is already imported
+            from scipy import sparse
+            self.one = sparse.eye_array(dim, dtype=complex, format=first.format)
 
     def word_matrix(self, w):
-        out = np.eye(self.dim, dtype=complex)
+        out = self.one
         for g in w:
             out = out @ self.mats[g]
         return out
 
     def poly_matrix(self, p):
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out = 0 * self.one
         for w, c in p.terms.items():
             out = out + c.evaluate(self.s_value) * self.word_matrix(w)
         return out
@@ -63,7 +87,7 @@ class TruncatedRep:
     def masked(self, mat):
         block = self.dim // self.copies
         idx = (block * np.arange(self.copies)[:, None] + np.arange(self.mask)).ravel()
-        return mat[np.ix_(idx, idx)]
+        return mat[idx][:, idx]
 
     def relation_residuals(self):
         out = []
@@ -98,12 +122,11 @@ def disc_rep(M, q):
         raise HilbertError("disc representation needs 0 < q < 1")
     if M < 2:
         raise HilbertError("dimension must be at least 2")
-    lam = shift_weights(q, M)
-    Z = np.zeros((M, M), dtype=complex)
-    for n in range(M - 1):
-        Z[n + 1, n] = lam[n + 1]
+    from scipy import sparse
+    Z = sparse.diags_array(shift_weights(q, M)[1:M], offsets=-1, shape=(M, M),
+                           dtype=complex, format="csr")
     pres = builtin_presentation("disc")
-    mats = {"z": Z, "z*": Z.conj().T}
+    mats = {"z": Z, "z*": Z.conj().T.tocsr()}
     return TruncatedRep(pres, M, math.sqrt(q), mats, mask=M - 1,
                         adjoint_pairs=(("z", "z*"),))
 
@@ -111,19 +134,12 @@ def disc_rep(M, q):
 def disc_commrep(M, q):
     """Doubled representation with the off-diagonal block operator
     F = (1-q^2)^{-1} (0 Z; Z* 0)."""
+    from scipy import sparse
     rep = disc_rep(M, q)
+    mats = {g: sparse.block_diag((m, m), format="csr") for g, m in rep.mats.items()}
     Z = rep.mats["z"]
-    two = 2 * M
-    mats = {}
-    for g, m in rep.mats.items():
-        big = np.zeros((two, two), dtype=complex)
-        big[:M, :M] = m
-        big[M:, M:] = m
-        mats[g] = big
-    F = np.zeros((two, two), dtype=complex)
-    F[:M, M:] = Z / (1 - q * q)
-    F[M:, :M] = Z.conj().T / (1 - q * q)
-    rep2 = TruncatedRep(rep.pres, two, rep.s_value, mats, mask=M - 1,
+    F = sparse.bmat([[None, Z], [Z.conj().T, None]], format="csr") / (1 - q * q)
+    rep2 = TruncatedRep(rep.pres, 2 * M, rep.s_value, mats, mask=M - 1,
                         adjoint_pairs=rep.adjoint_pairs, copies=2)
     return rep2, F
 
@@ -150,7 +166,7 @@ def numeric_verify(rep, F=None, calc=None, tol=1e-12):
                            for label, gen, delta, _ in rows if label in comms]
             classes["bimodule_rows"] = max(
                 [0.0] + [r for _, r in rows_detail if r is not None])
-    degenerate = F is not None and not F.any()
+    degenerate = F is not None and not abs(F).max()
     report = {
         "check": "numeric_verify",
         "dim": rep.dim,

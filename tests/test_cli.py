@@ -19,9 +19,9 @@ PACKAGE_ROOT = str(Path(ncgv.__file__).resolve().parent.parent)
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def run_cli(args):
+def run_cli(args, module="ncgv.cli"):
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "ncgv.cli", *args],
+    proc = subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
@@ -36,6 +36,14 @@ def test_builtin_scenario_passes(tmp_path):
     assert report["seed"] == 0
     names = [c["check"] for c in report["checks"]]
     assert names == ["leibniz_random", "idempotence_random", "cross_assoc_random"]
+
+
+def test_package_runs_as_a_module():
+    # python -m ncgv is the ncgv command
+    code, stdout, err = run_cli(["verify", "builtin:weyl_m8"], module="ncgv")
+    assert code == 0, err
+    assert json.loads(stdout)["status"] == "pass"
+    assert (code, stdout, err) == run_cli(["verify", "builtin:weyl_m8"])
 
 
 def test_unknown_check_exits_2(tmp_path):

@@ -1,14 +1,18 @@
 """Numeric truncated representations and the exact formal module model."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from ncgv.algebra import confluence_check
+from ncgv.cli import run_scenario
 from ncgv.commrep import disc_block_c, quantum_space_commrep_report
 from ncgv.fodc import GammaElement, QuantumSpaceCalculus, builtin_calculus
-from ncgv.hilbert import (Ex3Model, HilbertError, disc_commrep, disc_rep,
+from ncgv.hilbert import (Ex3Model, HilbertError, _norm, disc_commrep, disc_rep,
                           ex3_build, ex3_report, ex3_ring, numeric_verify,
                           shift_weights, summability_report, weyl_commrep_residuals,
                           weyl_rep)
@@ -121,7 +125,7 @@ def test_rows_without_commutator_are_skipped():
 def test_degenerate_f_flagged():
     M, q = 16, 0.5
     rep2, F = disc_commrep(M, q)
-    report = numeric_verify(rep2, F=np.zeros_like(F), calc=builtin_calculus("disc"),
+    report = numeric_verify(rep2, F=0 * F, calc=builtin_calculus("disc"),
                             tol=TOL)
     assert any("degenerate" in note for note in report["notes"])
 
@@ -142,6 +146,123 @@ def test_disc_rejects_bad_parameters():
         disc_rep(64, 1.5)
     with pytest.raises(HilbertError):
         disc_rep(1, 0.5)
+
+
+def old_dense_disc_commrep(M, q):
+    """The dense construction the sparse model replaced, written out."""
+    Z = np.zeros((M, M), dtype=complex)
+    lam = shift_weights(q, M)
+    for n in range(M - 1):
+        Z[n + 1, n] = lam[n + 1]
+    mats = {}
+    for g, m in {"z": Z, "z*": Z.conj().T}.items():
+        big = np.zeros((2 * M, 2 * M), dtype=complex)
+        big[:M, :M] = m
+        big[M:, M:] = m
+        mats[g] = big
+    F = np.zeros((2 * M, 2 * M), dtype=complex)
+    F[:M, M:] = Z / (1 - q * q)
+    F[M:, :M] = Z.conj().T / (1 - q * q)
+    return mats, F
+
+
+def test_sparse_disc_model_equals_dense_construction():
+    M, q = 64, 0.5
+    rep2, F = disc_commrep(M, q)
+    mats, dense_f = old_dense_disc_commrep(M, q)
+    assert sparse.issparse(F) and all(map(sparse.issparse, rep2.mats.values()))
+    assert rep2.mats.keys() == mats.keys()
+    for g, m in mats.items():
+        assert np.array_equal(rep2.mats[g].toarray(), m)
+    assert np.array_equal(F.toarray(), dense_f)
+    assert np.array_equal(rep2.one.toarray(), np.eye(2 * M))
+
+
+def disc_scenario(*dims):
+    return {"name": "disc_scaled", "algebra": "disc",
+            "checks": [{"name": "disc_numeric", "dim": M} for M in dims]}
+
+
+def test_disc_numeric_scaled_to_4096():
+    small, large = run_scenario(disc_scenario(64, 4096))["checks"]
+    assert large["status"] == small["status"] == "pass"
+    assert large["mask"] == 4095
+    assert large["classes"] == small["classes"]
+
+
+def test_disc_perturbation_detected_at_4096():
+    # one stored entry of F far outside the 64-dimensional model
+    M, q = 4096, 0.5
+    rep2, F = disc_commrep(M, q)
+    F[4000, M + 3999] += 1e-6
+    report = numeric_verify(rep2, F=F, calc=builtin_calculus("disc"), tol=TOL)
+    assert report["status"] == "fail"
+    assert 1e-8 < report["classes"]["f_symmetry"] < 1e-3
+    assert 1e-8 < report["classes"]["bimodule_rows"] < 1e-3
+    assert report["classes"]["relations"] <= TOL
+
+
+# -- spectral norm ---------------------------------------------------------------
+
+finite = st.floats(-1e3, 1e3).filter(lambda x: x == 0 or abs(x) > 1e-6)
+
+
+@st.composite
+def partial_permutations(draw, min_size=1):
+    """A sparse matrix with at most one stored entry in each row and column."""
+    n, m = draw(st.integers(min_size, 12)), draw(st.integers(min_size, 12))
+    k = draw(st.integers(min_size, min(n, m)))
+    rows = draw(st.permutations(range(n)))[:k]
+    cols = draw(st.permutations(range(m)))[:k]
+    vals = np.array(draw(st.lists(finite, min_size=k, max_size=k)), dtype=complex)
+    if draw(st.booleans()):
+        vals = vals + 1j * np.array(draw(st.lists(finite, min_size=k, max_size=k)))
+    return sparse.csr_array((vals, (rows, cols)), shape=(n, m))
+
+
+def svd_calls():
+    return mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_permutations())
+def test_norm_of_partial_permutation_is_largest_entry(mat):
+    want = np.linalg.norm(mat.toarray(), 2)
+    with svd_calls() as svd:
+        got = _norm(mat)
+    assert svd.call_count == 0
+    assert abs(got - want) <= 1e-12 * want
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_permutations(min_size=2), st.booleans(), st.data())
+def test_norm_with_a_shared_row_or_column_takes_the_svd(mat, share_row, data):
+    coo = mat.tocoo()
+    i, j = coo.row[0], coo.col[0]
+    mat = mat.tolil()
+    mat[i, j] = 2.0 - 1.0j
+    if share_row:
+        mat[i, data.draw(st.sampled_from(sorted(set(range(mat.shape[1])) - {j})))] = 1.5
+    else:
+        mat[data.draw(st.sampled_from(sorted(set(range(mat.shape[0])) - {i}))), j] = 1.5
+    mat = mat.tocsr()
+    with svd_calls() as svd:
+        got = _norm(mat)
+    assert svd.call_count == 1
+    assert got == np.linalg.norm(mat.toarray(), 2)
+
+
+def test_norm_of_zero_and_stored_zeros():
+    assert _norm(sparse.csr_array((5, 7), dtype=complex)) == 0.0
+    assert _norm(np.zeros((3, 3), dtype=complex)) == 0.0
+    zeros = sparse.csr_array(([0.0, 0.0], ([0, 1], [1, 1])), shape=(3, 3))
+    assert zeros.nnz == 2 and _norm(zeros) == 0.0
+    # stored zeros beside the entries of a partial permutation keep the certificate
+    mat = sparse.csr_array(([3.0, 0.0, 0.0, -4.0], ([0, 0, 2, 1], [2, 0, 2, 0])),
+                           shape=(3, 3))
+    with svd_calls() as svd:
+        assert _norm(mat) == 4.0
+    assert svd.call_count == 0
 
 
 # -- summability -------------------------------------------------------------------
