@@ -357,6 +357,18 @@ def first_failure(name, witnesses):
     return name, witness is None, witness
 
 
+def first_failures(names, witnesses):
+    """``first_failure`` for several checks searched in one pass:
+    ``witnesses`` yields (index into ``names``, witness) pairs, and the
+    search stops once every check has its first witness."""
+    found = {}
+    for i, witness in witnesses:
+        found.setdefault(i, witness)
+        if len(found) == len(names):
+            break
+    return [(name, i not in found, found.get(i)) for i, name in enumerate(names)]
+
+
 # ---------------------------------------------------------------------------
 # diamond-lemma overlap checking
 # ---------------------------------------------------------------------------

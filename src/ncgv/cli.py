@@ -30,7 +30,7 @@ from .algebra import (RewriteError, ambiguities, confluence_check, first_failure
 from .commrep import (centrality_check, disc_block_c, disc_commutator_comparison,
                       faithfulness_rank, hermiticity_check, prop1_build, prop1_verify,
                       prop4_verify, quantum_space_commrep_report)
-from .dual import make_slq2_context, mixed_word_to_cross
+from .dual import make_slq2_context, mixed_word_to_cross, shipped_characters
 from .exprparse import parse_scalar
 from .fodc import (bicovariant_build, bicovariant_to_doc, builtin_calculus,
                    calculus_consistency_report, fodc_from_doc, fodc_validate,
@@ -368,8 +368,9 @@ def _bind(item, overrides, algebra):
     """(check name, keyword arguments) of one scenario item.  Every key must
     be a parameter the check declares, with the declared type and within
     ``_AT_LEAST``, a list must not be empty, and every parameter without a
-    default must be given.  An override reaches only the checks that declare
-    it.  ``algebra`` is the scenario's algebra."""
+    default must be given, and a ``zeta`` must name a shipped character.  An
+    override reaches only the checks that declare it.  ``algebra`` is the
+    scenario's algebra."""
     if not isinstance(item, dict):
         raise ScenarioError(f"a check must be an object, got {item!r}")
     name = item.get("name")
@@ -398,6 +399,11 @@ def _bind(item, overrides, algebra):
         if param.kind is param.KEYWORD_ONLY and param.default is param.empty \
                 and param.name not in kwargs:
             raise ScenarioError(f"check {name!r} needs a {param.name!r} parameter")
+    if "zeta" in kwargs:
+        names = sorted(shipped_characters())
+        if kwargs["zeta"] not in names:
+            raise ScenarioError(f"check {name!r} parameter 'zeta' must be one of "
+                                f"{names}, got {kwargs['zeta']!r}")
     if name in ("calculus_consistency", "star_closure") and "variant" in kwargs:
         builtin_calculus(kwargs["variant"])  # raises for unknown variants
     if name == "confluence":

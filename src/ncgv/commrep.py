@@ -1,18 +1,20 @@
 """Algebraic commutator representations and their exact verification.
 
-Two constructions are covered: the bordered block-matrix operator pair
+Two constructions are covered: the bordered block-matrix operators
 (C, Omega_k) acting on (n+1)-tuples of algebra elements, and the single
 central functional C = sum X_kj A^j_k acting inside the cross product.
-The complex unit that decorates the block operators is tracked as a formal
-power on the operator (the scalar field is Q(s)); every verified identity
-carries the same power on both sides, so exactness is unaffected.
+The block operators are the rows of the structure matrix M = (eps X; 0 f)
+of the calculus written into bordered blocks, and Prop. 1 is the one
+identity Omega_j rho(a) = sum_k (M_jk |> a) Omega_k, with Omega_0 = C.
+The complex unit in front of [C, rho(a)] and of each Omega_k multiplies
+both sides of every identity and is left out, so every entry lies over Q(s).
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .algebra import NCPoly, first_failure, random_poly
+from .algebra import NCPoly, first_failure, first_failures, random_poly
 from .dual import BF, CHAR, LM, LP, CrossElement, DualElement, mixed_word_to_cross
 from .fodc import GammaElement
 from .linalg import MatrixOverAlgebra, exact_rank
@@ -24,15 +26,13 @@ class CommRepError(ValueError):
 
 
 class BOperator(MatrixOverAlgebra):
-    """Matrix over the cross product acting on tuples of algebra elements,
-    times a formal power of the complex unit."""
+    """Matrix over the cross product acting on tuples of algebra elements."""
 
-    __slots__ = ("ctx", "iu")
+    __slots__ = ("ctx",)
 
-    def __init__(self, ctx, entries, iu=0):
+    def __init__(self, ctx, entries):
         super().__init__(entries)
         self.ctx = ctx
-        self.iu = iu % 4
 
     @classmethod
     def zero(cls, ctx, size):
@@ -47,35 +47,22 @@ class BOperator(MatrixOverAlgebra):
             out.entries[i][i] = cell
         return out
 
-    def _new(self, entries, iu):
-        return BOperator(self.ctx, entries, iu)
+    def _new(self, entries):
+        return BOperator(self.ctx, entries)
 
     def _cell(self, p):
         return CrossElement.from_poly(self.ctx, p)
 
-    def _norm(self):
-        """Fold i^2 = -1 into the entries, keeping iu in {0, 1}."""
-        if self.iu < 2:
-            return self
-        sign = QScalar.from_int(-1)
-        ent = [[e.scale(sign) for e in row] for row in self.entries]
-        return BOperator(self.ctx, ent, self.iu - 2)
-
-    def times_i(self):
-        return BOperator(self.ctx, self.entries, self.iu + 1)._norm()
-
     def act(self, tup):
-        """Apply to a tuple of algebra elements; returns (tuple, iu)."""
+        """Apply to a tuple of algebra elements."""
         if len(tup) != self.size:
             raise CommRepError("tuple size mismatch")
-        out = []
-        for i in range(self.size):
-            acc = self.ctx.pres.zero()
-            for j in range(self.size):
-                if not self.entries[i][j].is_zero():
-                    acc = acc + self.entries[i][j].act(tup[j])
-            out.append(acc)
-        return out, self.iu
+        out = [self.ctx.pres.zero() for _ in range(self.size)]
+        for j, x in enumerate(tup):
+            if not x.is_zero():
+                for i, row in enumerate(self.entries):
+                    out[i] = out[i] + row[j].act(x)
+        return out
 
 # ---------------------------------------------------------------------------
 # bordered block construction
@@ -83,50 +70,46 @@ class BOperator(MatrixOverAlgebra):
 
 
 def prop1_build(F):
-    """C and Omega_k of size n+1 with the bordered shape: first row and
-    column carry the tangent (resp. structure) functionals; rho embeds the
-    algebra diagonally.  Omega_k carries one formal unit power."""
+    """C and Omega_1..Omega_n of size n+1: Omega_j is bordered (first row and
+    first column) by row j of the structure matrix M without its first
+    entry, and C = Omega_0; rho embeds the algebra diagonally."""
     ctx = F.ctx
-    n = F.n
-    size = n + 1
-    C = BOperator.zero(ctx, size)
-    for k in range(n):
-        cell = CrossElement.from_dual(ctx, F.X[k])
-        C.entries[0][k + 1] = cell
-        C.entries[k + 1][0] = cell
-    Omegas = []
-    for k in range(n):
-        O = BOperator.zero(ctx, size)
-        for j in range(n):
-            cell = CrossElement.from_dual(ctx, F.f[k][j])
-            O.entries[0][j + 1] = cell
-            O.entries[j + 1][0] = cell
-        Omegas.append(BOperator(ctx, O.entries, iu=1))
+    size = F.n + 1
+    ops = []
+    for row in F.structure_matrix():
+        op = BOperator.zero(ctx, size)
+        for k in range(1, size):
+            cell = CrossElement.from_dual(ctx, row[k])
+            op.entries[0][k] = op.entries[k][0] = cell
+        ops.append(op)
+
     def rho(a):
         return BOperator.diagonal(ctx, size, a)
-    return C, Omegas, rho
+    return ops[0], ops[1:], rho
 
 
 def _mul_by_algebra_right(op, a):
     """op * rho(a): multiply every entry by a on the right (straightened)."""
     cell = CrossElement.from_poly(op.ctx, a)
-    ent = [[e * cell for e in row] for row in op.entries]
-    return BOperator(op.ctx, ent, op.iu)
+    return BOperator(op.ctx, [[e * cell for e in row] for row in op.entries])
 
 
 def prop1_verify(C, Omegas, F, degree_a=2, degree_b=1):
-    """Exact check of the two defining operator identities on corpus data:
+    """Exact check of Prop. 1 on corpus data, one identity for every row j
+    of the structure matrix M, with Omega_0 = C and eps |> a = a:
 
-      (r1)  i(Ca - aC) . b = sum_k (X_k |> a) Omega_k . b
-      (r2)  Omega_k a . b  = sum_l (f^k_l |> a) Omega_l . b
+      Omega_j a . b = sum_k (M_jk |> a) Omega_k . b.
 
-    Tuples are exercised through their single-slot components (the action is
-    componentwise linear, so this is exhaustive for the stated degree)."""
+    Row 0 is (r1) (Ca - aC) . b = sum_k (X_k |> a) Omega_k . b, and row k+1
+    is (r2) Omega_k a . b = sum_l (f^k_l |> a) Omega_l . b.  Both sides act
+    as one operator, their difference.  Tuples are exercised through their
+    single-slot components (the action is componentwise linear, so this is
+    exhaustive for the stated degree)."""
     ctx = F.ctx
     pres = ctx.pres
-    n = F.n
-    size = n + 1
-    words_a = ctx.corpus(degree_a)
+    size = F.n + 1
+    ops = [C, *Omegas]
+    M = F.structure_matrix()
     words_b = ctx.corpus(degree_b)
 
     def tuples():
@@ -136,50 +119,39 @@ def prop1_verify(C, Omegas, F, degree_a=2, degree_b=1):
                 tup[slot] = NCPoly(pres, {wb: ONE})
                 yield slot, wb, tup
 
-    def omega_sum(coeffs):
-        """sum_l c_l Omega_l, carrying the formal unit power of Omega."""
-        out = BOperator(ctx, BOperator.zero(ctx, size).entries, iu=1)
-        for l, c in enumerate(coeffs):
-            if not c.is_zero():
-                out = out + Omegas[l].scale_poly(c)
-        return out
-
-    def mismatches(lhs_op, rhs_op):
-        for slot, wb, tup in tuples():
-            left, ul = lhs_op.act(tup)
-            right, ur = rhs_op.act(tup)
-            if ul != ur or left != right:
-                yield slot, wb
-
-    def r1():
-        for wa in words_a:
+    def witnesses():
+        for wa in ctx.corpus(degree_a):
             a = NCPoly(pres, {wa: ONE})
-            lhs_op = (_mul_by_algebra_right(C, a) - C.scale_poly(a)).times_i()
-            rhs_op = omega_sum([F.X[k].left_act(a) for k in range(n)])
-            for slot, wb in mismatches(lhs_op, rhs_op):
-                yield {"identity": "r1", "a": wa, "slot": slot, "b": wb}
+            for j, row in enumerate(M):
+                rhs = BOperator.zero(ctx, size)
+                for op, m in zip(ops, row):
+                    if m.terms:
+                        acted = m.left_act(a)
+                        if not acted.is_zero():
+                            rhs = rhs + op.scale_poly(acted)
+                delta = _mul_by_algebra_right(ops[j], a) - rhs
+                for slot, wb, tup in tuples():
+                    if all(x.is_zero() for x in delta.act(tup)):
+                        continue
+                    if j == 0:
+                        yield 0, {"identity": "r1", "a": wa, "slot": slot, "b": wb}
+                    else:
+                        yield 1, {"identity": "r2", "a": wa, "k": j - 1,
+                                  "slot": slot, "b": wb}
 
-    def r2():
-        for wa in words_a:
-            a = NCPoly(pres, {wa: ONE})
-            for k in range(n):
-                lhs_op = _mul_by_algebra_right(Omegas[k], a)
-                rhs_op = omega_sum([F.f[k][l].left_act(a) for l in range(n)])
-                for slot, wb in mismatches(lhs_op, rhs_op):
-                    yield {"identity": "r2", "a": wa, "k": k, "slot": slot, "b": wb}
-
-    return [first_failure("prop1_r1", r1()), first_failure("prop1_r2", r2())]
+    return first_failures(["prop1_r1", "prop1_r2"], witnesses())
 
 
 def tau_block(pairs, C, rho):
-    """tau(sum_i a_i d b_i) = i sum_i rho(a_i)(C rho(b_i) - rho(b_i) C)."""
+    """tau(sum_i a_i d b_i) = sum_i rho(a_i)(C rho(b_i) - rho(b_i) C); the
+    complex unit in front of the paper's formula is left out."""
     out = None
     for a, b in pairs:
         piece = (_mul_by_algebra_right(C, b) - C.scale_poly(b)).scale_poly(a)
         out = piece if out is None else out + piece
     if out is None:
         raise CommRepError("empty presentation of a calculus element")
-    return out.times_i()
+    return out
 
 
 # ---------------------------------------------------------------------------

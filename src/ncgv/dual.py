@@ -593,11 +593,17 @@ def validate_letters(ctx):
     return failures
 
 
-def make_slq2_context():
-    """Presentation + Hopf structure + R-matrix + builtin characters."""
+def shipped_characters():
+    """The builtin characters of ``characters.json``: {name: {generator:
+    value as text}}."""
     import json as _json
     from importlib import resources
 
+    return _json.loads(resources.files("ncgv.data").joinpath("characters.json").read_text())
+
+
+def make_slq2_context():
+    """Presentation + Hopf structure + R-matrix + builtin characters."""
     from .hopf import slq2_hopf
     from .presentations import builtin_presentation
     from .rmatrix import builtin_rmatrix
@@ -605,10 +611,9 @@ def make_slq2_context():
     pres = builtin_presentation("slq2")
     H = slq2_hopf(pres)
     R = builtin_rmatrix("slq2")
-    raw = _json.loads(resources.files("ncgv.data").joinpath("characters.json").read_text())
     chars = {}
     env = base_env()
-    for name, values in raw.items():
+    for name, values in shipped_characters().items():
         chars[name] = {g: parse_scalar(v, env) for g, v in values.items()}
     ctx = DualContext(pres, H, R, chars)
     for name in list(chars):

@@ -6,6 +6,9 @@ components of the bipartite graph of rows and columns joined by nonzero
 entries.  Each block is ranked by Bareiss elimination on its rows scaled by
 the lcm of their denominators, an integer-polynomial matrix over Z[s], so no
 rational-function arithmetic happens in the pivoting loop.
+
+The matrix type has entries in algebras over Q(s) and nothing else: it
+carries no formal complex unit, since no identity checked with it needs one.
 """
 
 from __future__ import annotations
@@ -19,12 +22,9 @@ from .scalars import ZERO, QScalar, _pcontent, _pdiv_exact, _pgcd, _pmul, _psub
 class MatrixOverAlgebra:
     """Square matrix whose entries are QScalar, NCPoly or CrossElement
     values: the R-matrix identities, the RTT relations and the block model
-    of a commutator representation.  ``iu`` is the formal power of the
-    complex unit in front; it is 0 here and in {0, 1} after ``_norm`` for a
-    ``commrep.BOperator``."""
+    of a commutator representation."""
 
     __slots__ = ("entries", "size")
-    iu = 0
 
     def __init__(self, entries):
         self.entries = entries
@@ -48,7 +48,7 @@ class MatrixOverAlgebra:
         idx = list(product(range(1, n + 1), repeat=k))
         return cls([[entry(*row, *col) for col in idx] for row in idx])
 
-    def _new(self, entries, iu):
+    def _new(self, entries):
         """A matrix of the same kind as self."""
         return MatrixOverAlgebra(entries)
 
@@ -56,30 +56,21 @@ class MatrixOverAlgebra:
         """An algebra element as an entry."""
         return p
 
-    def _norm(self):
-        return self
-
     def __add__(self, other):
-        a, b = self._norm(), other._norm()
-        if a.iu != b.iu:
-            if a.is_zero():
-                return b
-            if b.is_zero():
-                return a
-            raise ValueError("cannot add operators with different unit powers")
-        ent = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)]
-        return a._new(ent, a.iu)
+        ent = [[x + y for x, y in zip(ra, rb)]
+               for ra, rb in zip(self.entries, other.entries)]
+        return self._new(ent)
 
     def __sub__(self, other):
         return self + other.scale(QScalar.from_int(-1))
 
     def scale(self, c):
-        return self._new([[e.scale(c) for e in row] for row in self.entries], self.iu)
+        return self._new([[e.scale(c) for e in row] for row in self.entries])
 
     def scale_poly(self, p):
         """Left multiplication by an algebra element."""
         cell = self._cell(p)
-        return self._new([[cell * e for e in row] for row in self.entries], self.iu)
+        return self._new([[cell * e for e in row] for row in self.entries])
 
     def __mul__(self, other):
         if not isinstance(other, MatrixOverAlgebra):
@@ -94,7 +85,7 @@ class MatrixOverAlgebra:
                     acc = acc + row[k] * other.entries[k][j]
                 out.append(acc)
             ent.append(out)
-        return self._new(ent, self.iu + other.iu)._norm()
+        return self._new(ent)
 
     __matmul__ = __mul__
 
@@ -104,10 +95,7 @@ class MatrixOverAlgebra:
     def __eq__(self, other):
         if not isinstance(other, MatrixOverAlgebra):
             return NotImplemented
-        a, b = self._norm(), other._norm()
-        if a.is_zero() and b.is_zero():
-            return True
-        return a.iu == b.iu and a.entries == b.entries
+        return self.entries == other.entries
 
     def __repr__(self):
         return "[" + "; ".join(

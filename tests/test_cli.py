@@ -11,7 +11,7 @@ import pytest
 
 import ncgv
 from ncgv import cli
-from ncgv.algebra import first_failure
+from ncgv.algebra import first_failure, first_failures
 from ncgv.cli import load_scenario, main, run_scenario
 
 # the directory holding the package, for child interpreters
@@ -230,6 +230,20 @@ def test_first_failure_consumes_only_the_first_witness():
     assert first_failure("c", iter([])) == ("c", True, None)
 
 
+def test_first_failures_stops_once_every_check_has_a_witness():
+    consumed = []
+
+    def witnesses():
+        for item in [(1, "x"), (1, "y"), (0, "z"), (1, "w")]:
+            consumed.append(item)
+            yield item
+
+    assert first_failures(["a", "b"], witnesses()) == [("a", False, "z"), ("b", False, "x")]
+    assert consumed == [(1, "x"), (1, "y"), (0, "z")]
+    assert first_failures(["a", "b"], iter([(1, ())])) == [("a", True, None),
+                                                           ("b", False, ())]
+
+
 def test_first_failure_reports_the_empty_word():
     assert first_failure("c", iter([()])) == ("c", False, ())
 
@@ -316,6 +330,25 @@ def test_model_size_rejected_at_bind_time(tmp_path, capsys, monkeypatch, item, k
 def test_model_size_bounds_are_per_check():
     bound = cli.validate_scenario({"checks": [{"name": "summability", "dim": 1}]})
     assert bound == [("summability", {"dim": 1})]
+
+
+@pytest.mark.parametrize("name", ["prop1", "fodc_validate", "leibniz_random"])
+def test_unknown_character_rejected_at_bind_time(tmp_path, capsys, monkeypatch, name):
+    ran = []
+    monkeypatch.setattr(cli, "hopf_axiom_report", lambda *args: ran.append(args))
+    path = write_scenario(tmp_path, [{"name": "hopf_axioms", "degree": 1},
+                                     {"name": name, "zeta": "bogus"}])
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert "'zeta'" in err and "'bogus'" in err
+    assert "Traceback" not in err
+    assert ran == []
+
+
+def test_shipped_characters_bind():
+    bound = cli.validate_scenario({"checks": [{"name": "prop1", "zeta": "zeta_q"},
+                                              {"name": "centrality", "zeta": "eps"}]})
+    assert bound == [("prop1", {"zeta": "zeta_q"}), ("centrality", {"zeta": "eps"})]
 
 
 @pytest.mark.parametrize("item", [

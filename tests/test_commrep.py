@@ -41,9 +41,7 @@ def test_prop1_shape(blocks, B, ctx):
         assert C.entries[0][k + 1] == CrossElement.from_dual(ctx, B.fodc.X[k])
         assert C.entries[k + 1][0] == CrossElement.from_dual(ctx, B.fodc.X[k])
     assert C.entries[0][0].is_zero() and C.entries[2][3].is_zero()
-    assert C.iu == 0
     for k in range(4):
-        assert Omegas[k].iu == 1
         for j in range(4):
             assert Omegas[k].entries[0][j + 1] == CrossElement.from_dual(
                 ctx, B.fodc.f[k][j])
@@ -59,19 +57,41 @@ def test_prop1_trivial_a_is_one(blocks, B, ctx):
     C, Omegas, _ = blocks
     a = ctx.pres.one()
     from ncgv.commrep import _mul_by_algebra_right
-    lhs = (_mul_by_algebra_right(C, a) - C.scale_poly(a)).times_i()
+    lhs = _mul_by_algebra_right(C, a) - C.scale_poly(a)
     assert lhs.is_zero()
 
 
 def test_prop1_mutation_detected(blocks, B):
     C, Omegas, _ = blocks
     corrupted = list(Omegas)
-    bad = BOperator(B.ctx, [row[:] for row in Omegas[0].entries], iu=1)
+    bad = BOperator(B.ctx, [row[:] for row in Omegas[0].entries])
     bad.entries[0][1] = bad.entries[0][1].scale(QScalar.from_int(-1))
     corrupted[0] = bad
     checks = prop1_verify(C, corrupted, B.fodc, degree_a=1, degree_b=1)
     failed = [w for name, ok, w in checks if not ok]
     assert failed and failed[0] is not None
+
+
+def test_corrupted_c_border_fails_only_r1(blocks, B):
+    # C appears only in row 0 of the identity, so only prop1_r1 can fail
+    C, Omegas, _ = blocks
+    bad = BOperator(B.ctx, [row[:] for row in C.entries])
+    bad.entries[0][1] = bad.entries[1][0] = bad.entries[0][1].scale(QScalar.from_int(-1))
+    checks = {name: (ok, w) for name, ok, w in
+              prop1_verify(bad, Omegas, B.fodc, degree_a=1, degree_b=1)}
+    ok, witness = checks["prop1_r1"]
+    assert not ok and witness["identity"] == "r1" and "k" not in witness
+    assert checks["prop1_r2"] == (True, None)
+
+
+def test_corrupted_omega_fails_r2_with_its_row(blocks, B):
+    C, Omegas, _ = blocks
+    bad = BOperator(B.ctx, [row[:] for row in Omegas[0].entries])
+    bad.entries[0][2] = bad.entries[0][2].scale(QScalar.from_int(-1))
+    checks = {name: (ok, w) for name, ok, w in
+              prop1_verify(C, [bad] + list(Omegas[1:]), B.fodc, degree_a=1, degree_b=1)}
+    assert checks["prop1_r2"] == (False, {"identity": "r2", "a": ("v11",), "k": 0,
+                                          "slot": 2, "b": ()})
 
 
 def test_trivial_calculus_prop1(ctx):

@@ -63,6 +63,44 @@ def test_validation_catches_group_like_tangent(B, ctx):
     assert not ok and witness is not None
 
 
+def test_structure_matrix_is_bordered(B, ctx):
+    M = B.fodc.structure_matrix()
+    assert len(M) == 5 and all(len(row) == 5 for row in M)
+    assert M[0] == [ctx.unit(), *B.fodc.X]
+    for k in range(4):
+        assert not M[k + 1][0].terms
+        assert M[k + 1][1:] == B.fodc.f[k]
+
+
+def test_tangent_failures_stay_in_row_0(B, ctx):
+    # a group-like X_1 breaks row 0 of M(ab) = M(a) M(b) and no other row
+    zeta = DualElement(ctx, {(BF(CHAR, name="zeta_q"),): ONE})
+    broken = FodcData(ctx, B.labels, [zeta] + list(B.fodc.X[1:]), B.fodc.f)
+    report = {name: (ok, wit) for name, ok, wit in fodc_validate(broken, 2)}
+    assert report["unit_values"] == (False, ("X_at_1", 0))
+    ok, witness = report["tangent_coproduct"]
+    assert not ok and witness[0] == "tangent_coproduct" and len(witness) == 4
+    assert report["f_comultiplicative"] == (True, None)
+
+
+def test_corrupted_structure_functional_fails_comultiplicativity(B, ctx):
+    f = [row[:] for row in B.fodc.f]
+    f[0][1] = f[0][1].scale(QScalar.from_int(2))
+    broken = FodcData(ctx, B.labels, B.fodc.X, f)
+    report = {name: (ok, wit) for name, ok, wit in fodc_validate(broken, 2)}
+    assert report["unit_values"] == (True, None)
+    ok, witness = report["f_comultiplicative"]
+    assert not ok and witness[0] == "f_comultiplicative" and len(witness) == 5
+
+
+def test_corrupted_structure_functional_at_one_fails_unit_values(B, ctx):
+    f = [row[:] for row in B.fodc.f]
+    f[1][2] = f[1][2] + ctx.unit()
+    broken = FodcData(ctx, B.labels, B.fodc.X, f)
+    report = {name: (ok, wit) for name, ok, wit in fodc_validate(broken, 2)}
+    assert report["unit_values"] == (False, ("f_at_1", 1, 2))
+
+
 def test_trivial_rank_one_calculus(ctx):
     zero = DualElement(ctx, {})
     f = [[ctx.unit()]]

@@ -73,8 +73,11 @@ def test_disc_commutator_block_value():
 def test_disc_perturbation_detected():
     M, q = 32, 0.5
     rep2, F = disc_commrep(M, q)
-    F2 = F.copy()
+    # off the sparsity pattern (a zero of Z): the one residual that takes the
+    # dense SVD; LIL format takes a new entry without a SparseEfficiencyWarning
+    F2 = F.tolil()
     F2[3, M + 4] += 1e-6
+    F2 = F2.tocsr()
     calc = builtin_calculus("disc")
     report = numeric_verify(rep2, F=F2, calc=calc, tol=TOL)
     assert report["status"] == "fail"
