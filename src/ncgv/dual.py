@@ -1,21 +1,26 @@
-"""The Hopf dual at working scale: words of basic functionals evaluated
-through iterated coproducts, the convolution algebra, dual star and antipode,
-the left action, and the cross product algebra.
+"""The Hopf dual at working scale: words of basic functionals evaluated by
+one row walk, the convolution algebra, dual star and antipode, the left
+action, and the cross product algebra.
 
 Functional letters: LP/LM are the matrix functionals attached to the R-matrix
 (l^{+k}_j = r(. (x) v^k_j), l^{-k}_j = rbar(v^k_j (x) .)), SLP/SLM their
 antipodes kept structural (evaluation reroutes through S on the algebra),
-CHAR a named multiplicative functional, EPS the counit.  Words are canonical
-with counital letters dropped; equality of functionals is extensional over a
-degree-bounded word corpus, as recorded in every report that uses it.
+CHAR a named multiplicative functional, EPS the counit.  Each letter is a
+matrix coefficient of an n-dimensional representation, so <f1...fm, g1...gd>
+is one entry of G(g1)...G(gd) for their tensor product G
+(``DualContext.representation``).  Words are canonical with counital letters
+dropped; equality of functionals is extensional over a degree-bounded word
+corpus, as recorded in every report that uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 
 from .algebra import LinComb, NCPoly, _accum
 from .exprparse import base_env, parse_scalar, scalar_to_str
+from .linalg import MatrixOverAlgebra
 from .scalars import ONE, QScalar, ZERO
 
 LP, LM, SLP, SLM, CHAR, EPS = "LP", "LM", "SLP", "SLM", "CHAR", "EPS"
@@ -34,6 +39,17 @@ def _character_value(vals, terms):
         for g in w:
             t = t * vals[g]
         total = total + t
+    return total
+
+
+def _kron_entry(m, terms, *idx):
+    """Entry (idx[:m], idx[m:]) of the sum of c M1 (x) ... (x) Mm over the
+    ``terms`` (c, [M1, ..., Mm]) of n x n matrices, indices from 1."""
+    total = ZERO
+    for c, mats in terms:
+        for r, mat in enumerate(mats):
+            c = c * mat[idx[r] - 1][idx[m + r] - 1]
+        total = total + c
     return total
 
 
@@ -75,6 +91,7 @@ class DualContext:
         self._letter_word_cache = {}
         self._word_eval_cache = {}
         self._act_cache = {}
+        self._rep_cache = {}
         self._star_char_cache = {}
 
     # -- corpora -------------------------------------------------------------
@@ -139,63 +156,83 @@ class DualContext:
                        for g in self.pres.generators)
         return False
 
-    # -- letter evaluation -------------------------------------------------------
+    # -- evaluation: one row walk -------------------------------------------------
 
-    def _matrix_entry(self, kind, k, j, gen):
-        try:
-            i, l = self.gen_index[gen]
-        except KeyError:
-            raise DualError(
-                f"no evaluation table entry for generator {gen!r}") from None
-        if kind == LP:
-            return self.R.r_form(i, l, k, j)
-        if kind == LM:
-            return self.R.rbar_form(k, j, i, l)
-        raise DualError(kind)
+    def _matrix_entry(self, bf, gen, k, t):
+        """Entry (k, t) of the n x n matrix of the letter family of ``bf`` at
+        a generator: the R-matrix for l+/l-, the transposed antipode matrices
+        for S(l+)/S(l-), whose start and end swap, and the value times the
+        identity for a character or eps."""
+        if bf.kind == EPS:
+            return self.hopf.counit_table[gen] if k == t else ZERO
+        if bf.kind == CHAR:
+            return self.character_values(bf.name)[gen] if k == t else ZERO
+        if bf.kind == LP:
+            return self.R.r_form(*self.gen_index[gen], k, t)
+        if bf.kind == LM:
+            return self.R.rbar_form(k, t, *self.gen_index[gen])
+        if bf.kind in (SLP, SLM):
+            # <S(f), g1..gd> = <f, S(gd)..S(g1)>: the transposed matrices of
+            # the antipodes, read forward from the letter's end to its start
+            base = LP if bf.kind == SLP else LM
+            return self.eval_letter_poly(BF(base, t, k), self.hopf.antipode_table[gen])
+        raise DualError(f"unknown letter kind {bf.kind!r}")
 
-    def eval_letter_word(self, bf, w):
-        """<letter, word> for a normal word of generators."""
-        key = (bf, w)
-        hit = self._letter_word_cache.get(key)
+    def representation(self, fword):
+        """(start, end, {generator g: G(g)}) with <f1...fm, g1...gd> the
+        (start, end) entry of G(g1)...G(gd), m >= 1.  Each letter is a matrix
+        coefficient of an n-dimensional representation M (``_matrix_entry``),
+        so G(g) is the sum of c M1(u1) (x) ... (x) Mm(um) over the m-fold
+        coproduct of g, with Mr multiplied along the leg ur (the identity on
+        an empty leg), indexed as in ``MatrixOverAlgebra.from_index``, and
+        cached per word of letter families."""
+        n, m = self.n, len(fword)
+        start = end = 0
+        for bf in fword:
+            # a character or eps has no indices (i = j = 0): any diagonal one does
+            i, j = (bf.j, bf.i) if bf.kind in (SLP, SLM) else (bf.i or 1, bf.j or 1)
+            start, end = start * n + i - 1, end * n + j - 1
+        family = tuple(BF(bf.kind, name=bf.name) for bf in fword)
+        if family not in self._rep_cache:
+            one = MatrixOverAlgebra.from_index(n, 1, lambda k, t: ONE if k == t else ZERO)
+            letter = [{g: MatrixOverAlgebra.from_index(n, 1, partial(self._matrix_entry, bf, g))
+                       for g in self.gen_index} for bf in family]
+            mats = {}
+            for g in self.gen_index:
+                terms = [(c, [reduce(MatrixOverAlgebra.__matmul__,
+                                     (letter[r][h] for h in u), one).entries
+                              for r, u in enumerate(legs)])
+                         for legs, c in self.hopf.iterated_coproduct_word((g,), m).terms.items()]
+                mats[g] = MatrixOverAlgebra.from_index(n, m, partial(_kron_entry, m, terms))
+            self._rep_cache[family] = mats
+        return start, end, self._rep_cache[family]
+
+    def _walk(self, cache, key, fword, w):
+        """<fword, w> for a word w of generators, kept in ``cache`` under
+        ``key``: row ``start`` of G(g1)...G(gd), read at ``end``."""
+        hit = cache.get(key)
         if hit is not None:
             return hit
-        val = self._eval_letter_word(bf, w)
-        self._letter_word_cache[key] = val
-        return val
-
-    def _eval_letter_word(self, bf, w):
-        if bf.kind == EPS:
-            return self.hopf.counit_word(w)
-        if bf.kind == CHAR:
-            return _character_value(self.character_values(bf.name), {w: ONE})
-        if bf.kind in (LP, LM):
-            gens = w
-
-            def entry(k, t, g):
-                return self._matrix_entry(bf.kind, k, t, g)
-        elif bf.kind in (SLP, SLM):
-            # <S(f), g1..gd> = <f, S(gd)..S(g1)>: reversed product of the
-            # antipode evaluations
-            base = LP if bf.kind == SLP else LM
-            gens = reversed(w)
-
-            def entry(k, t, g):
-                return self.eval_letter_poly(BF(base, k, t), self.hopf.antipode_table[g])
-        else:
-            raise DualError(f"unknown letter kind {bf.kind!r}")
-        # matrix coproduct: row bf.i of the product of per-generator matrices
-        vec = {bf.i: ONE}
-        for g in gens:
+        start, end, mats = self.representation(fword)
+        vec = {start: ONE}
+        for g in w:
+            try:
+                rows = mats[g].entries
+            except KeyError:
+                raise DualError(
+                    f"no evaluation table entry for generator {g!r}") from None
             nxt = {}
             for k, c in vec.items():
-                for t in range(1, self.n + 1):
-                    e = entry(k, t, g)
+                for t, e in enumerate(rows[k]):
                     if not e.is_zero():
-                        nxt[t] = nxt.get(t, ZERO) + c * e
-            vec = {k: c for k, c in nxt.items() if not c.is_zero()}
-            if not vec:
-                return ZERO
-        return vec.get(bf.j, ZERO)
+                        _accum(nxt, t, c * e)
+            vec = nxt
+        val = cache[key] = vec.get(end, ZERO)
+        return val
+
+    def eval_letter_word(self, bf, w):
+        """<letter, word> for a word of generators: the one-letter walk."""
+        return self._walk(self._letter_word_cache, (bf, w), (bf,), w)
 
     def eval_letter_poly(self, bf, p):
         v = ZERO
@@ -203,38 +240,9 @@ class DualContext:
             v = v + c * self.eval_letter_word(bf, w)
         return v
 
-    # -- word evaluation ---------------------------------------------------------
-
     def eval_word_on_word(self, fword, w):
-        """<f1...fm, w> through the m-fold coproduct of w."""
-        key = (fword, w)
-        hit = self._word_eval_cache.get(key)
-        if hit is not None:
-            return hit
-        m = len(fword)
-        if m == 0:
-            val = self.hopf.counit_word(w)
-        elif m == 1:
-            val = self.eval_letter_word(fword[0], w)
-        else:
-            val = self.pair_legs(fword, w, 0).get((), ZERO)
-        self._word_eval_cache[key] = val
-        return val
-
-    def pair_legs(self, fword, w, free):
-        """Pair f1...fm with the last m legs of the (free + m)-fold coproduct
-        of w: {first ``free`` legs: sum of c <f1, leg> ... <fm, leg>}."""
-        out = {}
-        it = self.hopf.iterated_coproduct_word(w, free + len(fword))
-        for legs, c in it.terms.items():
-            t = c
-            for bf, leg in zip(fword, legs[free:]):
-                t = t * self.eval_letter_word(bf, leg)
-                if t.is_zero():
-                    break
-            else:
-                _accum(out, legs[:free], t)
-        return out
+        """<f1...fm, w>, the walk of any m; the empty word is the counit."""
+        return self._walk(self._word_eval_cache, (fword, w), fword or (BF(EPS),), w)
 
     # -- letter structure -----------------------------------------------------------
 
@@ -380,17 +388,18 @@ class DualElement(LinComb):
     def left_act(self, a):
         """f |> a = a_(1) <f, a_(2)>, an element of the algebra."""
         ctx = self.ctx
-        pres = ctx.pres
         total = {}
         for fw, fc in self.terms.items():
             for w, c in a.terms.items():
                 key = (fw, w)
                 hit = ctx._act_cache.get(key)
                 if hit is None:
-                    hit = ctx._act_cache[key] = ctx.pair_legs(fw, w, 1)
-                for (u,), cu in hit.items():
+                    hit = ctx._act_cache[key] = {}
+                    for (u, v), cv in ctx.hopf.coproduct_word(w).terms.items():
+                        _accum(hit, u, cv * ctx.eval_word_on_word(fw, v))
+                for u, cu in hit.items():
                     _accum(total, u, fc * c * cu)
-        return NCPoly(pres, total)
+        return NCPoly(ctx.pres, total)
 
     def __repr__(self):
         if not self.terms:
@@ -519,22 +528,11 @@ def mixed_word_to_cross(ctx, items):
 
 
 def r_form_on_words(ctx, x, w):
-    """r(x (x) w) for an algebra element x and generator word w, peeled with
-    r(a (x) bc) = r(a_(1) (x) c) r(a_(2) (x) b)."""
-    if len(w) == 0:
-        return ctx.hopf.counit(x)
-    if len(w) == 1:
-        i, j = ctx.gen_index[w[0]]
-        return ctx.eval_letter_poly(BF(LP, i, j), x)
-    head, last = w[:-1], w[-1:]
-    total = ZERO
-    for (a1, a2), c in ctx.hopf.coproduct(x).terms.items():
-        v1 = r_form_on_words(ctx, NCPoly(ctx.pres, {a1: ONE}), last)
-        if v1.is_zero():
-            continue
-        v2 = r_form_on_words(ctx, NCPoly(ctx.pres, {a2: ONE}), head)
-        total = total + c * v1 * v2
-    return total
+    """r(x (x) w) for an algebra element x and generator word w = g1...gd:
+    by r(a (x) bc) = r(a_(1) (x) c) r(a_(2) (x) b), the pairing of x with
+    the functional word l+(gd)...l+(g1), where l+(v^i_j) = l^{+i}_j."""
+    fword = tuple(BF(LP, *ctx.gen_index[g]) for g in reversed(w))
+    return DualElement(ctx, {fword: ONE}).evaluate(x)
 
 
 def validate_r_form(ctx, degree=2):
