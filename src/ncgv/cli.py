@@ -8,9 +8,14 @@ output is sorted, so identical inputs produce byte-identical reports.
 Each check declares its parameters as keyword-only arguments with defaults,
 and every check of a scenario is bound to them before the first one runs.
 
+Every check runs under its own guard: a check that raises is reported with
+status "error" and the exception as its witness, and the checks after it
+still run.
+
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 the scenario
 could not be loaded (parse error, missing reference, unknown check name, or
-an unknown, missing, mistyped or out-of-range check parameter).
+an unknown, missing, mistyped or out-of-range check parameter), 3 at least
+one check raised an error.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import inspect
 import json
 import random
 import sys
+import traceback
 import types
 import typing
 from importlib import resources
@@ -446,14 +452,31 @@ def validate_scenario(doc, overrides=None):
 
 
 def run_scenario(doc, seed=0, overrides=None):
-    bound = validate_scenario(doc, overrides)
+    return run_bound(doc, validate_scenario(doc, overrides), seed)
+
+
+def _run_check(session, name, kwargs):
+    """The result of one bound check; a check that raises gets status
+    "error", with the exception as its witness and the traceback on
+    stderr."""
+    try:
+        return CHECKS[name](session, **kwargs)
+    except Exception as e:  # a crash belongs to its check alone
+        sys.stderr.write(f"check {name!r} raised:\n{traceback.format_exc()}")
+        return _result(name, "error", witness=f"{type(e).__name__}: {e}")
+
+
+def run_bound(doc, bound, seed=0):
+    """The report of the checks of ``doc`` bound by ``validate_scenario``:
+    status "error" if a check raised, else "fail" if one failed."""
     session = Session(doc, seed)
-    results = [CHECKS[name](session, **kwargs) for name, kwargs in bound]
+    results = [_run_check(session, name, kwargs) for name, kwargs in bound]
+    statuses = {r["status"] for r in results}
     return {
         "scenario": doc.get("name", "unnamed"),
         "tool": {"name": "ncgv", "version": __version__},
         "seed": seed,
-        "status": "fail" if any(r["status"] == "fail" for r in results) else "pass",
+        "status": next((s for s in ("error", "fail") if s in statuses), "pass"),
         "checks": results,
     }
 
@@ -472,20 +495,24 @@ def write_report(report, out):
 # --------------------------------------------------------------------------
 
 
+EXIT_CODES = {"pass": 0, "fail": 1, "error": 3}
+
+
 def cmd_verify(args):
+    overrides = {}
+    if args.degree is not None:
+        overrides["degree"] = args.degree
+    if args.tol is not None:
+        overrides["tol"] = args.tol
     try:
         doc = load_scenario(args.scenario)
-        overrides = {}
-        if args.degree is not None:
-            overrides["degree"] = args.degree
-        if args.tol is not None:
-            overrides["tol"] = args.tol
-        report = run_scenario(doc, seed=args.seed, overrides=overrides)
-    except (ScenarioError, OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+        bound = validate_scenario(doc, overrides)
+    except (ScenarioError, OSError, ValueError) as e:  # load and bind errors only
         sys.stderr.write(f"scenario error: {e}\n")
         return 2
+    report = run_bound(doc, bound, seed=args.seed)
     write_report(report, args.out)
-    return 0 if report["status"] == "pass" else 1
+    return EXIT_CODES[report["status"]]
 
 
 def cmd_build_bicovariant(args):

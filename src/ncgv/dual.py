@@ -109,9 +109,10 @@ class DualContext:
         except KeyError:
             raise DualError(f"unknown character {name!r}") from None
 
-    def validate_character(self, name):
-        """A character must kill the relation ideal (it is an algebra map)."""
-        vals = self.character_values(name)
+    def validate_character(self, name, vals=None):
+        """A character must kill the relation ideal (it is an algebra map):
+        the registered one, or ``vals`` proposed for the name."""
+        vals = self.character_values(name) if vals is None else vals
         for g in self.pres.generators:
             if g not in vals:
                 raise DualError(f"character {name!r} missing value at {g!r}")
@@ -620,12 +621,18 @@ def make_slq2_context():
 
 
 def load_character(doc, ctx):
+    """Register a character from a document or a file, once validated; a
+    name that is already registered is rejected, since evaluations of the
+    old values may be cached."""
     if isinstance(doc, str):
         import json as _json
         with open(doc) as fh:
             doc = _json.load(fh)
+    name = doc["name"]
+    if name in ctx.characters:
+        raise DualError(f"character {name!r} is already registered")
     env = base_env()
     vals = {g: parse_scalar(v, env) for g, v in doc["values"].items()}
-    ctx.characters[doc["name"]] = vals
-    ctx.validate_character(doc["name"])
-    return doc["name"]
+    ctx.validate_character(name, vals)
+    ctx.characters[name] = vals
+    return name

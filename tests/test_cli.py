@@ -11,7 +11,7 @@ import pytest
 
 import ncgv
 from ncgv import cli
-from ncgv.algebra import first_failure, first_failures
+from ncgv.algebra import RewriteError, first_failure, first_failures
 from ncgv.cli import load_scenario, main, run_scenario
 
 # the directory holding the package, for child interpreters
@@ -367,3 +367,33 @@ def test_q_outside_the_unit_interval_rejected_at_bind_time(tmp_path, capsys, mon
     assert "'q'" in err
     assert "Traceback" not in err
     assert ran == []
+
+
+ISOLATED = [{"name": "summability", "dim": 8}, {"name": "weyl_numeric", "m": 8},
+            {"name": "idempotence_random", "samples": 8}]
+
+
+@pytest.mark.parametrize("target, check, exc", [
+    ("weyl_commrep_residuals", "weyl_numeric", KeyError("v99")),
+    ("summability_report", "summability", RewriteError("no rule reduces 'z z*'")),
+])
+def test_crashing_check_is_reported_as_its_own_error(tmp_path, monkeypatch, target,
+                                                     check, exc):
+    path = write_scenario(tmp_path, ISOLATED, algebra="disc")
+    clean = tmp_path / "clean.json"
+    assert main(["verify", path, "--out", str(clean)]) == 0
+
+    def crash(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, crash)
+    out = tmp_path / "report.json"
+    assert main(["verify", path, "--out", str(out)]) == 3
+    report, expected = json.loads(out.read_text()), json.loads(clean.read_text())
+    assert report["status"] == "error"
+    for got, want in zip(report["checks"], expected["checks"], strict=True):
+        if got["check"] == check:
+            assert got["status"] == "error"
+            assert got["witness"] == f"{type(exc).__name__}: {exc}"
+        else:
+            assert got == want

@@ -83,6 +83,7 @@ def test_wrong_normalization_fails():
     bad = RMatrixData("bad_c", R0.n, ONE, R0.R, R0.Rinv)
     ctx = DualContext(pres, slq2_hopf(pres), bad)
     assert validate_letters(ctx) != []
+    assert validate_r_form(ctx, 2) != []
 
 
 # -- convolution product ---------------------------------------------------------
@@ -319,3 +320,99 @@ def test_antipode_letters_pair_through_algebra_antipode(ctx):
                 for j in (1, 2):
                     assert (ctx.eval_letter_word(BF(kind, i, j), w)
                             == ctx.eval_letter_poly(BF(base, i, j), s_w)), (kind, i, j, w)
+
+
+# -- oracle: the coproduct pairing that the row walk replaced ------------------------
+
+
+def reference_letter(ctx, bf, w):
+    """<letter, w> by walking the letter's own matrices: along w for l+/l-,
+    along the reversed w with the antipode matrices for S(l+)/S(l-)
+    (<S(f), g1..gd> = <f, S(gd)..S(g1)>), a product of values for a
+    character and the counit for eps."""
+    if bf.kind == EPS:
+        return ctx.hopf.counit_word(w)
+    if bf.kind == CHAR:
+        out = ONE
+        for g in w:
+            out = out * ctx.character_values(bf.name)[g]
+        return out
+    if bf.kind in (LP, LM):
+        gens = w
+
+        def entry(k, t, g):
+            i, l = ctx.gen_index[g]
+            return ctx.R.r_form(i, l, k, t) if bf.kind == LP else ctx.R.rbar_form(k, t, i, l)
+    else:
+        base = LP if bf.kind == SLP else LM
+        gens = tuple(reversed(w))
+
+        def entry(k, t, g):
+            return reference_poly(ctx, BF(base, k, t), ctx.hopf.antipode_table[g])
+    row = {bf.i: ONE}
+    for g in gens:
+        nxt = {}
+        for k, c in row.items():
+            for t in range(1, ctx.n + 1):
+                nxt[t] = nxt.get(t, ZERO) + c * entry(k, t, g)
+        row = nxt
+    return row.get(bf.j, ZERO)
+
+
+def reference_poly(ctx, bf, p):
+    total = ZERO
+    for w, c in p.terms.items():
+        total = total + c * reference_letter(ctx, bf, w)
+    return total
+
+
+def reference_pairing(ctx, fword, w):
+    """<f1...fm, w>: the sum of c <f1, u1> ... <fm, um> over the terms
+    c u1 (x) ... (x) um of the m-fold coproduct of w."""
+    if not fword:
+        return ctx.hopf.counit_word(w)
+    total = ZERO
+    for legs, c in ctx.hopf.iterated_coproduct_word(w, len(fword)).terms.items():
+        for bf, leg in zip(fword, legs):
+            c = c * reference_letter(ctx, bf, leg)
+        total = total + c
+    return total
+
+
+def random_fword(rng, m):
+    """m letters of every kind: l+/l-, their antipodes, the characters zeta_q
+    and eps, and the counit letter."""
+    out = []
+    for _ in range(m):
+        kind = rng.choice([LP, LM, SLP, SLM, CHAR, EPS])
+        if kind == CHAR:
+            out.append(BF(CHAR, name=rng.choice(["zeta_q", "eps"])))
+        elif kind == EPS:
+            out.append(BF(EPS))
+        else:
+            out.append(BF(kind, rng.randint(1, 2), rng.randint(1, 2)))
+    return tuple(out)
+
+
+def test_walk_matches_coproduct_pairing(ctx):
+    rng = random.Random(11)
+    fwords = [()] + [random_fword(rng, m) for m in (1, 2, 3) for _ in range(10)]
+    for fw in fwords:
+        for w in ctx.corpus(3):
+            assert ctx.eval_word_on_word(fw, w) == reference_pairing(ctx, fw, w), (fw, w)
+
+
+def test_walk_on_non_normal_words_is_the_value_of_the_normal_form(ctx):
+    rng = random.Random(12)
+    gens = ctx.pres.generators
+    rewritten = 0
+    for _ in range(40):
+        fw = random_fword(rng, rng.randint(1, 3))
+        w = tuple(rng.choice(gens) for _ in range(rng.randint(2, 4)))
+        nf = ctx.pres.normal_form_word(w)
+        rewritten += nf != {w: ONE}
+        want = ZERO
+        for u, c in nf.items():
+            want = want + c * reference_pairing(ctx, fw, u)
+        assert ctx.eval_word_on_word(fw, w) == want, (fw, w)
+    assert rewritten >= 20

@@ -7,10 +7,10 @@ import pytest
 
 from ncgv.cli import main, run_scenario
 from ncgv.commrep import centrality_check, direct_sum_central, dual_centrality
-from ncgv.dual import BF, LM, LP, DualError, load_character, make_slq2_context
+from ncgv.dual import BF, CHAR, LM, LP, DualError, load_character, make_slq2_context
 from ncgv.fodc import bicovariant_build, fodc_from_doc, fodc_validate
 from ncgv.rmatrix import RMatrixError, builtin_rmatrix, load_rmatrix
-from ncgv.scalars import ONE
+from ncgv.scalars import ONE, QScalar
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,28 @@ def test_character_loader(ctx, tmp_path):
                                         "v21": "1", "v22": "1"}}
     with pytest.raises(DualError):
         load_character(bad, ctx)
+
+
+def test_rejected_character_is_not_registered():
+    ctx = make_slq2_context()
+    bad = {"name": "broken", "values": {"v11": "1", "v12": "1",
+                                        "v21": "1", "v22": "1"}}
+    with pytest.raises(DualError):
+        load_character(bad, ctx)
+    assert "broken" not in ctx.characters
+
+
+def test_registered_character_cannot_be_reloaded():
+    # a reload would leave the cached values of the old one in use
+    ctx = make_slq2_context()
+    zeta = BF(CHAR, name="zeta_q")
+    assert ctx.eval_letter_word(zeta, ("v11",)) == QScalar.q_power(1)
+    doc = {"name": "zeta_q", "values": {"v11": "q^2", "v12": "0",
+                                        "v21": "0", "v22": "q^-2"}}
+    with pytest.raises(DualError, match="already registered"):
+        load_character(doc, ctx)
+    assert ctx.character_values("zeta_q")["v11"] == QScalar.q_power(1)
+    assert ctx.eval_letter_word(zeta, ("v11",)) == QScalar.q_power(1)
 
 
 def test_rmatrix_loader_rejects_broken_inverse():

@@ -1,8 +1,10 @@
 """Field axioms and star behaviour of the exact scalar ring Q(s)."""
 
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from ncgv.exprparse import parse_scalar, scalar_to_str
@@ -111,3 +113,91 @@ def test_parser_rejects_garbage():
         parse_scalar("q +")
     with pytest.raises(ValueError):
         parse_scalar("frob")
+
+
+# -- oracle: canonical forms against sympy.cancel --------------------------------
+
+sym_s = sympy.Symbol("s")
+nonzero_coeffs = st.integers(min_value=-9, max_value=9).filter(bool)
+
+
+@st.composite
+def denominators(draw):
+    """A nonzero denominator of one of four shapes: c s^k, +-s^k, a negative
+    leading coefficient, or any."""
+    shape = draw(st.sampled_from(["monomial", "unit_monomial", "negative_leading",
+                                  "general"]))
+    if shape in ("monomial", "unit_monomial"):
+        c = draw(st.sampled_from([1, -1]) if shape == "unit_monomial" else nonzero_coeffs)
+        return (0,) * draw(st.integers(min_value=0, max_value=4)) + (c,)
+    low = tuple(draw(small_polys))
+    lead = draw(nonzero_coeffs)
+    return low + (-abs(lead) if shape == "negative_leading" else lead,)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """(num, den) coefficient tuples, often sharing a factor to cancel."""
+    num, den = tuple(draw(small_polys)), draw(denominators())
+    common = draw(st.sampled_from([(1,), (0, 1), (-2,), (1, 1), (3, 0, -1)]))
+    return _times(num, common), _times(den, common)
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _sym(cs):
+    return sum(sympy.Integer(c) * sym_s**i for i, c in enumerate(cs))
+
+
+def _expr(num, den=(1,)):
+    return _sym(num) / _sym(den)
+
+
+def _sympy_canonical(expr):
+    """(num, den) of expr reduced by sympy.cancel and scaled to coprime
+    integer coefficients with a positive leading denominator coefficient."""
+    p, q = sympy.fraction(sympy.cancel(expr))
+    if p == 0:
+        return (), (1,)
+    cp, cq = (sympy.Poly(x, sym_s, domain="QQ").all_coeffs()[::-1] for x in (p, q))
+    fr = [Fraction(int(c.p), int(c.q)) for c in cp + cq]
+    scale = math.lcm(*(f.denominator for f in fr))
+    ints = [int(f * scale) for f in fr]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    ints = [x // g for x in ints]
+    return tuple(ints[:len(cp)]), tuple(ints[len(cp):])
+
+
+def _pair(x):
+    return x.num, x.den
+
+
+@given(fraction_pairs())
+def test_canonical_form_matches_sympy(frac):
+    assert _pair(QScalar(*frac)) == _sympy_canonical(_expr(*frac))
+
+
+@given(fraction_pairs())
+def test_inverse_matches_sympy(frac):
+    x = QScalar(*frac)
+    if not x.is_zero():
+        assert _pair(x.inverse()) == _sympy_canonical(1 / _expr(*frac))
+
+
+@given(fraction_pairs())
+def test_star_unit_matches_sympy(frac):
+    want = _sympy_canonical(_expr(*frac).subs(sym_s, 1 / sym_s))
+    assert _pair(QScalar(*frac).star(UNIT)) == want
+
+
+@given(fraction_pairs(), fraction_pairs())
+def test_sum_and_product_match_sympy(a, b):
+    x, y = QScalar(*a), QScalar(*b)
+    assert _pair(x + y) == _sympy_canonical(_expr(*a) + _expr(*b))
+    assert _pair(x * y) == _sympy_canonical(_expr(*a) * _expr(*b))
