@@ -25,6 +25,10 @@ from .scalars import ONE, QScalar, ZERO
 
 LP, LM, SLP, SLM, CHAR, EPS = "LP", "LM", "SLP", "SLM", "CHAR", "EPS"
 
+# Names of the derived characters zeta* and zeta o S: reserved, so that a
+# loaded character can never stand in for one.
+STAR_SUFFIX, ANTIPODE_SUFFIX = "*", "_S"
+
 
 class DualError(ValueError):
     pass
@@ -125,7 +129,7 @@ class DualContext:
         """<zeta*, a> = conj <zeta, S(a)*> defines another character."""
         if name in self._star_char_cache:
             return self._star_char_cache[name]
-        star_name = name + "*"
+        star_name = name + STAR_SUFFIX
         self.characters[star_name] = self._after_antipode(name, star=True)
         self._star_char_cache[name] = star_name
         # involution: the star of the star character is the original
@@ -281,7 +285,7 @@ class DualContext:
             return bf
         if bf.kind == CHAR:
             # characters are group-like: S(zeta) = zeta o S, again a character
-            name = bf.name + "_S"
+            name = bf.name + ANTIPODE_SUFFIX
             if name not in self.characters:
                 self.characters[name] = self._after_antipode(bf.name)
             return BF(CHAR, name=name)
@@ -623,7 +627,8 @@ def make_slq2_context():
 def load_character(doc, ctx):
     """Register a character from a document or a file, once validated; a
     name that is already registered is rejected, since evaluations of the
-    old values may be cached."""
+    old values may be cached, and so is a name with the suffix of a derived
+    character (``*``, ``_S``)."""
     if isinstance(doc, str):
         import json as _json
         with open(doc) as fh:
@@ -631,6 +636,9 @@ def load_character(doc, ctx):
     name = doc["name"]
     if name in ctx.characters:
         raise DualError(f"character {name!r} is already registered")
+    if name.endswith((STAR_SUFFIX, ANTIPODE_SUFFIX)):
+        raise DualError(f"character name {name!r} ends with a suffix reserved for "
+                        f"derived characters ({STAR_SUFFIX!r}, {ANTIPODE_SUFFIX!r})")
     env = base_env()
     vals = {g: parse_scalar(v, env) for g, v in doc["values"].items()}
     ctx.validate_character(name, vals)

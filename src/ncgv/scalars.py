@@ -5,6 +5,24 @@ canonical form: gcd(num, den) = 1 (including integer content) and the
 denominator has positive leading coefficient.  Equality is representation
 equality.  Storing s rather than q keeps every half-integer power of q
 polynomial.
+
+Almost every scalar the verifier meets is a Laurent polynomial, with
+denominator s^k, and such denominators take a shorter path:
+
+- ``_pmul`` with a monomial operand c s^k (on either side) is a shift and a
+  scale of the other operand; only two non-monomials take the schoolbook
+  product.
+- ``QScalar(num, den)`` with a monomial denominator cancels the
+  s-valuation; if the denominator is then +-s^k it only fixes the sign and
+  stops.  The content of +-s^k is 1, so the content pass could not cancel
+  anything.
+- ``*`` and ``+`` of two scalars over s^a and s^b form num1 num2 / s^(a+b),
+  or the shifted numerators over s^max(a, b), cancel the s-valuation and
+  build the result as canonical: s is the only prime factor of s^k, so its
+  power is all a common factor with the numerator can be.
+
+Every other shape (a general denominator, or c s^k with c != +-1) takes the
+polynomial gcd and the content pass.
 """
 
 from __future__ import annotations
@@ -19,21 +37,30 @@ UNIT = "UNIT"
 # dense integer polynomials: tuples of ints, ascending degree, no trailing 0
 # ---------------------------------------------------------------------------
 
+# Coefficient tuples are built from lists, not generators: CPython
+# over-allocates tuple(generator) and resizes it, and the resized tuples pile
+# up in its tuple free lists (about 2 MB of peak memory on property_random).
+
 
 def _trim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+    """A tuple or list of coefficients as a tuple without trailing zeros."""
+    n = len(cs)
+    while n and cs[n - 1] == 0:
+        n -= 1
+    return tuple(cs) if n == len(cs) else tuple(cs[:n])
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
 
 
 def _pneg(a):
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
 
 
 def _psub(a, b):
@@ -43,19 +70,37 @@ def _psub(a, b):
 def _pmul(a, b):
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _trim(out)
+    if any(a[:-1]):
+        if any(b[:-1]):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in enumerate(b):
+                        if cb:
+                            out[i + j] += ca * cb
+            return _trim(out)
+        a, b = b, a
+    # a = c s^k: a shift and a scale of b
+    c = a[-1]
+    if c != 1:
+        b = tuple([c * x for x in b])
+    return (0,) * (len(a) - 1) + b
 
 
 def _pshift(a, k):
     if not a:
         return ()
     return (0,) * k + tuple(a)
+
+
+# s^k for small k, shared by all scalars over s^k rather than built for each
+# one, which keeps them small in the caches
+_S_POWERS = tuple(_pshift((1,), k) for k in range(64))
+
+
+def _s_poly(k):
+    """The polynomial s^k, k >= 0."""
+    return _S_POWERS[k] if k < len(_S_POWERS) else _pshift((1,), k)
 
 
 def _pcontent(a):
@@ -175,8 +220,7 @@ class QScalar:
         if den == (1,):
             self.num, self.den = num, den
             return
-        nz_den = sum(1 for c in den if c)
-        if nz_den == 1:
+        if not any(den[:-1]):
             # monomial denominator c*s^k: cancel the s-valuation directly
             k = len(den) - 1
             v = 0
@@ -186,6 +230,11 @@ class QScalar:
             if shift:
                 num = num[shift:]
                 den = den[shift:]
+            if abs(den[-1]) == 1:
+                # +-s^k has content 1: only the sign is left to fix
+                self.num = _pneg(num) if den[-1] < 0 else num
+                self.den = _s_poly(len(den) - 1)
+                return
         else:
             g = _pgcd(num, den)
             if g != (1,):
@@ -215,8 +264,8 @@ class QScalar:
     def s_power(cls, k):
         """s^k for any integer k."""
         if k >= 0:
-            return cls(_pshift((1,), k), (1,), canonical=True)
-        return cls((1,), _pshift((1,), -k), canonical=True)
+            return cls(_s_poly(k), (1,), canonical=True)
+        return cls((1,), _s_poly(-k), canonical=True)
 
     @classmethod
     def q_power(cls, k):
@@ -253,6 +302,11 @@ class QScalar:
             return self
         if self.den == (1,) and other.den == (1,):
             return QScalar(_padd(self.num, other.num), (1,), canonical=True)
+        a, b = _s_exponent(self.den), _s_exponent(other.den)
+        if a >= 0 and b >= 0:
+            m = max(a, b)
+            num = _padd(_pshift(self.num, m - a), _pshift(other.num, m - b))
+            return _over_s_power(num, m) if num else ZERO
         return QScalar(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
@@ -284,6 +338,9 @@ class QScalar:
             return self
         if self.den == (1,) and other.den == (1,):
             return QScalar(_pmul(self.num, other.num), (1,), canonical=True)
+        a, b = _s_exponent(self.den), _s_exponent(other.den)
+        if a >= 0 and b >= 0:
+            return _over_s_power(_pmul(self.num, other.num), a + b)
         return QScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -326,8 +383,8 @@ class QScalar:
             return self
         dn = len(self.num) - 1
         dd = len(self.den) - 1
-        num = _trim(reversed(self.num))
-        den = _trim(reversed(self.den))
+        num = _trim(self.num[::-1])
+        den = _trim(self.den[::-1])
         if dd >= dn:
             num = _pshift(num, dd - dn)
         else:
@@ -345,6 +402,20 @@ class QScalar:
         if self.den == (1,):
             return _pstr(self.num)
         return f"({_pstr(self.num)})/({_pstr(self.den)})"
+
+
+def _s_exponent(den):
+    """k when the polynomial ``den`` is s^k, else -1."""
+    return len(den) - 1 if den[-1] == 1 and not any(den[:-1]) else -1
+
+
+def _over_s_power(num, k):
+    """The canonical scalar num / s^k, for a nonzero polynomial num and
+    k >= 0: only a common power of s can cancel."""
+    v = 0
+    while v < k and num[v] == 0:
+        v += 1
+    return QScalar(num[v:], _s_poly(k - v), canonical=True)
 
 
 def _coerce(x):

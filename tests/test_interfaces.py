@@ -80,6 +80,21 @@ def test_registered_character_cannot_be_reloaded():
     assert ctx.eval_letter_word(zeta, ("v11",)) == QScalar.q_power(1)
 
 
+@pytest.mark.parametrize("name", ["zeta_q_S", "zeta_q*"])
+def test_derived_character_name_cannot_be_loaded(name):
+    # loaded under the name of zeta_q o S or zeta_q*, the counit would stand
+    # in for the derived character (or be overwritten behind a cached value)
+    ctx = make_slq2_context()
+    counit = {"name": name, "values": {"v11": "1", "v12": "0",
+                                       "v21": "0", "v22": "1"}}
+    with pytest.raises(DualError, match="reserved"):
+        load_character(counit, ctx)
+    assert name not in ctx.characters
+    zeta = BF(CHAR, name="zeta_q")
+    assert ctx.eval_letter_word(ctx.letter_antipode(zeta), ("v11",)) == QScalar.s_power(-2)
+    assert ctx.eval_letter_word(ctx.letter_star(zeta), ("v11",)) == QScalar.s_power(2)
+
+
 def test_rmatrix_loader_rejects_broken_inverse():
     good = json.loads(json.dumps({
         "name": "broken", "n": 2, "c": "s^-1",

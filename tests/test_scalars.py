@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import ncgv.scalars as scalar_module
 from ncgv.exprparse import parse_scalar, scalar_to_str
-from ncgv.scalars import ONE, Q, QScalar, REAL, S, UNIT, ZERO
+from ncgv.scalars import ONE, Q, QScalar, REAL, S, UNIT, ZERO, _pmul
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=5)
 
@@ -144,7 +145,7 @@ def fraction_pairs(draw):
 
 
 def _times(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a else []
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -201,3 +202,93 @@ def test_sum_and_product_match_sympy(a, b):
     x, y = QScalar(*a), QScalar(*b)
     assert _pair(x + y) == _sympy_canonical(_expr(*a) + _expr(*b))
     assert _pair(x * y) == _sympy_canonical(_expr(*a) * _expr(*b))
+
+
+# -- oracle: the s^k fast paths --------------------------------------------------
+
+
+@st.composite
+def laurent_pairs(draw):
+    """(num, den) of p / (+-s^k), k from 0 to 4, where p sometimes has a
+    low-order zero for s to cancel."""
+    num = tuple(draw(small_polys))
+    if draw(st.booleans()):
+        num = (0,) + num
+    sign = draw(st.sampled_from([1, -1]))
+    return num, (0,) * draw(st.integers(min_value=0, max_value=4)) + (sign,)
+
+
+@st.composite
+def cancelling_laurent_pairs(draw):
+    """Two fractions c/s^k + ... and -c/s^k + ..., k >= 1, whose lowest
+    terms cancel in their sum, so that s divides its numerator."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    c = draw(nonzero_coeffs)
+    out = []
+    for low in (c, -c):
+        sign = draw(st.sampled_from([1, -1]))
+        out.append(((sign * low,) + tuple(draw(small_polys)), (0,) * k + (sign,)))
+    return tuple(out)
+
+
+@given(laurent_pairs())
+@example(((0, 3, 1), (0, 0, -1)))
+@example(((5,), (-1,)))
+def test_s_power_denominator_matches_sympy(frac):
+    assert _pair(QScalar(*frac)) == _sympy_canonical(_expr(*frac))
+
+
+@given(st.one_of(st.tuples(laurent_pairs(), laurent_pairs()), cancelling_laurent_pairs()))
+@example((((1, 1), (0, 1)), ((-1,), (0, 1))))
+@example((((0, 3), (0, 0, 1)), ((2, 0, 1), (0, 0, 0, -1))))
+def test_s_power_sum_and_product_match_sympy(pair):
+    a, b = pair
+    x, y = QScalar(*a), QScalar(*b)
+    assert _pair(x + y) == _sympy_canonical(_expr(*a) + _expr(*b))
+    assert _pair(x * y) == _sympy_canonical(_expr(*a) * _expr(*b))
+
+
+monomials = st.builds(lambda k, c: (0,) * k + (c,),
+                      st.integers(min_value=0, max_value=4), nonzero_coeffs)
+non_monomials = st.builds(lambda lo, mid, hi: (lo,) + tuple(mid) + (hi,),
+                          nonzero_coeffs, small_polys, nonzero_coeffs)
+
+
+@given(monomials, st.one_of(st.just(()), monomials, non_monomials))
+def test_pmul_with_monomial_matches_schoolbook(m, p):
+    assert _pmul(m, p) == _times(m, p)
+    assert _pmul(p, m) == _times(p, m)
+
+
+@given(non_monomials, non_monomials)
+def test_pmul_of_non_monomials_matches_schoolbook(a, b):
+    assert _pmul(a, b) == _times(a, b)
+
+
+def test_s_power_denominators_skip_gcd_and_content(monkeypatch):
+    """Scalars over +-s^k never reach the polynomial gcd or the content
+    pass, and their sums and products reduce no fraction."""
+    def forbidden(*args):
+        raise AssertionError("gcd or content pass reached")
+
+    monkeypatch.setattr(scalar_module, "_pgcd", forbidden)
+    monkeypatch.setattr(scalar_module, "_pcontent", forbidden)
+    x = QScalar((0, 3, 1), (0, 0, -1))  # -(3 + s)/s
+    y = QScalar((2, 0, -5), (0, 0, 0, 1))
+    assert _pair(x) == ((-3, -1), (0, 1))
+    reductions = []
+    init = QScalar.__init__
+
+    def counting_init(obj, num, den=(1,), canonical=False):
+        if not canonical:
+            reductions.append((num, den))
+        init(obj, num, den, canonical)
+
+    monkeypatch.setattr(QScalar, "__init__", counting_init)
+    assert _pair(x * y) == ((-6, -2, 15, 5), (0, 0, 0, 0, 1))
+    assert _pair(x + y) == ((2, 0, -8, -1), (0, 0, 0, 1))
+    assert _pair(x + ONE) == ((-3,), (0, 1))
+    assert _pair(y * S) == ((2, 0, -5), (0, 0, 1))
+    assert reductions == []
+    with pytest.raises(AssertionError, match="gcd or content"):
+        QScalar((1,), (1, 1))
