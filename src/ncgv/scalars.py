@@ -222,19 +222,14 @@ class QScalar:
             return
         if not any(den[:-1]):
             # monomial denominator c*s^k: cancel the s-valuation directly
-            k = len(den) - 1
-            v = 0
-            while num[v] == 0:
-                v += 1
-            shift = min(v, k)
-            if shift:
-                num = num[shift:]
-                den = den[shift:]
-            if abs(den[-1]) == 1:
+            num, k = _cancel_s(num, len(den) - 1)
+            c = den[-1]
+            if abs(c) == 1:
                 # +-s^k has content 1: only the sign is left to fix
-                self.num = _pneg(num) if den[-1] < 0 else num
-                self.den = _s_poly(len(den) - 1)
+                self.num = _pneg(num) if c < 0 else num
+                self.den = _s_poly(k)
                 return
+            den = _pshift((c,), k)
         else:
             g = _pgcd(num, den)
             if g != (1,):
@@ -409,13 +404,20 @@ def _s_exponent(den):
     return len(den) - 1 if den[-1] == 1 and not any(den[:-1]) else -1
 
 
-def _over_s_power(num, k):
-    """The canonical scalar num / s^k, for a nonzero polynomial num and
-    k >= 0: only a common power of s can cancel."""
+def _cancel_s(num, k):
+    """(num / s^v, k - v) for the largest v <= k such that s^v divides the
+    nonzero polynomial num."""
     v = 0
     while v < k and num[v] == 0:
         v += 1
-    return QScalar(num[v:], _s_poly(k - v), canonical=True)
+    return num[v:], k - v
+
+
+def _over_s_power(num, k):
+    """The canonical scalar num / s^k, for a nonzero polynomial num and
+    k >= 0: only a common power of s can cancel."""
+    num, k = _cancel_s(num, k)
+    return QScalar(num, _s_poly(k), canonical=True)
 
 
 def _coerce(x):
