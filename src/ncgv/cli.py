@@ -89,7 +89,8 @@ def _random_check(name, session, samples, seed, witnesses):
 def _printable(obj):
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
-    if isinstance(obj, (list, tuple)):
+    # exact types: a named tuple (a functional letter ``dual.BF``) prints by repr
+    if type(obj) in (list, tuple):
         return [_printable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _printable(v) for k, v in obj.items()}
@@ -236,9 +237,10 @@ def check_disc_numeric(session, *, dim=64, q=0.5, tol=1e-12, mask: int | None = 
 def check_disc_block_exact(session):
     calc = builtin_calculus("disc")
     C = disc_block_c(calc.pres)
-    results, _ = quantum_space_commrep_report(calc, C)
+    results, comms = quantum_space_commrep_report(calc, C)
     return _from_statuses("disc_block_exact", results,
-                          commutator_comparison=disc_commutator_comparison(calc, C))
+                          commutator_comparison=disc_commutator_comparison(
+                              calc.pres, comms["dz"]))
 
 
 def check_weyl_numeric(session, *, m=8, tol=1e-12):

@@ -365,11 +365,6 @@ def plane_block_c(pres):
     return MatrixOverAlgebra([[upper, zero], [zero, lower]])
 
 
-def block_commutator(C, p):
-    rho = MatrixOverAlgebra.diagonal([p] * C.size)
-    return C * rho - rho * C
-
-
 def row_transport(calc, rho, F):
     """Every bimodule row (omega_gamma g -> sum c h omega_gamma') transported
     to commutators under rho (algebra element -> operator with @, + and -):
@@ -437,12 +432,11 @@ def row_statuses(rows, witness):
     return out
 
 
-def disc_commutator_comparison(calc, C):
-    """The derived commutator corner next to its common alternative
-    normalization 1 - z* z; the two differ by the exact factor recorded in
-    the report."""
-    pres = calc.pres
-    derived = block_commutator(C, pres.gen("z")).entries[1][0]
+def disc_commutator_comparison(pres, comm_z):
+    """The corner of the derived commutator ``comm_z`` = [C, rho(z)] next to
+    its common alternative normalization 1 - z* z; the two differ by the
+    exact factor recorded in the report."""
+    derived = comm_z.entries[1][0]
     alt = pres.one() - pres.gen("z*") * pres.gen("z")
     diff = alt - derived
     # derived corner = q^{-2} (gamma - z* z); alt form = q^2 times it

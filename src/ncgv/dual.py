@@ -15,8 +15,8 @@ corpus, as recorded in every report that uses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
+from typing import NamedTuple
 
 from .algebra import LinComb, NCPoly, _accum
 from .exprparse import base_env, parse_scalar, scalar_to_str
@@ -57,9 +57,9 @@ def _kron_entry(m, terms, *idx):
     return total
 
 
-@dataclass(frozen=True)
-class BF:
-    """A basic functional letter."""
+class BF(NamedTuple):
+    """A basic functional letter.  A named tuple, so that a functional word
+    (a tuple of letters) hashes with the C tuple hash."""
 
     kind: str
     i: int = 0

@@ -521,9 +521,6 @@ def builtin_calculus(name, params=None):
 # structured-text interface
 # ---------------------------------------------------------------------------
 
-_LETTER_KINDS = {"LP": LP, "SLM": SLM, "CHAR": CHAR}
-
-
 def _letters_to_doc(word):
     out = []
     for bf in word:

@@ -9,8 +9,9 @@ weighted partial permutation (at most one nonzero in each row and column, as
 every residual of the disc model is) has norm max |entry|, and any other
 matrix takes a dense SVD.  scipy is imported only where a sparse model is
 built, so that the exact checks do not pay for it.  Symbolic side: the
-extended-plane representation on a formal module with an exact quotient
-coefficient ring, where zero means zero.
+extended-plane representation on a formal module in the basis d_n e_n,
+d_n = lambda_1 ... lambda_n, where only lambda_n^2 = 1 - q^(2n) enters,
+with an exact quotient coefficient ring, where zero means zero.
 """
 
 from __future__ import annotations
@@ -285,12 +286,9 @@ def weyl_commrep_residuals(m, tol=1e-12):
 OPS = ("w", "w*", "|N|", "N", "N*", "T", "S", "T*")
 
 
-def ex3_ring(M):
-    """Quotient coefficient ring for the formal module model: commuting
-    squared-weight symbols lam_n (lam_n^2 = 1 - q^(2n), lam_0 = 0) and the
-    operator alphabet with its conjugation rules, as one rewrite system."""
-    lams = [f"lam{n}" for n in range(M + 1)]
-    gens = lams + list(OPS)
+def ex3_ring():
+    """Coefficient ring of the formal module model: the operator alphabet
+    with its conjugation rules, as one rewrite system."""
     weights = {"N": 2, "N*": 2}
     rules = []
     # polar decomposition, normality, unitarity
@@ -305,27 +303,23 @@ def ex3_ring(M):
         rules.append(((t, "w"), {("w", t): scale}))
         rules.append(((t, "w*"), {("w*", t): scale.inverse()}))
         rules.append(((t, "|N|"), {("|N|", t): ONE}))
-    # lam symbols are central; squares reduce to scalars; lam_0 vanishes
-    rules.append((("lam0",), {}))
-    for n, lam in enumerate(lams):
-        if n > 0:
-            rules.append(((lam, lam), {(): ONE - _Q(2 * n)}))
-        for g in OPS:
-            rules.append(((g, lam), {(lam, g): ONE}))
-        for other in lams[:n]:
-            rules.append(((lam, other), {(other, lam): ONE}))
-    star = {lam: (lam, ONE) for lam in lams}
-    star.update({"w": ("w*", ONE), "w*": ("w", ONE), "|N|": ("|N|", ONE),
-                 "N": ("N*", ONE), "N*": ("N", ONE),
-                 "T": ("T*", ONE), "T*": ("T", ONE), "S": ("S", ONE)})
-    return AlgebraPresentation(f"ext_plane_ops[{M}]", gens, rules, star=star,
+    star = {"w": ("w*", ONE), "w*": ("w", ONE), "|N|": ("|N|", ONE),
+            "N": ("N*", ONE), "N*": ("N", ONE),
+            "T": ("T*", ONE), "T*": ("T", ONE), "S": ("S", ONE)}
+    return AlgebraPresentation("ext_plane_ops", OPS, rules, star=star,
                                star_mode=REAL, weights=weights)
+
+
+def _lam2(n):
+    """lambda_n^2 = 1 - q^(2n), the weight of a lowering move from slot n."""
+    return ONE - _Q(2 * n)
 
 
 class SlotOperator(LinComb):
     """Operator on the formal module: ``terms`` maps (slot n, target slot m)
-    to the ring coefficient of the move n -> m.  Slots outside 0..top
-    vanish."""
+    to the ring coefficient of the move n -> m.  Slots above top vanish; a
+    move below slot 0 is kept, so a lowering weight that fails to vanish at
+    slot 0 shows."""
 
     __slots__ = ("ring", "top", "terms")
 
@@ -347,7 +341,7 @@ class SlotOperator(LinComb):
         terms = {}
         for n in range(top + 1):
             for m, c in rule(n):
-                if 0 <= m <= top:
+                if m <= top:
                     _accum(terms, (n, m), c)
         return cls(ring, top, terms)
 
@@ -387,7 +381,8 @@ class SlotOperator(LinComb):
 
 class Ex3Model:
     """Formal module model of the extended plane with its tridiagonal
-    symmetric operator."""
+    symmetric operator, in the basis d_n e_n: a raising move carries no
+    weight and a lowering move from slot n carries lambda_n^2."""
 
     def __init__(self, M, pi_variant="consistent", rows_variant="consistent"):
         self.M = M
@@ -397,32 +392,26 @@ class Ex3Model:
         # headroom: products of up to three shift-by-one operators reach
         # slots M+3 from the masked range without touching the boundary
         self.top = M + 3
-        self.ring = ex3_ring(self.top + 2)
+        self.ring = ex3_ring()
         self.calc = builtin_calculus(
             "ext-consistent" if rows_variant == "consistent" else "ext-literal")
         ring = self.ring
         top = self.top
 
-        def lam(n):
-            return ring.poly({(f"lam{n}",): ONE})
-
         def op(*names):
             return ring.poly({tuple(names): ONE})
 
         N, Ns, absN = op("N"), op("N*"), op("|N|")
+        raising = SlotOperator.build(ring, top, lambda n: [(n + 1, absN)])
+        lowering = SlotOperator.build(ring, top,
+                                   lambda n: [(n - 1, absN.scale(_lam2(n)))])
         if pi_variant == "consistent":
             # the shift directions of y and y* are swapped relative to the
             # literal reading, which violates the defining relations (see
             # the verification report)
-            pi_y = SlotOperator.build(ring, top,
-                                      lambda n: [(n + 1, lam(n + 1) * absN)])
-            pi_ys = SlotOperator.build(ring, top,
-                                       lambda n: [(n - 1, lam(n) * absN)])
+            pi_y, pi_ys = raising, lowering
         elif pi_variant == "literal":
-            pi_y = SlotOperator.build(ring, top,
-                                      lambda n: [(n - 1, lam(n) * absN)])
-            pi_ys = SlotOperator.build(ring, top,
-                                       lambda n: [(n + 1, lam(n + 1) * absN)])
+            pi_y, pi_ys = lowering, raising
         else:
             raise HilbertError(f"unknown pi variant {pi_variant!r}")
         self.pi = {
@@ -435,9 +424,9 @@ class Ex3Model:
         }
         T, Ss, Ts = op("T"), op("S"), op("T*")
         self.F = SlotOperator.build(ring, top, lambda n: [
-            (n - 1, lam(n) * T),
+            (n - 1, T.scale(_lam2(n))),
             (n, Ss),
-            (n + 1, lam(n + 1) * Ts),
+            (n + 1, Ts),
         ])
 
     def pi_poly(self, p):
@@ -475,15 +464,22 @@ class Ex3Model:
                             else _slot_witness(delta, self.mask))
 
     def f_symmetry_report(self):
-        """Formal symmetry: entry (m, n) of F equals the star of entry (n, m)
-        in the operator ring."""
+        """Formal symmetry F = F* in the basis e_n.  In the basis d_n e_n it
+        reads d_m^2 F(m, n) = d_n^2 F(n, m)*, so for neighbouring slots
+        lambda^2 of the larger index goes on the side whose row index is
+        larger."""
+
+        def weighted(m, n):
+            entry = self.F.entry(m, n)
+            return entry.scale(_lam2(m)) if m > n else entry
+
         return [first_failure("f_formal_symmetry", (
             (m, n) for n in range(self.mask + 1)
             for m in range(max(0, n - 1), min(self.top, n + 1) + 1)
-            if self.F.entry(m, n) != self.F.entry(n, m).star()))]
+            if weighted(m, n) != weighted(n, m).star()))]
 
     def boundary_report(self):
-        """lam_0 = 0 kills the lowering operator at slot 0."""
+        """lambda_0^2 = 0 kills the lowering operator at slot 0."""
         lowered = self.pi["y*"].apply(0) if self.pi_variant == "consistent" \
             else self.pi["y"].apply(0)
         return [("lambda0_boundary", lowered == {}, lowered)]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ncgv.algebra import NCPoly, random_poly
-from ncgv.commrep import (BOperator, block_commutator, centrality_check,
+from ncgv.commrep import (BOperator, centrality_check,
                           disc_block_c, dual_centrality, faithfulness_rank,
                           hermiticity_check, leibniz_coherence_check,
                           plane_block_c, prop1_build, prop1_verify,
@@ -244,6 +244,11 @@ def test_plane_block_commutators():
     cy = comms["dy"]
     assert cy.entries[0][0] == x * x * yinv
     assert cy.entries[1][1].is_zero()
+
+
+def block_commutator(C, p):
+    rho = MatrixOverAlgebra.diagonal([p] * C.size)
+    return C * rho - rho * C
 
 
 def test_block_commutator_leibniz():

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from ncgv import hilbert
 from ncgv.algebra import confluence_check
 from ncgv.cli import run_scenario
 from ncgv.commrep import disc_block_c, quantum_space_commrep_report
 from ncgv.fodc import GammaElement, QuantumSpaceCalculus, builtin_calculus
-from ncgv.hilbert import (Ex3Model, HilbertError, _norm, disc_commrep, disc_rep,
-                          ex3_build, ex3_report, ex3_ring, numeric_verify,
-                          shift_weights, summability_report, weyl_commrep_residuals,
-                          weyl_rep)
-from ncgv.scalars import ONE, QScalar
+from ncgv.hilbert import (Ex3Model, HilbertError, SlotOperator, _lam2, _norm,
+                          disc_commrep, disc_rep, ex3_build, ex3_report, ex3_ring,
+                          numeric_verify, shift_weights, summability_report,
+                          weyl_commrep_residuals, weyl_rep)
+from ncgv.scalars import ONE, QScalar, ZERO
 
 qp = QScalar.q_power
 
@@ -328,16 +329,17 @@ def model():
 
 
 def test_ex3_ring_is_confluent():
-    ring = ex3_ring(4)
+    ring = ex3_ring()
+    assert len(ring.generators) == 8 and len(ring.rules) == 15
     assert confluence_check(ring, max_degree=5).ok
 
 
 def test_ex3_ring_reductions():
-    ring = ex3_ring(4)
-    # lam_0 = 0 and lam_n^2 = 1 - q^(2n) hold in the ring itself
-    assert ring.poly({("lam0", "|N|"): ONE}).is_zero()
-    sq = ring.poly({("lam2", "lam2"): ONE})
-    assert sq == ring.poly({(): ONE - qp(4)})
+    ring = ex3_ring()
+    # the squared weights are Q(s) scalars: lambda_0^2 = 0,
+    # lambda_n^2 = 1 - q^(2n)
+    assert _lam2(0) == ZERO
+    assert _lam2(2) == ONE - qp(4)
     # polar decomposition: N reduces to w|N|
     assert ring.poly({("N",): ONE}) == ring.poly({("w", "|N|"): ONE})
     # conjugation: T N = q N T after reduction
@@ -366,7 +368,8 @@ def test_ex3_row_transport_consistent(model):
 
 def test_ex3_literal_row_fails_exactly():
     # the literal correction coefficient leaves a nonzero residual
-    # lam_n q^(2n) (q^2-1)(q^2-q^-2) |N|^2 T at target n-1
+    # lambda_n^2 q^(2n) (q^2-1)(q^2-q^-2) |N|^2 T at target n-1 (in the basis
+    # d_n e_n; lambda_n times it in the basis e_n)
     m = ex3_build(6, rows_variant="literal")
     report = {rel: (status, wit) for rel, status, wit in m.row_transport_report()}
     status, witness = report["dx.x*"]
@@ -383,8 +386,58 @@ def test_ex3_literal_row_fails_exactly():
     n = 2
     got = delta.entry(n - 1, n)
     coeff = qp(2 * n) * (qp(2) - ONE) * (qp(2) - qp(-2))
-    want = m.ring.poly({(f"lam{n}", "|N|", "|N|", "T"): coeff})
+    want = m.ring.poly({("|N|", "|N|", "T"): (ONE - qp(2 * n)) * coeff})
     assert got == want
+
+
+RELATIONS = ["y x", "y* x", "x* x", "x* y", "y* x*", "y* y"]
+ROWS = ["dx.x", "dx.x*", "dx.y", "dx.y*", "dy.x", "dy.x*", "dy.y", "dy.y*"]
+LITERAL_PI_RELATIONS = {"y x", "y* x", "x* y", "y* x*", "y* y"}
+LITERAL_PI_ROWS = {"dx.x*", "dx.y", "dx.y*", "dy.y", "dy.y*"}
+
+
+def statuses(names, failed):
+    return [[name, "fail" if name in failed else "pass"] for name in names]
+
+
+@pytest.mark.parametrize("M", [3, 6, 9])
+@pytest.mark.parametrize("pi_variant, rows_variant, bad_relations, bad_rows", [
+    ("consistent", "consistent", set(), set()),
+    ("consistent", "literal", set(), {"dx.x*"}),
+    ("literal", "consistent", LITERAL_PI_RELATIONS, LITERAL_PI_ROWS),
+    ("literal", "literal", LITERAL_PI_RELATIONS, LITERAL_PI_ROWS),
+])
+def test_ex3_statuses_pinned(M, pi_variant, rows_variant, bad_relations, bad_rows):
+    report = ex3_report(ex3_build(M, pi_variant, rows_variant))
+    assert [list(r) for r in report["relations"]] == statuses(RELATIONS, bad_relations)
+    assert [list(r) for r in report["rows"]] == statuses(ROWS, bad_rows)
+    assert report["f_symmetry"] and report["boundary"]
+    assert report["status"] == ("fail" if bad_relations or bad_rows else "pass")
+
+
+def test_ex3_weight_alive_at_slot_0_fails_boundary(monkeypatch):
+    # a lowering move from slot 0 that keeps its weight reaches slot -1
+    monkeypatch.setattr(hilbert, "_lam2", lambda n: _lam2(n) if n else ONE)
+    model = ex3_build(6)
+    assert model.pi["y*"].apply(0) == {-1: model.ring.poly({("|N|",): ONE})}
+    assert not ex3_report(model)["boundary"]
+
+
+def test_ex3_wrong_weight_exponent_fails(monkeypatch):
+    monkeypatch.setattr(hilbert, "_lam2", lambda n: ONE - qp(2 * n + 2))
+    report = ex3_report(ex3_build(6))
+    assert dict(report["relations"])["y* y"] == "fail"
+    assert dict(report["rows"])["dx.x*"] == "fail"
+
+
+def test_slot_build_keeps_nonzero_moves_below_slot_0():
+    ring = ex3_ring()
+    absN = ring.poly({("|N|",): ONE})
+    # a zero coefficient is no move, and a move above top is dropped
+    op = SlotOperator.build(ring, 2, lambda n: [(n - 1, absN), (n, absN.scale(ZERO)),
+                                                (n + 1, absN)])
+    assert op.apply(0) == {-1: absN, 1: absN}
+    assert set(op.terms) == {(0, -1), (1, 0), (2, 1), (0, 1), (1, 2)}
 
 
 def test_ex3_f_symmetry(model):

@@ -1,5 +1,6 @@
 """Imports of the package: every name a module imports is used in that module,
-and importing the command line leaves scipy unloaded."""
+every private module-level name is read somewhere in the package, and
+importing the command line leaves scipy unloaded."""
 
 import ast
 import os
@@ -36,6 +37,53 @@ def test_detects_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_imported_name(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_names(source):
+    """Private (single-underscore) names a module binds at its top level, other
+    than by import, with their lines."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            found = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in found for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                out.setdefault(name, node.lineno)
+    return out
+
+
+def unread_private_names(sources):
+    """(module, line, name) of every private module-level name that is neither
+    read in its own module nor imported by another module of ``sources``
+    ({module name: source})."""
+    imported = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+    out = []
+    for module, source in sources.items():
+        read = {node.id for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [(module, line, name) for name, line in private_names(source).items()
+                if name not in read and name not in imported]
+    return sorted(out)
+
+
+def test_detects_an_unread_private_name():
+    sources = {"a": "_KINDS = {}\n_used = 1\nprint(_used)\ndef _helper(): pass\n",
+               "b": "from .a import _helper\n"}
+    assert unread_private_names(sources) == [("a", 1, "_KINDS")]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unread_private_names(sources) == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

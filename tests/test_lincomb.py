@@ -60,10 +60,10 @@ def gamma(ctx):
 
 
 def slot(ctx):
-    ring = ex3_ring(3)
-    lam, op = ring.poly({("lam1",): ONE}), ring.poly({("T",): Q})
-    a = SlotOperator(ring, 3, {(0, 1): lam, (1, 1): op})
-    b = SlotOperator(ring, 3, {(0, 1): -lam, (2, 1): op, (1, 1): lam})
+    ring = ex3_ring()
+    absN, op = ring.poly({("|N|",): ONE}), ring.poly({("T",): Q})
+    a = SlotOperator(ring, 3, {(0, 1): absN, (1, 1): op})
+    b = SlotOperator(ring, 3, {(0, 1): -absN, (2, 1): op, (1, 1): absN})
     return a, b, SlotOperator(ring, 3, {})
 
 
@@ -128,7 +128,7 @@ def _foreign_gamma():
 
 
 def _foreign_slot():
-    ring = ex3_ring(3)
+    ring = ex3_ring()
     return SlotOperator(ring, 3, {}), SlotOperator(ring, 4, {})
 
 
