@@ -1,6 +1,7 @@
 """The Hopf dual at working scale: words of basic functionals evaluated by
 one row walk, the convolution algebra, dual star and antipode, the left
-action, and the cross product algebra.
+action, and the cross product algebra, whose products straighten each pair
+(functional word, algebra word) once (``DualContext.straighten``).
 
 Functional letters: LP/LM are the matrix functionals attached to the R-matrix
 (l^{+k}_j = r(. (x) v^k_j), l^{-k}_j = rbar(v^k_j (x) .)), SLP/SLM their
@@ -95,6 +96,7 @@ class DualContext:
         self._letter_word_cache = {}
         self._word_eval_cache = {}
         self._act_cache = {}
+        self._straight_cache = {}
         self._rep_cache = {}
         self._star_char_cache = {}
 
@@ -296,6 +298,22 @@ class DualContext:
         raise DualError(
             f"antipode of {bf!r} leaves the structural letter alphabet")
 
+    # -- cross product straightening ---------------------------------------------
+
+    def straighten(self, fword, w):
+        """f b = sum (f_(1) |> b) f_(2) for a functional word f and an algebra
+        word b, as {(algebra word u, functional word f_r): coeff}; cached per
+        (fword, w), since a cross product only ever needs it per word pair."""
+        key = (fword, w)
+        hit = self._straight_cache.get(key)
+        if hit is None:
+            hit = self._straight_cache[key] = {}
+            b = NCPoly(self.pres, {w: ONE})
+            for (fl, fr), cc in DualElement(self, {fword: ONE}).coproduct().items():
+                for u, cu in DualElement(self, {fl: ONE}).left_act(b).terms.items():
+                    _accum(hit, (u, fr), cc * cu)
+        return hit
+
     # -- canonical words -------------------------------------------------------------
 
     def canonical_word(self, letters):
@@ -423,7 +441,9 @@ class DualElement(LinComb):
 
 class CrossElement(LinComb):
     """Element of the cross product in normal order: algebra letters left of
-    functional letters, straightened by f a = (f_(1) |> a) f_(2)."""
+    functional letters, straightened by f a = (f_(1) |> a) f_(2).  Terms are
+    {(algebra word, functional word): coeff}; a product's term order is not
+    fixed, so consumers compare, sort or sum the terms exactly."""
 
     __slots__ = ("ctx", "terms")
 
@@ -447,24 +467,21 @@ class CrossElement(LinComb):
             raise DualError("cross elements from different contexts")
 
     def __mul__(self, other):
+        """(w1 f1)(w2 f2) = sum w1 u f_r f2 over the straightened f1 w2 =
+        sum u f_r (``DualContext.straighten``), w1 u brought to normal form."""
         if isinstance(other, (QScalar, int)):
             return self.scale(other)
         self._same(other)
         ctx = self.ctx
-        pres = ctx.pres
+        nf = ctx.pres.normal_form_word
         out = {}
         for (w1, f1), c1 in self.terms.items():
-            dual1 = DualElement(ctx, {f1: ONE})
-            split = dual1.coproduct()
             for (w2, f2), c2 in other.terms.items():
-                b = NCPoly(pres, {w2: ONE})
-                for (fl, fr), cc in split.items():
-                    acted = DualElement(ctx, {fl: ONE}).left_act(b)
-                    if acted.is_zero():
-                        continue
-                    left = NCPoly(pres, {w1: ONE}) * acted
-                    for u, cu in left.terms.items():
-                        _accum(out, (u, fr + f2), c1 * c2 * cc * cu)
+                c12 = c1 * c2
+                for (u, fr), cs in ctx.straighten(f1, w2).items():
+                    cs = c12 * cs
+                    for v, cv in nf(w1 + u).items():
+                        _accum(out, (v, fr + f2), cs * cv)
         return CrossElement(ctx, out)
 
     def star(self):

@@ -116,34 +116,50 @@ def fodc_validate(F, degree=3):
     <X_k, ab> = eps(a)<X_k, b> + sum_j <X_j, a><f^j_k, b> and rows 1..n the
     comultiplicativity of the f-table; plus star-invariance of the tangent
     span for *-calculi.  Column 0 of M(ab) = M(a) M(b) is the
-    multiplicativity of the counit, a Hopf axiom."""
+    multiplicativity of the counit, a Hopf axiom.  Each entry of M is
+    evaluated once per normal word w, and M(ab) is read off the M(w) of the
+    words of the normal form of ab."""
     ctx = F.ctx
     pres = F.pres
     words = ctx.corpus(degree)
     M = F.structure_matrix()
     size = F.n + 1
 
+    values = {}
+
+    def m_at(w):
+        """M(w) for a normal word w, evaluated once per word."""
+        mw = values.get(w)
+        if mw is None:
+            mw = values[w] = [[m.evaluate(w) for m in row] for row in M]
+        return mw
+
     def unit_values():
-        for j, row in enumerate(M):
+        m1 = m_at(())
+        for j in range(size):
             for k in range(1, size):
-                if row[k].evaluate(pres.one()) != (ONE if j == k else ZERO):
+                if m1[j][k] != (ONE if j == k else ZERO):
                     yield ("X_at_1", k - 1) if j == 0 else ("f_at_1", j - 1, k - 1)
 
     def covariance():
-        values = {w: [[m.evaluate(w) for m in row] for row in M] for w in words}
         for wa in words:
             a = NCPoly(pres, {wa: ONE})
-            ma = values[wa]
+            ma = m_at(wa)
             for wb in words:
-                mb = values[wb]
-                ab = a * NCPoly(pres, {wb: ONE})
-                for j, row in enumerate(M):
+                mb = m_at(wb)
+                # M(ab) = sum_w c_w M(w) over the normal form of ab
+                ab = [(c, m_at(w)) for w, c in (a * NCPoly(pres, {wb: ONE})).terms.items()]
+                for j in range(size):
                     for k in range(1, size):
                         rhs = ZERO
                         for l in range(size):
                             if not ma[j][l].is_zero():
                                 rhs = rhs + ma[j][l] * mb[l][k]
-                        if row[k].evaluate(ab) == rhs:
+                        lhs = ZERO
+                        for c, mw in ab:
+                            if not mw[j][k].is_zero():
+                                lhs = lhs + c * mw[j][k]
+                        if lhs == rhs:
                             continue
                         if j == 0:
                             yield 0, ("tangent_coproduct", k - 1, wa, wb)

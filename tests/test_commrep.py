@@ -12,7 +12,7 @@ from ncgv.commrep import (BOperator, centrality_check,
                           prop4_verify, quantum_space_commrep_report,
                           tau_block, tau_central, MatrixOverAlgebra)
 from ncgv.dual import BF, CrossElement, DualElement, LP, make_slq2_context
-from ncgv.fodc import FodcData, bicovariant_build, builtin_calculus
+from ncgv.fodc import BicovariantOutput, FodcData, bicovariant_build, builtin_calculus
 from ncgv.scalars import ONE, QScalar, ZERO
 
 qp = QScalar.q_power
@@ -121,6 +121,41 @@ def test_tau_block_well_defined(blocks, B, ctx):
 def test_prop4_identities(B):
     checks = prop4_verify(B, degree=2)
     assert all(ok for _, ok, _ in checks), checks
+
+
+def prop4_mutant(B, C=None, Omega=None, TrA=None):
+    return BicovariantOutput(B.ctx, B.zeta_name, B.fodc, B.C if C is None else C,
+                             B.Omega if Omega is None else Omega, B.A,
+                             B.TrA if TrA is None else TrA)
+
+
+def test_prop4_doubled_omega_fails_all_but_theta_image(B):
+    # Omega_12 enters no diagonal label, so tau(theta) is unchanged
+    omega = list(B.Omega)
+    omega[1] = omega[1].scale(QScalar.from_int(2))
+    assert prop4_verify(prop4_mutant(B, Omega=omega), degree=2) == [
+        ("prop4_omega_rows", False,
+         {"identity": "omega_rows", "label": "theta11", "a": ("v11",)}),
+        ("prop4_bimodule_map", False,
+         {"identity": "bimodule", "label": "theta11", "a": ("v11",)}),
+        ("prop4_tau_formula", False, {"identity": "tau_formula", "a": (), "b": ("v11",)}),
+        ("prop4_theta_image", True, None)]
+
+
+def test_prop4_shifted_c_fails_tau_formula_and_theta_image(B):
+    assert prop4_verify(prop4_mutant(B, C=B.C + B.fodc.X[1]), degree=2) == [
+        ("prop4_omega_rows", True, None),
+        ("prop4_bimodule_map", True, None),
+        ("prop4_tau_formula", False, {"identity": "tau_formula", "a": (), "b": ("v11",)}),
+        ("prop4_theta_image", False, {"identity": "theta_image", "degree": 2})]
+
+
+def test_prop4_shifted_trace_fails_only_theta_image(B):
+    assert prop4_verify(prop4_mutant(B, TrA=B.TrA + ONE), degree=2) == [
+        ("prop4_omega_rows", True, None),
+        ("prop4_bimodule_map", True, None),
+        ("prop4_tau_formula", True, None),
+        ("prop4_theta_image", False, {"identity": "theta_image", "degree": 2})]
 
 
 def test_prop4_omega_collapse_at_one(B, ctx):

@@ -416,3 +416,81 @@ def test_walk_on_non_normal_words_is_the_value_of_the_normal_form(ctx):
             want = want + c * reference_pairing(ctx, fw, u)
         assert ctx.eval_word_on_word(fw, w) == want, (fw, w)
     assert rewritten >= 20
+
+
+# -- oracle: the per-split cross product that straightening replaced ------------------
+
+
+def reference_cross_mul(x, y):
+    """(w1 f1)(w2 f2) = sum w1 (f1_(1) |> w2) f1_(2) f2, rebuilding the
+    coproduct of f1 and acting with every split on w2 for every term pair."""
+    ctx = x.ctx
+    pres = ctx.pres
+    out = {}
+    for (w1, f1), c1 in x.terms.items():
+        split = DualElement(ctx, {f1: ONE}).coproduct()
+        for (w2, f2), c2 in y.terms.items():
+            b = NCPoly(pres, {w2: ONE})
+            for (fl, fr), cc in split.items():
+                acted = DualElement(ctx, {fl: ONE}).left_act(b)
+                if acted.is_zero():
+                    continue
+                left = NCPoly(pres, {w1: ONE}) * acted
+                for u, cu in left.terms.items():
+                    key = (u, fr + f2)
+                    out[key] = out.get(key, ZERO) + c1 * c2 * cc * cu
+    return CrossElement(ctx, out)
+
+
+def cross_functionals(ctx):
+    """Functionals of the cross products in the checks: X, f, C, words with
+    S(l+-) letters, and zeta_q words."""
+    from ncgv.fodc import bicovariant_build
+    zeta = BF(CHAR, name="zeta_q")
+    return [x_functional(ctx, 1, 1), x_functional(ctx, 2, 1),
+            f_functional(ctx, 1, 2, 2, 1), f_functional(ctx, 2, 2, 1, 1),
+            bicovariant_build(ctx, "eps").C,
+            DualElement(ctx, {(BF(SLP, 1, 2),): ONE, (BF(SLM, 2, 2), BF(LM, 1, 1)): qp(1)}),
+            DualElement(ctx, {(zeta,): ONE}),
+            DualElement(ctx, {(zeta, BF(LP, 2, 1)): qp(-1), (BF(SLP, 1, 1), zeta): ONE})]
+
+
+def random_cross(ctx, rng, duals):
+    """A sum of three pieces, each a f with a a random poly of degree <= 2 and
+    f from ``duals``, a pure-algebra term a eps, a pure functional 1 f, or a
+    multiple of the unit 1 eps."""
+    pres = ctx.pres
+    out = CrossElement(ctx, {})
+    for _ in range(3):
+        kind = rng.choice(["mixed", "algebra", "dual", "unit"])
+        a = random_poly(pres, rng, 2, 2) if kind in ("mixed", "algebra") else pres.one()
+        f = rng.choice(duals) if kind in ("mixed", "dual") else ctx.unit()
+        c = qp(rng.randint(-2, 2)) if kind == "unit" else ONE
+        out = out + CrossElement(ctx, {(w, fw): c * ca * cf for w, ca in a.terms.items()
+                                       for fw, cf in f.terms.items()})
+    return out
+
+
+def test_cross_mul_matches_per_split_reference(ctx):
+    rng = random.Random(21)
+    duals = cross_functionals(ctx)
+    for _ in range(12):
+        x, y = random_cross(ctx, rng, duals), random_cross(ctx, rng, duals)
+        assert x * y == reference_cross_mul(x, y), (x, y)
+
+
+def test_repeated_cross_product_makes_no_new_action(monkeypatch):
+    # straightening is cached per (functional word, algebra word)
+    ctx = make_slq2_context()
+    x = random_cross(ctx, random.Random(22), cross_functionals(ctx))
+    calls = []
+    for name in ("left_act", "coproduct"):
+        def counted(self, *args, _orig=getattr(DualElement, name), _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+        monkeypatch.setattr(DualElement, name, counted)
+    first = x * x
+    assert "left_act" in calls and "coproduct" in calls
+    calls.clear()
+    assert x * x == first
+    assert calls == []
