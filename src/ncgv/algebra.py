@@ -5,6 +5,11 @@ normal-form words to Q(s) scalars.  Rewrite rules are oriented so that each
 right-hand-side word is strictly smaller than the left-hand side in the
 weighted degree-lex order fixed by the declared generator order, which makes
 reduction terminate; confluence is checked, not assumed.
+
+Normal forms are built letter by letter through one cached table NF(v g) of
+normal words v times generators g.  Every redex of v g ends at g, so a table
+entry is the rewrite of one suffix, made once per presentation and reused
+by every later word.
 """
 
 from __future__ import annotations
@@ -56,7 +61,9 @@ class AlgebraPresentation:
         self._by_first = {}
         for idx, (lhs, rhs) in enumerate(self.rules):
             self._by_first.setdefault(lhs[0], []).append((lhs, rhs))
+        self._max_lhs = max((len(lhs) for lhs, _ in self.rules), default=0)
         self._nf_cache = {}
+        self._nf_table = {}
         self._words_cache = {}
         self._step_budget = 500_000
 
@@ -111,35 +118,70 @@ class AlgebraPresentation:
                     return i, lhs, rhs
         return None
 
+    def _suffix_redex(self, vg):
+        """``_find_redex`` of vg = v + (g,) for a normal word v: every redex
+        ends at g, so only the suffixes of vg are tried, the longest first."""
+        n = len(vg)
+        for i in range(max(0, n - self._max_lhs), n):
+            for lhs, rhs in self._by_first.get(vg[i], ()):
+                if len(lhs) == n - i and vg[i:] == lhs:
+                    return i, rhs
+        return None
+
     def normal_form_word(self, w):
-        """Reduce a raw word to a dict {normal word: coefficient}."""
+        """Reduce a raw word to a dict {normal word: coefficient}.
+
+        The letters after the longest normal prefix of w are multiplied onto
+        it one at a time through the cached table NF(v g) of normal words v
+        times generators g.  The result, as every table entry, is cached and
+        shared: callers must not mutate it.  Each table miss is one rewrite
+        step; more than ``_step_budget`` of them in one call raise
+        RewriteError with the word being rewritten as witness, and leave no
+        partial entry in either cache."""
         w = tuple(w)
         cached = self._nf_cache.get(w)
         if cached is not None:
             return cached
-        result = {}
-        work = [(w, ONE)]
-        steps = 0
-        while work:
-            u, c = work.pop()
-            hit = self._nf_cache.get(u)
-            if hit is not None:
-                for v, cv in hit.items():
-                    _accum(result, v, c * cv)
-                continue
-            steps += 1
-            if steps > self._step_budget:
-                raise RewriteError(
-                    f"rewrite budget exhausted in {self.name!r}", witness=u)
-            red = self._find_redex(u)
-            if red is None:
-                _accum(result, u, c)
-                continue
-            i, lhs, rhs = red
-            pre, post = u[:i], u[i + len(lhs):]
-            for rw, rc in rhs.items():
-                work.append((pre + rw + post, c * rc))
+        k = 0
+        while k < len(w) and self._suffix_redex(w[:k + 1]) is None:
+            k += 1
+        result = self._fold({w[:k]: ONE}, w[k:], [self._step_budget])
         self._nf_cache[w] = result
+        return result
+
+    def _fold(self, terms, letters, budget):
+        """Normal form of terms * letters, for terms {normal word: coeff}."""
+        for g in letters:
+            out = {}
+            for v, c in terms.items():
+                for u, cu in self._times_generator(v, g, budget).items():
+                    _accum(out, u, c * cu)
+            terms = out
+        return terms
+
+    def _times_generator(self, v, g, budget):
+        """NF(v g) for a normal word v, through the table.  On a miss, the
+        redex of v g is the suffix that ``_find_redex`` would choose, and the
+        letters of each right-hand side are folded onto the normal prefix
+        before it; budget is the one-element list of steps left."""
+        key = (v, g)
+        hit = self._nf_table.get(key)
+        if hit is not None:
+            return hit
+        vg = v + (g,)
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise RewriteError(f"rewrite budget exhausted in {self.name!r}", witness=vg)
+        red = self._suffix_redex(vg)
+        if red is None:
+            result = {vg: ONE}
+        else:
+            i, rhs = red
+            result = {}
+            for rw, rc in rhs.items():
+                for u, cu in self._fold({v[:i]: rc}, rw, budget).items():
+                    _accum(result, u, cu)
+        self._nf_table[key] = result
         return result
 
     def normal_form_terms(self, terms):

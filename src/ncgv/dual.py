@@ -532,16 +532,18 @@ class CrossElement(LinComb):
 
 
 def mixed_word_to_cross(ctx, items):
-    """Straighten an alternating product of algebra and dual elements."""
-    out = CrossElement(ctx, {((), ()): ONE})
+    """Straighten an alternating product of algebra and dual elements; the
+    empty product is the unit."""
+    out = None
     for item in items:
         if isinstance(item, NCPoly):
-            out = out * CrossElement.from_poly(ctx, item)
+            x = CrossElement.from_poly(ctx, item)
         elif isinstance(item, DualElement):
-            out = out * CrossElement.from_dual(ctx, item)
+            x = CrossElement.from_dual(ctx, item)
         else:
             raise DualError(f"cannot straighten {type(item).__name__}")
-    return out
+        out = x if out is None else out * x
+    return CrossElement(ctx, {((), ()): ONE}) if out is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ from ncgv.algebra import (AlgebraPresentation, PresentationError, RewriteError,
                           confluence_check, load_presentation,
                           presentation_to_doc, random_poly,
                           star_closure_report)
-from ncgv.presentations import builtin_presentation
-from ncgv.scalars import ONE, Q, QScalar, UNIT
+from ncgv.hilbert import ex3_ring
+from ncgv.hopf import hopf_axiom_report, slq2_hopf
+from ncgv.presentations import (builtin_presentation, disc_presentation,
+                                slq2_presentation)
+from ncgv.scalars import ONE, Q, QScalar, UNIT, ZERO
 
 qp = QScalar.q_power
 
@@ -192,6 +195,82 @@ def test_step_budget_witness():
     finally:
         pres._nf_cache.clear()
         pres._step_budget = 500_000
+
+
+def reference_normal_form(pres, w):
+    """Oracle: the work-stack rewriter that the generator-product table
+    replaced, without a cache.  Each word is rewritten at its leftmost redex
+    by the first rule of ``_by_first`` that matches there."""
+    out = {}
+    work = [(tuple(w), ONE)]
+    while work:
+        u, c = work.pop()
+        red = next(((i, lhs, rhs) for i in range(len(u))
+                    for lhs, rhs in pres._by_first.get(u[i], ())
+                    if u[i:i + len(lhs)] == lhs), None)
+        if red is None:
+            total = out.get(u, ZERO) + c
+            if total.is_zero():
+                out.pop(u, None)
+            else:
+                out[u] = total
+            continue
+        i, lhs, rhs = red
+        for rw, rc in rhs.items():
+            work.append((u[:i] + rw + u[i + len(lhs):], c * rc))
+    return out
+
+
+def skew_presentation():
+    """A non-confluent system with left-hand sides of length <= 2: y x has
+    two rules, and z t also reduces through t.  Here the normal form depends
+    on the redex choice, so only the same choice gives the same result.  No
+    one-letter left-hand side begins a longer one, so the table's choice is
+    the leftmost redex (see README, "Conventions worth knowing")."""
+    return AlgebraPresentation("skew", ["x", "y", "z", "t"], [
+        (("y", "x"), {("x", "y"): Q}),
+        (("z", "x"), {("x", "z"): ONE, (): ONE}),
+        (("y", "x"), {("x", "y"): QScalar.from_int(2)}),
+        (("z", "y"), {("y", "z"): Q, ("x",): ONE}),
+        (("z", "t"), {("x", "z"): -ONE}),
+        (("t",), {("x",): ONE, (): ONE}),
+    ])
+
+
+@pytest.mark.parametrize("name", ["slq2", "disc", "real_plane", "ext_plane",
+                                  "ex3_ring", "skew"])
+def test_normal_form_matches_reference_rewriter(name):
+    make = {"ex3_ring": ex3_ring, "skew": skew_presentation}.get(name)
+    pres = make() if make else builtin_presentation(name)
+    rng = random.Random(len(pres.generators))
+    for _ in range(150):
+        w = tuple(rng.choice(pres.generators) for _ in range(rng.randrange(8)))
+        assert pres.normal_form_word(w) == reference_normal_form(pres, w), w
+
+
+def test_skew_presentation_is_not_confluent():
+    assert not confluence_check(skew_presentation(), 4).ok
+
+
+def test_long_words_within_default_budget():
+    # an uncached work-stack rewriter exhausts the default budget on these
+    slq2 = slq2_presentation()
+    for k in (6, 8):
+        assert len(slq2.normal_form_word(("v22",) * k + ("v11",) * k)) == k + 1
+    disc = disc_presentation()
+    assert len(disc.normal_form_word(("z*",) * 8 + ("z",) * 8)) == 9
+    report = hopf_axiom_report(slq2_hopf(slq2_presentation()), 6)
+    assert [ok for _, ok, _ in report] == [True] * len(report), report
+
+
+def test_budget_error_keeps_no_partial_entry():
+    w = ("z*", "z*", "z", "z", "z", "z")
+    pres = disc_presentation()
+    pres._step_budget = 3
+    with pytest.raises(RewriteError):
+        pres.normal_form_word(w)
+    pres._step_budget = 500_000
+    assert pres.normal_form_word(w) == disc_presentation().normal_form_word(w)
 
 
 def test_presentation_json_roundtrip(disc):

@@ -217,6 +217,25 @@ def test_cross_eps_commutes(ctx):
     assert lhs == CrossElement.from_poly(ctx, a)
 
 
+def test_mixed_word_multiplies_from_the_first_item(ctx, monkeypatch):
+    mul = CrossElement.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(CrossElement, "__mul__", counted)
+    a, X = ctx.pres.gen("v12"), x_functional(ctx, 1, 2)
+    for items in ([], [a], [X, a], [a, X, a]):
+        calls.clear()
+        out = mixed_word_to_cross(ctx, items)
+        assert len(calls) == max(len(items) - 1, 0)
+    assert mixed_word_to_cross(ctx, []) == CrossElement(ctx, {((), ()): ONE})
+    assert out == (CrossElement.from_poly(ctx, a) * CrossElement.from_dual(ctx, X)
+                   * CrossElement.from_poly(ctx, a))
+
+
 def test_cross_relation_x(ctx):
     # X a = a X + sum (X_uw |> a) f^{uw}, straightened exactly
     for (k, j) in ((1, 1), (1, 2), (2, 1)):
