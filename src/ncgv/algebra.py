@@ -15,7 +15,7 @@ by every later word.
 from __future__ import annotations
 
 from .exprparse import base_env, parse_scalar, scalar_to_str, terms_from_doc, terms_to_doc
-from .scalars import ONE, REAL, ZERO, QScalar
+from .scalars import ONE, REAL, QScalar
 
 Word = tuple
 
@@ -111,16 +111,11 @@ class AlgebraPresentation:
 
     # -- normal form --------------------------------------------------------
 
-    def _find_redex(self, w):
-        for i in range(len(w)):
-            for lhs, rhs in self._by_first.get(w[i], ()):
-                if w[i:i + len(lhs)] == lhs:
-                    return i, lhs, rhs
-        return None
-
     def _suffix_redex(self, vg):
-        """``_find_redex`` of vg = v + (g,) for a normal word v: every redex
-        ends at g, so only the suffixes of vg are tried, the longest first."""
+        """The leftmost redex of vg = v + (g,) for a normal word v, as (start,
+        right-hand side): every redex ends at g, so only the suffixes of vg
+        are tried, the longest first, each against the rules in the order of
+        ``_by_first``."""
         n = len(vg)
         for i in range(max(0, n - self._max_lhs), n):
             for lhs, rhs in self._by_first.get(vg[i], ()):
@@ -142,12 +137,18 @@ class AlgebraPresentation:
         cached = self._nf_cache.get(w)
         if cached is not None:
             return cached
-        k = 0
-        while k < len(w) and self._suffix_redex(w[:k + 1]) is None:
-            k += 1
+        k = self._normal_prefix(w)
         result = self._fold({w[:k]: ONE}, w[k:], [self._step_budget])
         self._nf_cache[w] = result
         return result
+
+    def _normal_prefix(self, w):
+        """The length of the longest normal prefix of w: w is normal exactly
+        when it is len(w)."""
+        k = 0
+        while k < len(w) and self._suffix_redex(w[:k + 1]) is None:
+            k += 1
+        return k
 
     def _fold(self, terms, letters, budget):
         """Normal form of terms * letters, for terms {normal word: coeff}."""
@@ -161,7 +162,7 @@ class AlgebraPresentation:
 
     def _times_generator(self, v, g, budget):
         """NF(v g) for a normal word v, through the table.  On a miss, the
-        redex of v g is the suffix that ``_find_redex`` would choose, and the
+        redex of v g is its leftmost one (``_suffix_redex``), and the
         letters of each right-hand side are folded onto the normal prefix
         before it; budget is the one-element list of steps left."""
         key = (v, g)
@@ -199,9 +200,6 @@ class AlgebraPresentation:
             for v, cv in self.normal_form_word(w).items():
                 _accum(out, v, c * cv)
         return out
-
-    def is_normal_word(self, w):
-        return self._find_redex(tuple(w)) is None
 
     # -- element constructors ------------------------------------------------
 
@@ -246,7 +244,8 @@ class AlgebraPresentation:
             for w in frontier:
                 for g in self.generators:
                     u = w + (g,)
-                    if self.is_normal_word(u):
+                    # w is normal, so a redex of u is a suffix
+                    if self._suffix_redex(u) is None:
                         nxt.append(u)
             words.extend(nxt)
             frontier = nxt
@@ -366,12 +365,6 @@ class NCPoly(LinComb):
     def __hash__(self):
         return hash((id(self.pres), frozenset(self.terms.items())))
 
-    def degree(self):
-        return max((len(w) for w in self.terms), default=0)
-
-    def coefficient(self, w):
-        return self.terms.get(tuple(w), ZERO)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: self.pres.word_key(kv[0]))
 
@@ -416,28 +409,6 @@ def first_failures(names, witnesses):
 # ---------------------------------------------------------------------------
 
 
-class ConfluenceReport:
-    def __init__(self, presentation, max_degree, failures):
-        self.presentation = presentation
-        self.max_degree = max_degree
-        self.failures = failures
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def to_dict(self):
-        return {
-            "presentation": self.presentation,
-            "max_degree": self.max_degree,
-            "status": "pass" if self.ok else "fail",
-            "failures": [
-                {"witness": list(w), "left": repr(a), "right": repr(b)}
-                for w, a, b in self.failures
-            ],
-        }
-
-
 def _one_step(pres, word, pos, lhs, rhs):
     out = {}
     pre, post = word[:pos], word[pos + len(lhs):]
@@ -472,7 +443,8 @@ def ambiguities(pres):
 
 
 def confluence_check(pres, max_degree=6):
-    """Resolve all overlap and inclusion ambiguities up to the given degree."""
+    """Resolve all overlap and inclusion ambiguities up to the given degree:
+    the list of (word, one reduction, the other) that do not join."""
     failures = []
     for w, l1, r1, p2, l2, r2 in ambiguities(pres):
         if pres.word_weight(w) > max_degree:
@@ -481,7 +453,7 @@ def confluence_check(pres, max_degree=6):
         b = pres.normal_form_terms(_one_step(pres, w, p2, l2, r2))
         if a != b:
             failures.append((w, NCPoly(pres, a), NCPoly(pres, b)))
-    return ConfluenceReport(pres.name, max_degree, failures)
+    return failures
 
 
 def star_closure_report(pres):

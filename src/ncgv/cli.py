@@ -138,9 +138,9 @@ def check_hopf_axioms(session, *, degree=3):
 
 def check_confluence(session, *, degree=6, presentation: str | None = None):
     name = session.doc.get("algebra", "slq2") if presentation is None else presentation
-    report = confluence_check(builtin_presentation(name), degree)
-    return _result("confluence", "pass" if report.ok else "fail", degree=degree,
-                   witness=None if report.ok else _printable(report.failures[0][0]),
+    failures = confluence_check(builtin_presentation(name), degree)
+    return _result("confluence", "fail" if failures else "pass", degree=degree,
+                   witness=_printable(failures[0][0]) if failures else None,
                    presentation=name)
 
 
@@ -158,8 +158,8 @@ def check_fodc_validate(session, *, degree=3, zeta="eps", file: str | None = Non
 
 def check_prop1(session, *, degree=2, zeta="eps"):
     B = session.bicovariant(zeta)
-    C, Omegas, _ = prop1_build(B.fodc)
-    triples = prop1_verify(C, Omegas, B.fodc, degree_a=degree, degree_b=1)
+    C, Omegas = prop1_build(B.fodc)
+    triples = prop1_verify(C, Omegas, B.fodc, degree_a=degree)
     return _from_triples("prop1", triples, degree=degree,
                          note="tuples exercised componentwise (the action is "
                               "slotwise linear)")
@@ -193,7 +193,8 @@ def check_faithfulness(session, *, degrees: list[int] = (1, 2), zeta="eps"):
                    detail=[{k: v for k, v in r.items()} for r in reports])
 
 
-def check_calculus_consistency(session, *, variant: str, expect="pass"):
+def check_calculus_consistency(session, *, variant: str,
+                               expect: typing.Literal["pass", "fail"] = "pass"):
     out = _from_statuses("calculus_consistency",
                          calculus_consistency_report(builtin_calculus(variant)),
                          variant=variant)
@@ -247,8 +248,9 @@ def check_weyl_numeric(session, *, m=8, tol=1e-12):
     return weyl_commrep_residuals(m, tol=tol)
 
 
-def check_ex3_symbolic(session, *, M=6, pi_variant="consistent",
-                       rows_variant="consistent"):
+def check_ex3_symbolic(session, *, M=6,
+                       pi_variant: typing.Literal["consistent", "literal"] = "consistent",
+                       rows_variant: typing.Literal["consistent", "literal"] = "consistent"):
     return ex3_report(ex3_build(M, pi_variant=pi_variant, rows_variant=rows_variant))
 
 
@@ -349,11 +351,13 @@ def load_scenario(path):
 
 
 def _has_type(value, kind):
-    """Whether a JSON value has the declared type ``kind``: a class, a union
-    or ``list[X]``.  A bool is never a number; an int is accepted for a
-    float."""
+    """Whether a JSON value has the declared type ``kind``: a class, a union,
+    ``list[X]`` or ``Literal[...]``.  A bool is never a number; an int is
+    accepted for a float."""
     if isinstance(kind, types.UnionType):
         return any(_has_type(value, k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is typing.Literal:
+        return any(type(value) is type(v) and value == v for v in typing.get_args(kind))
     if typing.get_origin(kind) is list:
         item, = typing.get_args(kind)
         return isinstance(value, list) and all(_has_type(v, item) for v in value)
@@ -414,6 +418,9 @@ def _bind(item, overrides, algebra):
                                 f"{names}, got {kwargs['zeta']!r}")
     if name in ("calculus_consistency", "star_closure") and "variant" in kwargs:
         builtin_calculus(kwargs["variant"])  # raises for unknown variants
+    if name == "variant_selection":
+        for variant in kwargs.get("variants", ()):
+            builtin_calculus(variant)
     if name == "confluence":
         # below the lightest ambiguity the check resolves nothing
         pres_name = kwargs.get("presentation")

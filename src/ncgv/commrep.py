@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .algebra import NCPoly, first_failure, first_failures, random_poly
+from .algebra import NCPoly, first_failure, first_failures
 from .dual import BF, CHAR, LM, LP, CrossElement, DualElement, mixed_word_to_cross
 from .fodc import GammaElement
 from .linalg import MatrixOverAlgebra, exact_rank
@@ -38,14 +38,6 @@ class BOperator(MatrixOverAlgebra):
     def zero(cls, ctx, size):
         empty = CrossElement(ctx, {})
         return cls(ctx, [[empty for _ in range(size)] for _ in range(size)])
-
-    @classmethod
-    def diagonal(cls, ctx, size, poly):
-        out = cls.zero(ctx, size)
-        cell = CrossElement.from_poly(ctx, poly)
-        for i in range(size):
-            out.entries[i][i] = cell
-        return out
 
     def _new(self, entries):
         return BOperator(self.ctx, entries)
@@ -72,7 +64,7 @@ class BOperator(MatrixOverAlgebra):
 def prop1_build(F):
     """C and Omega_1..Omega_n of size n+1: Omega_j is bordered (first row and
     first column) by row j of the structure matrix M without its first
-    entry, and C = Omega_0; rho embeds the algebra diagonally."""
+    entry, and C = Omega_0."""
     ctx = F.ctx
     size = F.n + 1
     ops = []
@@ -82,10 +74,7 @@ def prop1_build(F):
             cell = CrossElement.from_dual(ctx, row[k])
             op.entries[0][k] = op.entries[k][0] = cell
         ops.append(op)
-
-    def rho(a):
-        return BOperator.diagonal(ctx, size, a)
-    return ops[0], ops[1:], rho
+    return ops[0], ops[1:]
 
 
 def _mul_by_algebra_right(op, a):
@@ -94,7 +83,7 @@ def _mul_by_algebra_right(op, a):
     return BOperator(op.ctx, [[e * cell for e in row] for row in op.entries])
 
 
-def prop1_verify(C, Omegas, F, degree_a=2, degree_b=1):
+def prop1_verify(C, Omegas, F, degree_a=2):
     """Exact check of Prop. 1 on corpus data, one identity for every row j
     of the structure matrix M, with Omega_0 = C and eps |> a = a:
 
@@ -102,15 +91,14 @@ def prop1_verify(C, Omegas, F, degree_a=2, degree_b=1):
 
     Row 0 is (r1) (Ca - aC) . b = sum_k (X_k |> a) Omega_k . b, and row k+1
     is (r2) Omega_k a . b = sum_l (f^k_l |> a) Omega_l . b.  Both sides act
-    as one operator, their difference.  Tuples are exercised through their
-    single-slot components (the action is componentwise linear, so this is
-    exhaustive for the stated degree)."""
+    as one operator, their difference, on the tuples whose one nonzero slot
+    holds a word b of degree <= 1 (the action is componentwise linear)."""
     ctx = F.ctx
     pres = ctx.pres
     size = F.n + 1
     ops = [C, *Omegas]
     M = F.structure_matrix()
-    words_b = ctx.corpus(degree_b)
+    words_b = ctx.corpus(1)
 
     def tuples():
         for slot in range(size):
@@ -142,32 +130,15 @@ def prop1_verify(C, Omegas, F, degree_a=2, degree_b=1):
     return first_failures(["prop1_r1", "prop1_r2"], witnesses())
 
 
-def tau_block(pairs, C, rho):
-    """tau(sum_i a_i d b_i) = sum_i rho(a_i)(C rho(b_i) - rho(b_i) C); the
-    complex unit in front of the paper's formula is left out."""
-    out = None
-    for a, b in pairs:
-        piece = (_mul_by_algebra_right(C, b) - C.scale_poly(b)).scale_poly(a)
-        out = piece if out is None else out + piece
-    if out is None:
-        raise CommRepError("empty presentation of a calculus element")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # central-element construction
 # ---------------------------------------------------------------------------
 
 
-def tau_central(pairs, B):
-    """tau(sum_i a_i d b_i) = sum_i a_i (C b_i - b_i C) in the cross product."""
+def tau_central(a, b, B):
+    """tau(a db) = a (C b - b C) in the cross product."""
     ctx = B.ctx
-    out = CrossElement(ctx, {})
-    for a, b in pairs:
-        cb = mixed_word_to_cross(ctx, [a, B.C, b])
-        bc = mixed_word_to_cross(ctx, [a, b, B.C])
-        out = out + cb - bc
-    return out
+    return mixed_word_to_cross(ctx, [a, B.C, b]) - mixed_word_to_cross(ctx, [a, b, B.C])
 
 
 def prop4_verify(B, degree=2):
@@ -221,7 +192,7 @@ def prop4_verify(B, degree=2):
             for wb in words:
                 b = NCPoly(pres, {wb: ONE})
                 lhs = tau_gamma(B.fodc.differential(b).left_mul(a))
-                if lhs != tau_central([(a, b)], B):
+                if lhs != tau_central(a, b, B):
                     yield {"identity": "tau_formula", "a": wa, "b": wb}
 
     checks = [first_failure("prop4_omega_rows", omega_rows()),
@@ -229,11 +200,7 @@ def prop4_verify(B, degree=2):
               first_failure("prop4_tau_formula", tau_formula())]
 
     # tau(theta) = C + Tr(A) eps, extensionally on the corpus
-    theta_image = CrossElement(ctx, {})
-    n = int(n2 ** 0.5)
-    for k in range(1, n + 1):
-        theta_image = theta_image + CrossElement.from_dual(
-            ctx, B.Omega[B.labels.index(f"theta{k}{k}")])
+    theta_image = tau_gamma(B.theta())
     target = CrossElement.from_dual(ctx, B.C + ctx.unit().scale(B.TrA))
     ok = theta_image.ext_equal(target, degree)
     checks.append(("prop4_theta_image", ok,
@@ -324,7 +291,7 @@ def faithfulness_rank(B, degree=1, pairs=None):
         gamma_vecs.append({(lab, w): c
                            for lab, poly in g.terms.items()
                            for w, c in poly.terms.items()})
-        t = tau_central([(a, b)], B)
+        t = tau_central(a, b, B)
         image_vecs.append(dict(t.terms))
     dim_gamma = exact_rank(_flatten(gamma_vecs)) if gamma_vecs else 0
     rank_tau = exact_rank(_flatten(image_vecs)) if image_vecs else 0
@@ -447,55 +414,3 @@ def disc_commutator_comparison(pres, comm_z):
         "difference": repr(diff),
         "alt_equals_q2_times_derived": ratio_holds,
     }
-
-
-def direct_sum_central(outputs, degree=2):
-    """Central element for a direct sum of tangent spaces: the sum of the
-    per-summand central elements.  Each summand is verified on its own and
-    the sum is checked to act linearly and stay central."""
-    if not outputs:
-        raise CommRepError("empty direct sum")
-    ctx = outputs[0].ctx
-    total = DualElement(ctx, {})
-    checks = []
-    for idx, B in enumerate(outputs):
-        if B.ctx is not ctx:
-            raise CommRepError("summands live over different contexts")
-        summand = prop4_verify(B, degree)
-        checks.append((f"summand_{idx}_prop4",
-                       all(ok for _, ok, _ in summand),
-                       [name for name, ok, _ in summand if not ok] or None))
-        total = total + B.C
-    # linearity of the commutator against the sum, on corpus pairs
-    pres = ctx.pres
-
-    def nonlinear_pairs():
-        for wa in ctx.corpus(1):
-            a = NCPoly(pres, {wa: ONE})
-            for wb in ctx.corpus(1):
-                b = NCPoly(pres, {wb: ONE})
-                lhs = (mixed_word_to_cross(ctx, [a, total, b])
-                       - mixed_word_to_cross(ctx, [a, b, total]))
-                rhs = CrossElement(ctx, {})
-                for B in outputs:
-                    rhs = rhs + tau_central([(a, b)], B)
-                if lhs != rhs:
-                    yield {"a": wa, "b": wb}
-
-    checks.append(first_failure("sum_linearity", nonlinear_pairs()))
-    return total, checks
-
-
-def leibniz_coherence_check(B, rng, samples=40, degree=2):
-    """tau(d(ab)) = tau(a db) + tau(da) b, exactly, randomized."""
-    ctx = B.ctx
-    pres = ctx.pres
-    for _ in range(samples):
-        a = random_poly(pres, rng, degree, 2)
-        b = random_poly(pres, rng, degree, 2)
-        lhs = tau_central([(pres.one(), a * b)], B)
-        rhs = tau_central([(a, b)], B)
-        tail = tau_central([(pres.one(), a)], B) * CrossElement.from_poly(ctx, b)
-        if lhs != rhs + tail:
-            return False, {"a": repr(a), "b": repr(b)}
-    return True, None

@@ -84,15 +84,12 @@ class DualContext:
         self.hopf = hopf
         self.R = rmatrix
         self.characters = dict(characters or {})
-        self.n = rmatrix.n if rmatrix is not None else 0
-        self.gen_index = {}
-        if rmatrix is not None:
-            for i in range(1, self.n + 1):
-                for j in range(1, self.n + 1):
-                    self.gen_index[f"v{i}{j}"] = (i, j)
-            for g in self.gen_index:
-                if g not in pres._index:
-                    raise DualError(f"presentation lacks matrix generator {g!r}")
+        self.n = rmatrix.n
+        self.gen_index = {f"v{i}{j}": (i, j)
+                          for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
+        for g in self.gen_index:
+            if g not in pres._index:
+                raise DualError(f"presentation lacks matrix generator {g!r}")
         self._letter_word_cache = {}
         self._word_eval_cache = {}
         self._act_cache = {}
@@ -321,9 +318,6 @@ class DualContext:
 
     def unit(self):
         return DualElement(self, {(): ONE})
-
-    def element(self, word, coeff=ONE):
-        return DualElement(self, {self.canonical_word(word): coeff})
 
 
 class DualElement(LinComb):

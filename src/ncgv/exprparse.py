@@ -114,14 +114,21 @@ def base_env(params=None):
 
 
 def parse_scalar(text, env=None):
-    """Parse a scalar expression; env maps names to QScalar values."""
+    """Parse a scalar expression; env maps names to QScalar values.  Every
+    expression without a value, a division by zero among them, raises
+    ScalarParseError."""
     if env is None:
         env = base_env()
     toks = _tokenize(str(text))
     if not toks:
         raise ScalarParseError("empty expression")
     p = _Parser(toks, env)
-    val = p.expr()
+    try:
+        val = p.expr()
+    except ZeroDivisionError:
+        raise ScalarParseError(f"division by zero in {text!r}") from None
+    except RecursionError:
+        raise ScalarParseError("expression nested too deeply") from None
     if p.peek() is not None:
         raise ScalarParseError(f"trailing input {p.toks[p.i:]!r}")
     if not isinstance(val, QScalar):

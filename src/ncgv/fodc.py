@@ -207,7 +207,7 @@ class BicovariantOutput:
         return GammaElement(pres, coeffs)
 
 
-def bicovariant_build(ctx, zeta_name="eps", validate_degree=2):
+def bicovariant_build(ctx, zeta_name="eps"):
     """Construct the bicovariant calculus attached to the matrix
     corepresentation and a character:
 
@@ -216,6 +216,8 @@ def bicovariant_build(ctx, zeta_name="eps", validate_degree=2):
         A^j_k = sum_s r(S^2(v^j_s) (x) v^s_k)       (twist matrix)
         C = sum_{k,j} X_kj A^j_k                    (central candidate)
         Omega_kj = sum_{s,t} zeta S(l^-s_k) l^+j_t A^t_s
+
+    The calculus is validated on the word corpus of degree 2 before use.
     """
     ctx.validate_character(zeta_name)
     n = ctx.n
@@ -279,7 +281,7 @@ def bicovariant_build(ctx, zeta_name="eps", validate_degree=2):
         perm = [flat.index((j, k)) for (k, j) in flat]
 
     fodc = FodcData(ctx, labels, X, f, star_permutation=perm)
-    report = fodc_validate(fodc, degree=validate_degree)
+    report = fodc_validate(fodc, degree=2)
     failed = [name for name, ok, _ in report if not ok]
     if failed:
         raise FodcError(f"bicovariant build fails validation: {failed}")
@@ -295,14 +297,6 @@ def _character_hermitean(ctx, name):
         if vals[h] * c != vals[g].star(mode):
             return False
     return True
-
-
-def differential_via_theta(B, a):
-    """da = theta a - a theta, expanded through the bimodule table."""
-    theta = B.theta()
-    left = B.fodc.right_mul(theta, a)
-    right = theta.left_mul(a)
-    return left - right
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +420,8 @@ def _gamma(pres, pairs):
     return GammaElement(pres, out)
 
 
-def disc_calculus(gamma=ONE):
-    pres = builtin_presentation("disc", {"gamma": gamma})
+def disc_calculus():
+    pres = builtin_presentation("disc")
     rows = {
         ("dz", "z"): _gamma(pres, {"dz": {("z",): _Q(2)}}),
         ("dz", "z*"): _gamma(pres, {"dz": {("z*",): _Q(-2)}}),
@@ -519,18 +513,18 @@ def ext_plane_calculus(variant="consistent"):
 
 
 _BUILTIN_CALCULI = {
-    "disc": lambda params: disc_calculus((params or {}).get("gamma", ONE)),
-    "pw-a": lambda params: plane_calculus("pw-a"),
-    "pw-b": lambda params: plane_calculus("pw-b"),
-    "ext-consistent": lambda params: ext_plane_calculus("consistent"),
-    "ext-literal": lambda params: ext_plane_calculus("literal"),
+    "disc": disc_calculus,
+    "pw-a": lambda: plane_calculus("pw-a"),
+    "pw-b": lambda: plane_calculus("pw-b"),
+    "ext-consistent": lambda: ext_plane_calculus("consistent"),
+    "ext-literal": lambda: ext_plane_calculus("literal"),
 }
 
 
-def builtin_calculus(name, params=None):
+def builtin_calculus(name):
     if name not in _BUILTIN_CALCULI:
         raise FodcError(f"unknown builtin calculus {name!r}")
-    return _BUILTIN_CALCULI[name](params)
+    return _BUILTIN_CALCULI[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -368,9 +368,6 @@ class SlotOperator(LinComb):
 
     __matmul__ = compose
 
-    def commutator(self, other):
-        return self.compose(other) - other.compose(self)
-
     def vanishes_below(self, mask):
         """Exact zero on every slot n <= mask."""
         return all(n > mask for n, _ in self.terms)
@@ -393,8 +390,9 @@ class Ex3Model:
         # slots M+3 from the masked range without touching the boundary
         self.top = M + 3
         self.ring = ex3_ring()
-        self.calc = builtin_calculus(
-            "ext-consistent" if rows_variant == "consistent" else "ext-literal")
+        if rows_variant not in ("consistent", "literal"):
+            raise HilbertError(f"unknown rows variant {rows_variant!r}")
+        self.calc = builtin_calculus(f"ext-{rows_variant}")
         ring = self.ring
         top = self.top
 

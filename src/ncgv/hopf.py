@@ -33,10 +33,6 @@ class Tensor(LinComb):
         self.nlegs = nlegs
         self.terms = terms
 
-    @classmethod
-    def of_poly(cls, p):
-        return cls(p.pres, 1, {(w,): c for w, c in p.terms.items()})
-
     def _owner(self):
         return (self.pres, self.nlegs)
 
@@ -137,15 +133,6 @@ class HopfStructure:
             for g in reversed(w):
                 prod = prod * self.antipode_table[g]
             total = total + prod.scale(c)
-        return total
-
-    def iterated_coproduct(self, p, m):
-        """(Delta (x) id^{m-2}) ... Delta, as an m-leg tensor."""
-        if m < 1:
-            raise HopfError("iterated coproduct needs m >= 1")
-        total = Tensor(self.pres, m, {})
-        for w, c in p.terms.items():
-            total = total + self.iterated_coproduct_word(w, m).scale(c)
         return total
 
     def iterated_coproduct_word(self, w, m):
@@ -332,9 +319,9 @@ def _contract_counit(H, tensor, leg):
 # ---------------------------------------------------------------------------
 
 
-def load_hopf(doc, pres, validate_degree=2):
+def load_hopf(doc, pres):
     """Load Delta/eps/S tables keyed by generator name and validate them on
-    the axiom corpus before use."""
+    the axiom corpus of degree 2 before use."""
     if isinstance(doc, str):
         with open(doc) as fh:
             doc = json.load(fh)
@@ -352,7 +339,7 @@ def load_hopf(doc, pres, validate_degree=2):
         counit[g] = parse_scalar(doc["counit"][g], env)
         antipode[g] = pres.poly(terms_from_doc(doc["antipode"][g], env))
     H = HopfStructure(pres, delta, counit, antipode)
-    failures = [name for name, ok, _ in hopf_axiom_report(H, validate_degree) if not ok]
+    failures = [name for name, ok, _ in hopf_axiom_report(H, 2) if not ok]
     if failures:
         raise HopfError(f"hopf structure fails axiom checks: {failures}")
     return H

@@ -64,14 +64,13 @@ def test_criterion_2_fodc_validation(B):
 
 
 def test_criterion_3_block_construction(B):
-    C, Omegas, _ = prop1_build(B.fodc)
-    checks = prop1_verify(C, Omegas, B.fodc, degree_a=2, degree_b=1)
+    C, Omegas = prop1_build(B.fodc)
+    checks = prop1_verify(C, Omegas, B.fodc, degree_a=2)
     ok = all(okk for _, okk, _ in checks)
     # mutation: one flipped sign must be caught with a witness
     bad = BOperator(B.ctx, [row[:] for row in Omegas[0].entries])
     bad.entries[0][1] = bad.entries[0][1].scale(QScalar.from_int(-1))
-    mutated = prop1_verify(C, [bad] + list(Omegas[1:]), B.fodc,
-                           degree_a=1, degree_b=1)
+    mutated = prop1_verify(C, [bad] + list(Omegas[1:]), B.fodc, degree_a=1)
     caught = any(not okk and wit is not None for _, okk, wit in mutated)
     report(3, "block operator identities exact, degree 2; mutation caught",
            ok and caught)

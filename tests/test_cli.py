@@ -126,6 +126,14 @@ def test_eval_subcommand():
     assert "z z*" in stdout
 
 
+@pytest.mark.parametrize("coeff", ["1/0", "0^-1", "(q-q)^-2", "(" * 400 + "1" + ")" * 400],
+                         ids=["1/0", "0^-1", "(q-q)^-2", "400 parentheses"])
+def test_eval_coefficient_without_a_value_exits_2(capsys, coeff):
+    assert main(["eval", "--algebra", "disc", "--coeff", coeff, "z"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eval error") and "Traceback" not in err
+
+
 def test_ext_plane_literal_scenario_fails(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", "builtin:ext_plane_literal", "--out", str(out)])
@@ -325,6 +333,27 @@ def test_model_size_rejected_at_bind_time(tmp_path, capsys, monkeypatch, item, k
         {"name": "hopf_axioms", "degree": 1}, item])
     assert repr(key) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("item, value", [
+    ({"name": "ex3_symbolic", "rows_variant": "consistant"}, "'consistant'"),
+    ({"name": "ex3_symbolic", "pi_variant": "litteral"}, "'litteral'"),
+    ({"name": "calculus_consistency", "variant": "pw-b", "expect": "fial"}, "'fial'"),
+    ({"name": "variant_selection", "variants": ["pw-a", "pw-c"]}, "'pw-c'"),
+])
+def test_unknown_variant_rejected_at_bind_time(tmp_path, capsys, monkeypatch, item, value):
+    err = rejected_before_any_check(tmp_path, capsys, monkeypatch, [
+        {"name": "hopf_axioms", "degree": 1}, item])
+    assert value in err
+    assert "Traceback" not in err
+
+
+def test_closed_value_sets_bind():
+    items = [{"name": "ex3_symbolic", "pi_variant": "literal", "rows_variant": "literal"},
+             {"name": "calculus_consistency", "variant": "pw-b", "expect": "fail"},
+             {"name": "variant_selection", "variants": ["pw-b", "pw-a"]}]
+    assert cli.validate_scenario({"checks": items}) == [
+        (item["name"], {k: v for k, v in item.items() if k != "name"}) for item in items]
 
 
 def test_model_size_bounds_are_per_check():

@@ -90,10 +90,11 @@ def test_antipode_antihomomorphism_random(H, pres):
 
 def test_iterated_coproduct(H, pres):
     a = pres.gen("v11")
-    assert H.iterated_coproduct(a, 1) == Tensor.of_poly(a)
-    assert H.iterated_coproduct(a, 2) == H.coproduct(a)
+    w = ("v11",)
+    assert H.iterated_coproduct_word(w, 1) == Tensor(pres, 1, {(w,): ONE})
+    assert H.iterated_coproduct_word(w, 2) == H.coproduct(a)
     with pytest.raises(Exception):
-        H.iterated_coproduct(a, 0)
+        H.iterated_coproduct_word(w, 0)
     # both association orders agree at m = 3
     d = H.coproduct(a)
     left = {}
@@ -108,7 +109,7 @@ def test_iterated_coproduct(H, pres):
     left = {k: v for k, v in left.items() if not v.is_zero()}
     right = {k: v for k, v in right.items() if not v.is_zero()}
     assert left == right
-    assert H.iterated_coproduct(a, 3).terms == left
+    assert H.iterated_coproduct_word(w, 3).terms == left
 
 
 def test_axiom_report_degree3(H):

@@ -1,6 +1,7 @@
 """Imports of the package: every name a module imports is used in that module,
-every private module-level name is read somewhere in the package, and
-importing the command line leaves scipy unloaded."""
+every private module-level name is read somewhere in the package, every
+public function and method is reached from the package or is part of its
+named API, and importing the command line leaves scipy unloaded."""
 
 import ast
 import os
@@ -84,6 +85,68 @@ def test_detects_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unread_private_names(sources) == []
+
+
+# Public names that nothing in the package reaches, each with its reason.
+API = {
+    "load_presentation": "file format: presentations",
+    "presentation_to_doc": "file format: presentations",
+    "load_hopf": "file format: Hopf structures",
+    "hopf_to_doc": "file format: Hopf structures",
+    "quantum_space_to_doc": "file format: quantum-space calculi",
+    "quantum_space_from_doc": "file format: quantum-space calculi",
+    "load_character": "file format: characters",
+    "run_scenario": "the in-process entry point of ncgv verify",
+    "validate_letters": "precondition of the all-degree certificates (ROADMAP item 1)",
+    "validate_r_form": "precondition of the all-degree certificates (ROADMAP item 1)",
+    "star_closure_report": "precondition of the generator induction (ROADMAP item 2)",
+}
+
+
+def unreached_public_names(sources):
+    """(module, line, name) of every public function and method of
+    ``sources`` ({module name: source}) that no module reaches: a
+    module-level function that is neither loaded by name nor imported, a
+    method whose name is never read as an attribute."""
+    loaded, read = set(), set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    out = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                found = [(node, node.name, loaded)]
+            elif isinstance(node, ast.ClassDef):
+                found = [(item, f"{node.name}.{item.name}", read) for item in node.body
+                         if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            out += [(module, item.lineno, name) for item, name, reached in found
+                    if not item.name.startswith("_") and item.name not in reached]
+    return sorted(out)
+
+
+def test_detects_an_unreached_public_name():
+    sources = {"a": ("def load(): pass\ndef used(): pass\nclass K:\n"
+                     "    def run(self): pass\n    def walk(self): pass\n"
+                     "    def _step(self): pass\n    def __len__(self): return 0\n"
+                     "used()\nK().walk\n"),
+               "b": "from .a import load\n"}
+    assert unreached_public_names(sources) == [("a", 4, "K.run")]
+
+
+def test_every_public_name_is_reached_or_listed_api():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    unreached = unreached_public_names(sources)
+    assert [name for _, _, name in unreached if name not in API] == []
+    # an API entry that the package reaches, or that is gone, is stale
+    assert sorted(name for _, _, name in unreached) == sorted(API)
 
 
 def test_cli_import_leaves_scipy_unloaded():

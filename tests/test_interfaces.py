@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from ncgv.algebra import NCPoly, first_failure
 from ncgv.cli import main, run_scenario
-from ncgv.commrep import centrality_check, direct_sum_central, dual_centrality
-from ncgv.dual import BF, CHAR, LM, LP, DualError, load_character, make_slq2_context
+from ncgv.commrep import centrality_check, dual_centrality, prop4_verify, tau_central
+from ncgv.dual import (BF, CHAR, LM, LP, CrossElement, DualElement, DualError,
+                       load_character, make_slq2_context, mixed_word_to_cross)
 from ncgv.fodc import bicovariant_build, fodc_from_doc, fodc_validate
 from ncgv.rmatrix import RMatrixError, builtin_rmatrix, load_rmatrix
 from ncgv.scalars import ONE, QScalar
@@ -117,6 +119,39 @@ def test_rmatrix_yang_baxter_guard():
     bad_inv[(1, 1, 1, 1)] = QScalar.from_fraction("1/3")
     with pytest.raises(RMatrixError):
         RMatrixData("ybe_broken", 2, R0.c, bad_R, bad_inv)
+
+
+def direct_sum_central(outputs, degree):
+    """Central element of a direct sum of tangent spaces: the sum of the
+    per-summand central elements.  Each summand is verified on its own, and
+    the commutator with the sum is checked to be the sum of the
+    commutators."""
+    ctx = outputs[0].ctx
+    total = DualElement(ctx, {})
+    checks = []
+    for idx, B in enumerate(outputs):
+        summand = prop4_verify(B, degree)
+        checks.append((f"summand_{idx}_prop4",
+                       all(ok for _, ok, _ in summand),
+                       [name for name, ok, _ in summand if not ok] or None))
+        total = total + B.C
+    pres = ctx.pres
+
+    def nonlinear_pairs():
+        for wa in ctx.corpus(1):
+            a = NCPoly(pres, {wa: ONE})
+            for wb in ctx.corpus(1):
+                b = NCPoly(pres, {wb: ONE})
+                lhs = (mixed_word_to_cross(ctx, [a, total, b])
+                       - mixed_word_to_cross(ctx, [a, b, total]))
+                rhs = CrossElement(ctx, {})
+                for B in outputs:
+                    rhs = rhs + tau_central(a, b, B)
+                if lhs != rhs:
+                    yield {"a": wa, "b": wb}
+
+    checks.append(first_failure("sum_linearity", nonlinear_pairs()))
+    return total, checks
 
 
 def test_direct_sum_central(ctx):
