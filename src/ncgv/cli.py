@@ -190,7 +190,7 @@ def check_faithfulness(session, *, degrees: list[int] = (1, 2), zeta="eps"):
     return _result("faithfulness", status, degree=degrees[-1],
                    witness=None if status == "pass" else _printable(reports),
                    ranks=ranks, monotone=monotone,
-                   detail=[{k: v for k, v in r.items()} for r in reports])
+                   detail=reports)
 
 
 def check_calculus_consistency(session, *, variant: str,

@@ -1,9 +1,9 @@
 """Parsing and printing of scalar expressions in s, q = s^2 and named parameters.
 
 Grammar: integers, names, + - * / ^ and parentheses; exponents are integers
-(possibly negative).  Used by all structured-text inputs (presentations,
-R-matrices, characters, calculi), which write a polynomial as a term list
-[{"coeff": expression, "word": "g1 g2 ..."}].
+k with |k| <= MAX_EXPONENT.  Used by all structured-text inputs
+(presentations, R-matrices, characters, calculi), which write a polynomial as
+a term list [{"coeff": expression, "word": "g1 g2 ..."}].
 """
 
 from __future__ import annotations
@@ -11,6 +11,10 @@ from __future__ import annotations
 import re
 
 from .scalars import ONE, Q, QScalar, S, ZERO
+
+# The cost of a^k grows with the size of the result, so an unbounded exponent
+# in any scalar input would stall its loader; no shipped exponent is above 5.
+MAX_EXPONENT = 256
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
@@ -88,6 +92,11 @@ class _Parser:
             return sign * k
         if tok is None or not tok.isdigit():
             raise ScalarParseError("integer exponent expected")
+        # compare digit counts first: int() refuses strings of over 4300 digits
+        digits = tok.lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(tok) > MAX_EXPONENT:
+            raise ScalarParseError(f"exponent {'-' if sign < 0 else ''}{digits} is out "
+                                   f"of range (|k| <= {MAX_EXPONENT})")
         return sign * int(tok)
 
     def atom(self):

@@ -309,7 +309,7 @@ class QuantumSpaceCalculus:
     the differential images of the generators."""
 
     def __init__(self, name, pres, labels, dmap, rows, label_star=None,
-                 variant=None, notes=()):
+                 variant=None):
         self.name = name
         self.pres = pres
         self.labels = list(labels)
@@ -317,7 +317,6 @@ class QuantumSpaceCalculus:
         self.rows = dict(rows)        # (label, generator) -> GammaElement
         self.label_star = label_star  # label -> label, or None
         self.variant = variant
-        self.notes = tuple(notes)
 
     def right_mul_word(self, g, word):
         cur = g
@@ -352,12 +351,6 @@ class QuantumSpaceCalculus:
             piece = self.right_mul_word(dg, w[i + 1:])
             prefix = NCPoly(pres, pres.normal_form_word(w[:i]))
             total = total + piece.left_mul(prefix)
-        return total
-
-    def differential(self, a):
-        total = GammaElement.zero(self.pres)
-        for w, c in a.terms.items():
-            total = total + self.differential_word(w).scale(c)
         return total
 
     def gamma_star(self, g):
@@ -505,11 +498,9 @@ def ext_plane_calculus(variant="consistent"):
         "x": GammaElement(pres, {"dx": pres.one()}),
         "y": GammaElement(pres, {"dy": pres.one()}),
     }
-    notes = ("differential images for starred generators are not part of the "
-             "source data; consistency checks are limited to the x,y subalgebra",)
     return QuantumSpaceCalculus(
         f"ext_plane[{variant}]", pres, ["dx", "dy"], dmap, rows,
-        label_star=None, variant=variant, notes=notes)
+        label_star=None, variant=variant)
 
 
 _BUILTIN_CALCULI = {

@@ -173,7 +173,7 @@ def numeric_verify(rep, F=None, calc=None, tol=1e-12):
         "dim": rep.dim,
         "mask": rep.mask,
         "tol": tol,
-        "classes": {k: v for k, v in classes.items()},
+        "classes": classes,
         "rows": rows_detail,
         "status": "pass" if all(v <= tol for v in classes.values()) else "fail",
         "notes": list(rep.notes),

@@ -126,8 +126,9 @@ def test_eval_subcommand():
     assert "z z*" in stdout
 
 
-@pytest.mark.parametrize("coeff", ["1/0", "0^-1", "(q-q)^-2", "(" * 400 + "1" + ")" * 400],
-                         ids=["1/0", "0^-1", "(q-q)^-2", "400 parentheses"])
+@pytest.mark.parametrize("coeff", ["1/0", "0^-1", "(q-q)^-2", "(" * 400 + "1" + ")" * 400,
+                                   "(1+q)^99999"],
+                         ids=["1/0", "0^-1", "(q-q)^-2", "400 parentheses", "exponent 99999"])
 def test_eval_coefficient_without_a_value_exits_2(capsys, coeff):
     assert main(["eval", "--algebra", "disc", "--coeff", coeff, "z"]) == 2
     err = capsys.readouterr().err

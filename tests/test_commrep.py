@@ -4,14 +4,18 @@ import random
 
 import pytest
 
-from ncgv.algebra import NCPoly, random_poly
+from ncgv.algebra import NCPoly, first_failure, random_poly
 from ncgv.commrep import (BOperator, centrality_check,
                           disc_block_c, dual_centrality, faithfulness_rank,
                           hermiticity_check, plane_block_c, prop1_build, prop1_verify,
                           prop4_verify, quantum_space_commrep_report,
-                          tau_central, MatrixOverAlgebra, _mul_by_algebra_right)
-from ncgv.dual import BF, CrossElement, DualElement, LP, make_slq2_context
-from ncgv.fodc import BicovariantOutput, FodcData, bicovariant_build, builtin_calculus
+                          tau_central, MatrixOverAlgebra, _flatten,
+                          _mul_by_algebra_right)
+from ncgv.dual import (BF, CrossElement, DualElement, LP, make_slq2_context,
+                       mixed_word_to_cross)
+from ncgv.fodc import (BicovariantOutput, FodcData, GammaElement, bicovariant_build,
+                       builtin_calculus)
+from ncgv.linalg import exact_rank
 from ncgv.scalars import ONE, QScalar, ZERO
 
 qp = QScalar.q_power
@@ -169,6 +173,124 @@ def test_prop4_shifted_trace_fails_only_theta_image(B):
         ("prop4_theta_image", False, {"identity": "theta_image", "degree": 2})]
 
 
+def prop4_reference(B, degree):
+    """prop4_verify as three full corpus searches: the Omega rows, the
+    bimodule map on the words of length <= 1, and the tau formula on every
+    pair (a, b) of corpus words."""
+    ctx = B.ctx
+    pres = ctx.pres
+    n2 = len(B.labels)
+    words = ctx.corpus(degree)
+
+    def tau_gamma(gamma):
+        out = CrossElement(ctx, {})
+        for lab, coeff in gamma.terms.items():
+            out = out + mixed_word_to_cross(ctx, [coeff, B.Omega[B.labels.index(lab)]])
+        return out
+
+    def omega_rows():
+        for idx in range(n2):
+            for wa in words:
+                a = NCPoly(pres, {wa: ONE})
+                lhs = mixed_word_to_cross(ctx, [B.Omega[idx], a])
+                rhs = CrossElement(ctx, {})
+                for idx2 in range(n2):
+                    acted = B.fodc.f[idx][idx2].left_act(a)
+                    if not acted.is_zero():
+                        rhs = rhs + mixed_word_to_cross(ctx, [acted, B.Omega[idx2]])
+                if lhs != rhs:
+                    yield {"identity": "omega_rows", "label": B.labels[idx], "a": wa}
+
+    def bimodule_map():
+        for idx in range(n2):
+            for wa in words:
+                if len(wa) > 1:
+                    continue
+                a = NCPoly(pres, {wa: ONE})
+                g = GammaElement.basis(pres, B.labels[idx])
+                lhs = tau_gamma(B.fodc.right_mul(g, a))
+                if lhs != mixed_word_to_cross(ctx, [B.Omega[idx], a]):
+                    yield {"identity": "bimodule", "label": B.labels[idx], "a": wa}
+
+    def tau_formula():
+        for wa in words:
+            a = NCPoly(pres, {wa: ONE})
+            for wb in words:
+                b = NCPoly(pres, {wb: ONE})
+                lhs = tau_gamma(B.fodc.differential(b).left_mul(a))
+                if lhs != tau_central(a, b, B):
+                    yield {"identity": "tau_formula", "a": wa, "b": wb}
+
+    checks = [first_failure("prop4_omega_rows", omega_rows()),
+              first_failure("prop4_bimodule_map", bimodule_map()),
+              first_failure("prop4_tau_formula", tau_formula())]
+    theta_image = tau_gamma(B.theta())
+    target = CrossElement.from_dual(ctx, B.C + ctx.unit().scale(B.TrA))
+    ok = theta_image.ext_equal(target, degree)
+    checks.append(("prop4_theta_image", ok,
+                   None if ok else {"identity": "theta_image", "degree": degree}))
+    return checks
+
+
+@pytest.fixture(scope="module")
+def calculi(ctx, B):
+    """The shipped calculus of each character and its three mutants:
+    Omega_12 doubled, C + X_1 and q C."""
+    out = {}
+    for zeta, base in (("eps", B), ("zeta_q", bicovariant_build(ctx, "zeta_q"))):
+        omega = list(base.Omega)
+        omega[1] = omega[1].scale(QScalar.from_int(2))
+        out[zeta, "shipped"] = base
+        out[zeta, "omega12_doubled"] = prop4_mutant(base, Omega=omega)
+        out[zeta, "c_plus_x1"] = prop4_mutant(base, C=base.C + base.fodc.X[1])
+        out[zeta, "q_times_c"] = prop4_mutant(base, C=base.C.scale(qp(1)))
+    return out
+
+
+@pytest.mark.parametrize("zeta", ["eps", "zeta_q"])
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("variant", ["shipped", "omega12_doubled", "c_plus_x1",
+                                     "q_times_c"])
+def test_prop4_matches_the_full_grid(calculi, zeta, degree, variant):
+    B = calculi[zeta, variant]
+    assert prop4_verify(B, degree) == prop4_reference(B, degree)
+
+
+def left_by(ctx, wa, x):
+    """L_a for the word a = wa: c (w, f) -> c NF(a w) f, term by term."""
+    out = {}
+    for (w, f), c in x.terms.items():
+        for v, cv in ctx.pres.normal_form_word(wa + w).items():
+            out[v, f] = out.get((v, f), ZERO) + c * cv
+    return CrossElement(ctx, out)
+
+
+def tau_difference(B, a, b):
+    """tau(a db) - a(Cb - bC), both sides as prop4 forms them."""
+    ctx = B.ctx
+    lhs = CrossElement(ctx, {})
+    for lab, coeff in B.fodc.differential(b).left_mul(a).terms.items():
+        lhs = lhs + mixed_word_to_cross(ctx, [coeff, B.Omega[B.labels.index(lab)]])
+    return lhs - tau_central(a, b, B)
+
+
+def test_tau_formula_grid_is_left_multiple_of_its_row(ctx, calculi):
+    # both sides of tau(a db) = a(Cb - bC) are L_a of their values at a = 1,
+    # so the row a = 1 decides the whole grid, failing calculi included
+    pres = ctx.pres
+    words = ctx.corpus(3)
+    failing_rows = 0
+    for B in calculi.values():
+        for wb in words:
+            b = NCPoly(pres, {wb: ONE})
+            row = tau_difference(B, pres.one(), b)
+            failing_rows += not row.is_zero()
+            for wa in words[:12]:
+                assert tau_difference(B, NCPoly(pres, {wa: ONE}), b) == \
+                    left_by(ctx, wa, row), (B.zeta_name, wa, wb)
+    assert failing_rows
+
+
 def test_prop4_omega_collapse_at_one(B, ctx):
     # a = 1: Omega_kj 1 = Omega_kj and <f^{kj}_{il}, 1> = delta delta
     from ncgv.dual import mixed_word_to_cross
@@ -247,10 +369,12 @@ def test_faithfulness_pair_corpus(B, ctx):
     pres = ctx.pres
     pairs = [(pres.gen(g), pres.gen(h))
              for g in pres.generators for h in pres.generators]
-    report = faithfulness_rank(B, pairs=pairs)
-    assert report["gamma_span_dim"] == 16
-    assert report["tau_rank"] == 16
-    assert report["faithful_on_corpus"]
+    gammas = [{(lab, w): c
+               for lab, poly in B.fodc.differential(b).left_mul(a).terms.items()
+               for w, c in poly.terms.items()} for a, b in pairs]
+    images = [tau_central(a, b, B).terms for a, b in pairs]
+    assert exact_rank(_flatten(gammas)) == 16
+    assert exact_rank(_flatten(images)) == 16
 
 
 # -- quantum-space block models ----------------------------------------------------

@@ -227,13 +227,21 @@ def test_gamma_star_involutive():
         assert calc.gamma_star(calc.gamma_star(g)) == g
 
 
+def differential(calc, b):
+    """d b of a quantum-space calculus: the sum over the terms of b."""
+    total = GammaElement.zero(calc.pres)
+    for w, c in b.terms.items():
+        total = total + calc.differential_word(w).scale(c)
+    return total
+
+
 def test_db_star_is_d_of_star():
     calc = builtin_calculus("disc")
     pres = calc.pres
     rng = random.Random(13)
     for _ in range(20):
         b = random_poly(pres, rng, 2, 2)
-        assert calc.gamma_star(calc.differential(b)) == calc.differential(b.star())
+        assert calc.gamma_star(differential(calc, b)) == differential(calc, b.star())
 
 
 def test_plane_variant_selection():
@@ -251,9 +259,9 @@ def test_plane_leibniz_and_star():
     for _ in range(30):
         a = random_poly(pres, rng, 2, 2)
         b = random_poly(pres, rng, 2, 2)
-        lhs = calc.differential(a * b)
-        rhs = calc.differential(b).left_mul(a) + calc.right_mul_poly(
-            calc.differential(a), b)
+        lhs = differential(calc, a * b)
+        rhs = differential(calc, b).left_mul(a) + calc.right_mul_poly(
+            differential(calc, a), b)
         assert lhs == rhs
     assert all(status == "pass" for _, status, _ in star_row_closure_report(calc))
 

@@ -93,7 +93,6 @@ def test_derived_character_name_cannot_be_loaded(name):
         load_character(counit, ctx)
     assert name not in ctx.characters
     zeta = BF(CHAR, name="zeta_q")
-    assert ctx.eval_letter_word(ctx.letter_antipode(zeta), ("v11",)) == QScalar.s_power(-2)
     assert ctx.eval_letter_word(ctx.letter_star(zeta), ("v11",)) == QScalar.s_power(2)
 
 

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import example, given, strategies as st
 
 import ncgv.scalars as scalar_module
-from ncgv.exprparse import parse_scalar, scalar_to_str
+from ncgv.exprparse import MAX_EXPONENT, ScalarParseError, parse_scalar, scalar_to_str
 from ncgv.scalars import ONE, Q, QScalar, REAL, S, UNIT, ZERO, _pmul
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=5)
@@ -114,6 +114,17 @@ def test_parser_rejects_garbage():
         parse_scalar("q +")
     with pytest.raises(ValueError):
         parse_scalar("frob")
+
+
+def test_parser_bounds_the_exponent():
+    # the cost of a power grows with its result, so an out-of-range exponent
+    # is refused before any product is formed
+    for text in ("(1+q)^99999", f"q^-{MAX_EXPONENT + 1}", f"q^(-({MAX_EXPONENT + 1}))",
+                 "q^" + "9" * 5000):
+        with pytest.raises(ScalarParseError, match="out of range"):
+            parse_scalar(text)
+    assert parse_scalar(f"(1+q)^{MAX_EXPONENT}") == parse_scalar("(1+q)^255") * (ONE + Q)
+    assert parse_scalar("q^-2") == Q.inverse() * Q.inverse()
 
 
 # -- oracle: canonical forms against sympy.cancel --------------------------------
