@@ -59,7 +59,7 @@ class AlgebraPresentation:
                 self.star[g] = (entry[0], entry[1])
             self._check_star_involution()
         self._by_first = {}
-        for idx, (lhs, rhs) in enumerate(self.rules):
+        for lhs, rhs in self.rules:
             self._by_first.setdefault(lhs[0], []).append((lhs, rhs))
         self._max_lhs = max((len(lhs) for lhs, _ in self.rules), default=0)
         self._nf_cache = {}
@@ -228,6 +228,22 @@ class AlgebraPresentation:
             out.append(h)
             coeff = coeff * c
         return tuple(out), coeff
+
+    # -- relations -------------------------------------------------------------
+
+    def relation_residuals(self, image, scalar=None):
+        """(lhs, rhs, image(lhs) - sum scalar(c) image(w)) for every rule
+        lhs -> sum c w, in rule order, over the raw rule words: the literal
+        generators of the relation ideal, so a map is admissible exactly when
+        every residual vanishes.  ``scalar`` maps the rule coefficients (the
+        identity by default).  Where ``image`` is None on a word of the rule,
+        so is the residual."""
+        for lhs, rhs in self.rules:
+            res = image(lhs)
+            for w, c in rhs.items():
+                img = None if res is None else image(w)
+                res = None if img is None else res - (c if scalar is None else scalar(c)) * img
+            yield lhs, rhs, res
 
     # -- corpora ---------------------------------------------------------------
 
@@ -457,18 +473,15 @@ def confluence_check(pres, max_degree=6):
 
 
 def star_closure_report(pres):
-    """Check that starring every relation gives a consequence of the rules."""
-    failures = []
-    for lhs, rhs in pres.rules:
-        lw, lc = pres.star_word(lhs)
-        left = pres.poly({lw: lc})
-        right = pres.zero()
-        for w, c in rhs.items():
-            sw, sc = pres.star_word(w)
-            right = right + pres.poly({sw: c.star(pres.star_mode) * sc})
-        if left != right:
-            failures.append((lhs, left - right))
-    return failures
+    """Check that starring every relation gives a consequence of the rules:
+    (lhs, residual) of each rule whose starred form does not vanish."""
+
+    def starred(w):
+        sw, sc = pres.star_word(w)
+        return pres.poly({sw: sc})
+
+    residuals = pres.relation_residuals(starred, lambda c: c.star(pres.star_mode))
+    return [(lhs, res) for lhs, _, res in residuals if not res.is_zero()]
 
 
 # ---------------------------------------------------------------------------

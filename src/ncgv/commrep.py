@@ -210,12 +210,8 @@ def dual_centrality(C, letters, degree=3):
     def witnesses():
         for bf in letters:
             g = DualElement(ctx, {ctx.canonical_word((bf,)): ONE})
-            comm = C * g - g * C
-            if not comm.terms:
-                continue
-            for w in ctx.corpus(degree):
-                if not comm.evaluate(w).is_zero():
-                    yield {"letter": repr(bf), "word": w}
+            for w in (C * g - g * C).nonzero_words(degree):
+                yield {"letter": repr(bf), "word": w}
 
     return [first_failure("centrality", witnesses())]
 

@@ -119,8 +119,9 @@ class DualContext:
         for g in self.pres.generators:
             if g not in vals:
                 raise DualError(f"character {name!r} missing value at {g!r}")
-        for lhs, rhs in self.pres.rules:
-            if _character_value(vals, {lhs: ONE}) != _character_value(vals, rhs):
+        for lhs, _, res in self.pres.relation_residuals(
+                lambda w: _character_value(vals, {w: ONE})):
+            if not res.is_zero():
                 raise DualError(
                     f"character {name!r} does not respect relation {' '.join(lhs)}")
 
@@ -334,14 +335,15 @@ class DualElement(LinComb):
 
     def ext_equal(self, other, degree):
         """Extensional equality over the evaluation corpus of the given degree."""
-        self._same(other)
-        diff = self - other
-        if not diff.terms:
-            return True
-        for w in self.ctx.corpus(degree):
-            if not diff.evaluate(w).is_zero():
-                return False
-        return True
+        return next((self - other).nonzero_words(degree), None) is None
+
+    def nonzero_words(self, degree):
+        """Lazily, in corpus order, the words of the evaluation corpus of the
+        given degree on which the functional is nonzero."""
+        if self.terms:
+            for w in self.ctx.corpus(degree):
+                if not self.evaluate(w).is_zero():
+                    yield w
 
     def coproduct(self):
         """Word coproduct as a dict {(left word, right word): coeff}."""
@@ -547,22 +549,14 @@ def validate_r_form(ctx, degree=2):
 
 
 def validate_letters(ctx):
-    """Every structural letter must annihilate the relation ideal."""
-    pres = ctx.pres
-    letters = [BF(EPS)]
-    for name in ctx.characters:
-        letters.append(BF(CHAR, name=name))
-    for kind in (LP, LM, SLP, SLM):
-        for i in range(1, ctx.n + 1):
-            for j in range(1, ctx.n + 1):
-                letters.append(BF(kind, i, j))
-    failures = []
-    for lhs, rhs in pres.rules:
-        rel = pres.poly(rhs)
-        for bf in letters:
-            if ctx.eval_letter_word(bf, lhs) != ctx.eval_letter_poly(bf, rel):
-                failures.append((bf, lhs))
-    return failures
+    """Every structural letter must annihilate the relation ideal: (letter,
+    rule lhs) of every rule a letter does not respect, letter by letter."""
+    indices = range(1, ctx.n + 1)
+    letters = [BF(EPS), *(BF(CHAR, name=name) for name in ctx.characters),
+               *(BF(kind, i, j) for kind in (LP, LM, SLP, SLM) for i in indices for j in indices)]
+    return [(bf, lhs) for bf in letters
+            for lhs, _, res in ctx.pres.relation_residuals(partial(ctx.eval_letter_word, bf))
+            if not res.is_zero()]
 
 
 def shipped_characters():

@@ -9,6 +9,7 @@ a term list [{"coeff": expression, "word": "g1 g2 ..."}].
 from __future__ import annotations
 
 import re
+import sys
 
 from .scalars import ONE, Q, QScalar, S, ZERO
 
@@ -109,6 +110,12 @@ class _Parser:
         if tok is None:
             raise ScalarParseError("unexpected end of expression")
         if tok.isdigit():
+            # int() refuses strings of more digits than this; 0, or a Python
+            # before 3.10.7, which has no such limit, means none
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and len(tok) > limit:
+                raise ScalarParseError(f"integer literal of {len(tok)} digits is out "
+                                       f"of range (at most {limit} digits)")
             return QScalar.from_int(int(tok))
         if tok in self.env:
             return self.env[tok]

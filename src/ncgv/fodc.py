@@ -209,13 +209,14 @@ class BicovariantOutput:
 
 def bicovariant_build(ctx, zeta_name="eps"):
     """Construct the bicovariant calculus attached to the matrix
-    corepresentation and a character:
+    corepresentation and a character.  The f-table fixes the calculus, and
+    every other table is a sum over it:
 
         f^{kj}_{st} = zeta S(l^-s_k) l^+j_t        (structure functionals)
-        X_kj = zeta l^k_j - delta_kj eps            (tangent functionals)
+        X_kj = sum_t f^{tt}_{kj} - delta_kj eps     (tangent functionals)
         A^j_k = sum_s r(S^2(v^j_s) (x) v^s_k)       (twist matrix)
         C = sum_{k,j} X_kj A^j_k                    (central candidate)
-        Omega_kj = sum_{s,t} zeta S(l^-s_k) l^+j_t A^t_s
+        Omega_kj = sum_{s,t} f^{kj}_{st} A^t_s
 
     The calculus is validated on the word corpus of degree 2 before use.
     """
@@ -224,28 +225,19 @@ def bicovariant_build(ctx, zeta_name="eps"):
     pres = ctx.pres
     H = ctx.hopf
     zeta = BF(CHAR, name=zeta_name)
-
-    def fodc_word(s, k, j, t):
-        return ctx.canonical_word((zeta, BF(SLM, s, k), BF(LP, j, t)))
-
-    labels = [f"theta{k}{j}" for k in range(1, n + 1) for j in range(1, n + 1)]
     flat = [(k, j) for k in range(1, n + 1) for j in range(1, n + 1)]
+    labels = [f"theta{k}{j}" for k, j in flat]
+    zero = DualElement(ctx, {})
 
+    # f[kj][st] = f^{kj}_{st}, rows and columns in the order of flat
+    f = [[DualElement(ctx, {ctx.canonical_word((zeta, BF(SLM, s, k), BF(LP, j, t))): ONE})
+          for (s, t) in flat] for (k, j) in flat]
+
+    diagonal = [flat.index((t, t)) for t in range(1, n + 1)]
     X = []
-    for (k, j) in flat:
-        terms = {}
-        for t in range(1, n + 1):
-            _accum(terms, fodc_word(k, t, t, j), ONE)
-        if k == j:
-            _accum(terms, (), -ONE)
-        X.append(DualElement(ctx, terms))
-
-    f = []
-    for (k, j) in flat:
-        row = []
-        for (s, t) in flat:
-            row.append(DualElement(ctx, {fodc_word(s, k, j, t): ONE}))
-        f.append(row)
+    for col, (k, j) in enumerate(flat):
+        x = sum((f[d][col] for d in diagonal), zero)
+        X.append(x - ctx.unit() if k == j else x)
 
     # A^j_k by evaluating the r-form on squared-antipode generators
     A = []
@@ -259,21 +251,11 @@ def bicovariant_build(ctx, zeta_name="eps"):
                 acc = acc + ctx.eval_letter_poly(BF(LP, s, k), s2)
             row.append(acc)
         A.append(row)
-    TrA = ZERO
-    for k in range(n):
-        TrA = TrA + A[k][k]
+    TrA = sum((A[k][k] for k in range(n)), ZERO)
 
-    C = DualElement(ctx, {})
-    for idx, (k, j) in enumerate(flat):
-        C = C + X[idx].scale(A[j - 1][k - 1])
-
-    Omega = []
-    for (k, j) in flat:
-        terms = {}
-        for s in range(1, n + 1):
-            for t in range(1, n + 1):
-                _accum(terms, fodc_word(s, k, j, t), A[t - 1][s - 1])
-        Omega.append(DualElement(ctx, terms))
+    C = sum((x.scale(A[j - 1][k - 1]) for x, (k, j) in zip(X, flat)), zero)
+    Omega = [sum((row[col].scale(A[t - 1][s - 1]) for col, (s, t) in enumerate(flat)), zero)
+             for row in f]
 
     # the tangent star permutation: X_kj* = X_jk when zeta is hermitean
     perm = None
@@ -368,18 +350,17 @@ def calculus_consistency_report(calc):
     """d(lhs) = d(rhs) for every defining relation whose generators have
     declared differentials.  The left side is differentiated as written
     (before any rewriting), so the check genuinely constrains the table."""
-    pres = calc.pres
+
+    def image(w):
+        return calc.differential_word(w) if calc.dmap.keys() >= set(w) else None
+
     results = []
-    for lhs, rhs in pres.rules:
-        gens = set(lhs) | {g for w in rhs for g in w}
-        if not gens.issubset(calc.dmap.keys()):
+    for lhs, _, res in calc.pres.relation_residuals(image):
+        if res is None:
             results.append((" ".join(lhs), "skipped", "no differential images"))
-            continue
-        image = calc.differential_word(lhs)
-        for w, c in rhs.items():
-            image = image - calc.differential_word(w).scale(c)
-        results.append((" ".join(lhs), "pass" if image.is_zero() else "fail",
-                        None if image.is_zero() else repr(image)))
+        else:
+            results.append((" ".join(lhs), "pass" if res.is_zero() else "fail",
+                            None if res.is_zero() else repr(res)))
     return results
 
 
@@ -430,39 +411,42 @@ def disc_calculus():
         label_star={"dz": "dz*", "dz*": "dz"})
 
 
-def plane_calculus(variant="pw-a"):
-    """The two coherent readings of the duplicated mixed relation: pw-a keeps
-    the correction term on (y, dx), pw-b moves it to (x, dy).  Exactly one of
-    them satisfies d(relations) = 0."""
-    pres = builtin_presentation("real_plane")
-    if variant == "pw-a":
-        rows = {
-            ("dx", "x"): _gamma(pres, {"dx": {("x",): _Q(2)}}),
-            ("dx", "y"): _gamma(pres, {"dx": {("y",): _Q(1)},
-                                       "dy": {("x",): _Q(2) - ONE}}),
-            ("dy", "x"): _gamma(pres, {"dy": {("x",): _Q(1)}}),
-            ("dy", "y"): _gamma(pres, {"dy": {("y",): _Q(2)}}),
-            ("dx", "yinv"): _gamma(pres, {"dx": {("yinv",): _Q(-1)},
-                                          "dy": {("x", "yinv", "yinv"): _Q(-2) - ONE}}),
-            ("dy", "yinv"): _gamma(pres, {"dy": {("yinv",): _Q(-2)}}),
-        }
-    elif variant == "pw-b":
-        rows = {
-            ("dx", "x"): _gamma(pres, {"dx": {("x",): _Q(2)}}),
-            ("dx", "y"): _gamma(pres, {"dx": {("y",): _Q(1)}}),
-            ("dy", "x"): _gamma(pres, {"dy": {("x",): _Q(1)},
-                                       "dx": {("y",): _Q(2) - ONE}}),
-            ("dy", "y"): _gamma(pres, {"dy": {("y",): _Q(2)}}),
-            ("dx", "yinv"): _gamma(pres, {"dx": {("yinv",): _Q(-1)}}),
-            ("dy", "yinv"): _gamma(pres, {"dy": {("yinv",): _Q(-2)}}),
-        }
-    else:
-        raise FodcError(f"unknown plane calculus variant {variant!r}")
+def _plane_xy(pres):
+    """The rows (dx|dy, x|y) and the differentials d x = dx, d y = dy that
+    the real and the extended plane share, in the pw-a reading of the mixed
+    relation: the correction term sits on (dx, y)."""
+    rows = {
+        ("dx", "x"): _gamma(pres, {"dx": {("x",): _Q(2)}}),
+        ("dx", "y"): _gamma(pres, {"dx": {("y",): _Q(1)},
+                                   "dy": {("x",): _Q(2) - ONE}}),
+        ("dy", "x"): _gamma(pres, {"dy": {("x",): _Q(1)}}),
+        ("dy", "y"): _gamma(pres, {"dy": {("y",): _Q(2)}}),
+    }
     dmap = {
         "x": GammaElement(pres, {"dx": pres.one()}),
         "y": GammaElement(pres, {"dy": pres.one()}),
-        "yinv": _gamma(pres, {"dy": {("yinv", "yinv"): -_Q(-2)}}),
     }
+    return rows, dmap
+
+
+def plane_calculus(variant="pw-a"):
+    """The two coherent readings of the duplicated mixed relation: pw-a keeps
+    the correction term on (dx, y), pw-b moves it to (dy, x).  Exactly one of
+    them satisfies d(relations) = 0."""
+    pres = builtin_presentation("real_plane")
+    rows, dmap = _plane_xy(pres)
+    if variant == "pw-a":
+        rows[("dx", "yinv")] = _gamma(pres, {"dx": {("yinv",): _Q(-1)},
+                                             "dy": {("x", "yinv", "yinv"): _Q(-2) - ONE}})
+    elif variant == "pw-b":
+        rows[("dx", "y")] = _gamma(pres, {"dx": {("y",): _Q(1)}})
+        rows[("dy", "x")] = _gamma(pres, {"dy": {("x",): _Q(1)},
+                                          "dx": {("y",): _Q(2) - ONE}})
+        rows[("dx", "yinv")] = _gamma(pres, {"dx": {("yinv",): _Q(-1)}})
+    else:
+        raise FodcError(f"unknown plane calculus variant {variant!r}")
+    rows[("dy", "yinv")] = _gamma(pres, {"dy": {("yinv",): _Q(-2)}})
+    dmap["yinv"] = _gamma(pres, {"dy": {("yinv", "yinv"): -_Q(-2)}})
     return QuantumSpaceCalculus(
         f"real_plane[{variant}]", pres, ["dx", "dy"], dmap, rows,
         label_star={"dx": "dx", "dy": "dy"}, variant=variant)
@@ -482,22 +466,14 @@ def ext_plane_calculus(variant="consistent"):
         kappa = _Q(2) - ONE
     else:
         raise FodcError(f"unknown ext_plane calculus variant {variant!r}")
-    rows = {
-        ("dx", "x"): _gamma(pres, {"dx": {("x",): _Q(2)}}),
-        ("dx", "y"): _gamma(pres, {"dx": {("y",): _Q(1)},
-                                   "dy": {("x",): _Q(2) - ONE}}),
-        ("dy", "y"): _gamma(pres, {"dy": {("y",): _Q(2)}}),
-        ("dy", "x"): _gamma(pres, {"dy": {("x",): _Q(1)}}),
+    rows, dmap = _plane_xy(pres)
+    rows.update({
         ("dx", "x*"): _gamma(pres, {"dx": {("x*",): _Q(-2)},
                                     "dy": {("y*",): kappa}}),
         ("dx", "y*"): _gamma(pres, {"dx": {("y*",): _Q(-1)}}),
         ("dy", "x*"): _gamma(pres, {"dy": {("x*",): _Q(-1)}}),
         ("dy", "y*"): _gamma(pres, {"dy": {("y*",): _Q(-2)}}),
-    }
-    dmap = {
-        "x": GammaElement(pres, {"dx": pres.one()}),
-        "y": GammaElement(pres, {"dy": pres.one()}),
-    }
+    })
     return QuantumSpaceCalculus(
         f"ext_plane[{variant}]", pres, ["dx", "dy"], dmap, rows,
         label_star=None, variant=variant)

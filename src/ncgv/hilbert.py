@@ -91,13 +91,9 @@ class TruncatedRep:
         return mat[idx][:, idx]
 
     def relation_residuals(self):
-        out = []
-        for lhs, rhs in self.pres.rules:
-            m = self.word_matrix(lhs)
-            for w, c in rhs.items():
-                m = m - c.evaluate(self.s_value) * self.word_matrix(w)
-            out.append((" ".join(lhs), _norm(self.masked(m))))
-        return out
+        residuals = self.pres.relation_residuals(self.word_matrix,
+                                                 lambda c: c.evaluate(self.s_value))
+        return [(" ".join(lhs), _norm(self.masked(m))) for lhs, _, m in residuals]
 
     def adjoint_residuals(self):
         out = []
@@ -437,11 +433,7 @@ class Ex3Model:
         """Exact residual of every defining relation under pi, on the masked
         slots."""
         results = []
-        pres = self.calc.pres
-        for lhs, rhs in pres.rules:
-            op = self.pi_word(lhs)
-            for w, c in rhs.items():
-                op = op - self.pi_word(w).scale(c)
+        for lhs, _, op in self.calc.pres.relation_residuals(self.pi_word):
             ok = op.vanishes_below(self.mask)
             results.append((" ".join(lhs), "pass" if ok else "fail",
                             None if ok else _slot_witness(op, self.mask)))

@@ -286,12 +286,11 @@ def hopf_axiom_report(H, degree=3):
                 yield w
 
     def relation_consistency():
-        for lhs, rhs in pres.rules:
-            rel = NCPoly(pres, pres.normal_form_terms(dict(rhs)))
-            if (H.coproduct_word(lhs) != H.coproduct(rel)
-                    or H.counit_word(lhs) != H.counit(rel)
-                    or H.antipode(poly_of(lhs)) != H.antipode(rel)):
-                yield lhs
+        # Delta, eps and S, rule by rule: the first rule any of them breaks
+        maps = (H.coproduct_word, H.counit_word, lambda w: H.antipode(poly_of(w)))
+        for rows in zip(*(pres.relation_residuals(m) for m in maps)):
+            if any(not res.is_zero() for _, _, res in rows):
+                yield rows[0][0]
 
     results = [first_failure("coassociativity", coassociativity()),
                first_failure("counit", counit()),

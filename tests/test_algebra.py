@@ -151,6 +151,16 @@ def test_star_closure_all_builtins():
         assert star_closure_report(builtin_presentation(name)) == []
 
 
+def test_star_closure_fails_at_the_broken_rule():
+    # y x = q x y is closed under x* = y, but x* = x, y* = y (an involution
+    # too) stars it to x y = q^2 x y
+    rules = [(("y", "x"), {("x", "y"): Q})]
+    good = AlgebraPresentation("toy", ["x", "y"], rules, star={"x": "y", "y": "x"})
+    assert star_closure_report(good) == []
+    bad = AlgebraPresentation("toy", ["x", "y"], rules, star={"x": "x", "y": "y"})
+    assert star_closure_report(bad) == [(("y", "x"), bad.poly({("x", "y"): ONE - Q * Q}))]
+
+
 def test_confluence_builtins():
     for name in ("disc", "real_plane", "ext_plane", "slq2"):
         assert confluence_check(builtin_presentation(name), max_degree=6) == []

@@ -4,6 +4,8 @@
 ``ncgv verify builtin:<name>`` at seed 0.  Reports are compared with the
 benchmark's correctness gate: exact fields must match exactly, and a float
 residual must be equal or, like its golden value, at most the check's ``tol``.
+``tests/data/bicovariant/<zeta>.json`` holds the output of ``ncgv
+build-bicovariant --zeta <zeta>``, compared byte for byte.
 Regenerate a file only from a commit whose reports are known to be right.
 """
 
@@ -17,6 +19,7 @@ from ncgv.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
+BICOVARIANT = ROOT / "tests" / "data" / "bicovariant"
 SCENARIOS = sorted(p.stem for p in (ROOT / "src" / "ncgv" / "data" / "scenarios").glob("*.json"))
 
 
@@ -28,6 +31,14 @@ def _load_gate():
 
 
 gate = _load_gate()
+
+
+@pytest.mark.parametrize("zeta", ["eps", "zeta_q"])
+def test_bicovariant_build_matches_golden(zeta, tmp_path):
+    # the serialized calculus of ncgv build-bicovariant, byte for byte
+    out = tmp_path / "calculus.json"
+    assert main(["build-bicovariant", "--zeta", zeta, "--out", str(out)]) == 0
+    assert out.read_bytes() == (BICOVARIANT / f"{zeta}.json").read_bytes()
 
 
 def test_every_scenario_has_a_golden_report():

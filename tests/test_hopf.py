@@ -5,8 +5,8 @@ import random
 import pytest
 
 from ncgv.algebra import NCPoly
-from ncgv.hopf import (Tensor, hopf_axiom_report, hopf_to_doc, load_hopf,
-                       slq2_hopf)
+from ncgv.hopf import (HopfStructure, Tensor, hopf_axiom_report, hopf_to_doc,
+                       load_hopf, slq2_hopf)
 from ncgv.presentations import builtin_presentation
 from ncgv.scalars import ONE, Q, QScalar, ZERO
 
@@ -117,6 +117,20 @@ def test_axiom_report_degree3(H):
     assert all(ok for _, ok, _ in report), report
     names = [name for name, _, _ in report]
     assert "coassociativity" in names and "star_compatibility" in names
+
+
+@pytest.mark.parametrize("table, gen, rule", [("delta", "v12", ("v22", "v11")),
+                                              ("counit", "v11", ("v12", "v21")),
+                                              ("antipode", "v11", ("v22", "v11"))])
+def test_relation_consistency_fails_at_the_broken_rule(H, pres, table, gen, rule):
+    # twice one entry of Delta, eps or S: the map of the free algebra no
+    # longer kills the relation ideal, first at the rule named
+    tables = {"delta": dict(H.delta), "counit": dict(H.counit_table),
+              "antipode": dict(H.antipode_table)}
+    tables[table][gen] = tables[table][gen] + tables[table][gen]
+    broken = HopfStructure(pres, **tables)
+    assert hopf_axiom_report(broken, 1)[-1] == ("relation_consistency", False, rule)
+    assert hopf_axiom_report(H, 1)[-1] == ("relation_consistency", True, None)
 
 
 def test_hopf_json_roundtrip(H, pres):

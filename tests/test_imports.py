@@ -149,6 +149,27 @@ def test_every_public_name_is_reached_or_listed_api():
     assert sorted(name for _, _, name in unreached) == sorted(API)
 
 
+def rule_readers(sources):
+    """(module, line) of every read of an attribute ``rules`` outside
+    ``algebra``: other modules reach the relations through
+    ``AlgebraPresentation.relation_residuals``, the one relation test."""
+    return sorted((module, node.lineno) for module, source in sources.items()
+                  if module != "algebra" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "rules"
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_detects_a_rule_reader():
+    sources = {"algebra": "for lhs, rhs in pres.rules: pass\n",
+               "a": "x = 1\nfor lhs, rhs in self.pres.rules: pass\n",
+               "b": "self.rules = []\nrules = pres.relation_residuals(f)\n"}
+    assert rule_readers(sources) == [("a", 2)]
+
+
+def test_only_algebra_reads_the_rules():
+    assert rule_readers({path.stem: path.read_text() for path in MODULES}) == []
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy costs about 0.2 s to import, so only the numeric checks load it
     root = str(Path(ncgv.__file__).resolve().parent.parent)

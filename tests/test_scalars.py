@@ -118,9 +118,10 @@ def test_parser_rejects_garbage():
 
 def test_parser_bounds_the_exponent():
     # the cost of a power grows with its result, so an out-of-range exponent
-    # is refused before any product is formed
+    # is refused before any product is formed; an integer literal longer than
+    # int() accepts is refused as a parse error too
     for text in ("(1+q)^99999", f"q^-{MAX_EXPONENT + 1}", f"q^(-({MAX_EXPONENT + 1}))",
-                 "q^" + "9" * 5000):
+                 "q^" + "9" * 5000, "9" * 5000):
         with pytest.raises(ScalarParseError, match="out of range"):
             parse_scalar(text)
     assert parse_scalar(f"(1+q)^{MAX_EXPONENT}") == parse_scalar("(1+q)^255") * (ONE + Q)
