@@ -136,7 +136,11 @@ def check_hopf_axioms(session, *, degree=3):
                          degree=degree)
 
 
-def check_confluence(session, *, degree=6, presentation: str | None = None):
+# the name of a builtin presentation (``presentations.builtin_presentation``)
+Presentation = typing.Literal["disc", "real_plane", "ext_plane", "slq2"]
+
+
+def check_confluence(session, *, degree=6, presentation: Presentation | None = None):
     name = session.doc.get("algebra", "slq2") if presentation is None else presentation
     failures = confluence_check(builtin_presentation(name), degree)
     return _result("confluence", "fail" if failures else "pass", degree=degree,
@@ -281,8 +285,8 @@ def check_leibniz_random(session, *, samples=200, degree=2, zeta="eps",
 
 
 def check_idempotence_random(session, *, samples=500, seed: int | None = None,
-                             presentations: list[str] = (
-                                 "disc", "real_plane", "ext_plane", "slq2")):
+                             presentations: list[Presentation] = typing.get_args(
+                                 Presentation)):
     def witnesses(rng):
         for name in presentations:
             pres = builtin_presentation(name)
@@ -354,7 +358,7 @@ def _has_type(value, kind):
     """Whether a JSON value has the declared type ``kind``: a class, a union,
     ``list[X]`` or ``Literal[...]``.  A bool is never a number; an int is
     accepted for a float."""
-    if isinstance(kind, types.UnionType):
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
         return any(_has_type(value, k) for k in typing.get_args(kind))
     if typing.get_origin(kind) is typing.Literal:
         return any(type(value) is type(v) and value == v for v in typing.get_args(kind))

@@ -185,10 +185,14 @@ def prop4_verify(B, degree=2):
     checks = [*first_failures(["prop4_omega_rows", "prop4_bimodule_map"], omega_rows()),
               first_failure("prop4_tau_formula", tau_formula())]
 
-    # tau(theta) = C + Tr(A) eps, extensionally on the corpus
-    theta_image = tau_gamma(B.theta())
-    target = CrossElement.from_dual(ctx, B.C + ctx.unit().scale(B.TrA))
-    ok = theta_image.ext_equal(target, degree)
+    # tau(theta) = sum_k Omega_kk has no algebra part, and a functional g
+    # acts as zero on every corpus word w exactly when g(w) = 0 there:
+    # g(w) = eps(g |> w), and the legs of Delta(w) are normal words no
+    # longer than w.  So tau(theta) = C + Tr(A) eps is a comparison of
+    # functionals on the corpus.
+    theta_image = sum((B.Omega[B.labels.index(lab)] for lab in B.theta().terms),
+                      DualElement(ctx, {}))
+    ok = theta_image.ext_equal(B.C + ctx.unit().scale(B.TrA), degree)
     checks.append(("prop4_theta_image", ok,
                    None if ok else {"identity": "theta_image", "degree": degree}))
     return checks

@@ -459,18 +459,6 @@ class CrossElement(LinComb):
             total = total + (NCPoly(ctx.pres, {w: ONE}) * acted).scale(c)
         return total
 
-    def ext_equal(self, other, degree):
-        """Extensional equality as operators on the corpus."""
-        self._same(other)
-        diff = self - other
-        if not diff.terms:
-            return True
-        pres = self.ctx.pres
-        for w in self.ctx.corpus(degree):
-            if not diff.act(NCPoly(pres, {w: ONE})).is_zero():
-                return False
-        return True
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 from .algebra import LinComb, NCPoly, _accum, first_failure, first_failures
 from .dual import BF, CHAR, DualElement, LP, SLM
 from .exprparse import base_env, parse_scalar, scalar_to_str, terms_from_doc, terms_to_doc
+from .linalg import MatrixOverAlgebra
 from .presentations import builtin_presentation
 from .scalars import ONE, QScalar, ZERO
 
@@ -240,17 +241,10 @@ def bicovariant_build(ctx, zeta_name="eps"):
         X.append(x - ctx.unit() if k == j else x)
 
     # A^j_k by evaluating the r-form on squared-antipode generators
-    A = []
-    for j in range(1, n + 1):
-        row = []
-        for k in range(1, n + 1):
-            acc = ZERO
-            for s in range(1, n + 1):
-                g = pres.gen(f"v{j}{s}")
-                s2 = H.antipode(H.antipode(g))
-                acc = acc + ctx.eval_letter_poly(BF(LP, s, k), s2)
-            row.append(acc)
-        A.append(row)
+    s2 = {g: H.antipode(H.antipode(pres.gen(g))) for g in ctx.gen_index}
+    A = MatrixOverAlgebra.from_index(n, 1, lambda j, k: sum(
+        (ctx.eval_letter_poly(BF(LP, s, k), s2[f"v{j}{s}"]) for s in range(1, n + 1)),
+        ZERO)).entries
     TrA = sum((A[k][k] for k in range(n)), ZERO)
 
     C = sum((x.scale(A[j - 1][k - 1]) for x, (k, j) in zip(X, flat)), zero)

@@ -25,6 +25,7 @@ from .algebra import AlgebraPresentation, LinComb, _accum, first_failure
 from .commrep import (plane_block_c, quantum_space_commrep_report, row_statuses,
                       row_transport)
 from .fodc import builtin_calculus
+from .linalg import MatrixOverAlgebra
 from .presentations import builtin_presentation
 from .scalars import ONE, QScalar, REAL
 
@@ -141,29 +142,25 @@ def disc_commrep(M, q):
     return rep2, F
 
 
-def numeric_verify(rep, F=None, calc=None, tol=1e-12):
+def numeric_verify(rep, F, calc, tol=1e-12):
     """Masked residuals per class: algebra relations, declared adjoint pairs,
-    symmetry of F, and every bimodule row transported to commutators.
-    Returns a report dict with the max residual per class.  Rows whose label
-    has no unit differential are left out; a row that names a label without
-    a commutator is listed with residual None."""
+    symmetry of F, and every bimodule row of ``calc`` transported to
+    commutators with F.  Returns a report dict with the max residual per
+    class.  Rows whose label has no unit differential are left out; a row
+    that names a label without a commutator is listed with residual None."""
     classes = {}
     classes["relations"] = max((r for _, r in rep.relation_residuals()), default=0.0)
     adj = rep.adjoint_residuals()
     if adj:
         classes["star_compatibility"] = max(r for _, r in adj)
-    rows_detail = []
-    if F is not None:
-        mask_f = rep.masked(F)
-        classes["f_symmetry"] = _norm(mask_f - mask_f.conj().T)
-        if calc is not None:
-            rows, comms = row_transport(calc, rep.poly_matrix, F)
-            rows_detail = [(f"{label}.{gen}",
-                            None if delta is None else _norm(rep.masked(delta)))
-                           for label, gen, delta, _ in rows if label in comms]
-            classes["bimodule_rows"] = max(
-                [0.0] + [r for _, r in rows_detail if r is not None])
-    degenerate = F is not None and not abs(F).max()
+    mask_f = rep.masked(F)
+    classes["f_symmetry"] = _norm(mask_f - mask_f.conj().T)
+    rows, comms = row_transport(calc, rep.poly_matrix, F)
+    rows_detail = [(f"{label}.{gen}",
+                    None if delta is None else _norm(rep.masked(delta)))
+                   for label, gen, delta, _ in rows if label in comms]
+    classes["bimodule_rows"] = max([0.0] + [r for _, r in rows_detail if r is not None])
+    degenerate = not abs(F).max()
     report = {
         "check": "numeric_verify",
         "dim": rep.dim,
@@ -249,17 +246,10 @@ def weyl_commrep_residuals(m, tol=1e-12):
     Cnum = block_matrix(C)
     out = {}
     for gen in ("x", "y", "yinv"):
-        pm = rep.poly_matrix(pres.gen(gen))
-        rho = np.zeros((2 * m, 2 * m), dtype=complex)
-        rho[:m, :m] = pm
-        rho[m:, m:] = pm
+        rho = block_matrix(MatrixOverAlgebra.diagonal([pres.gen(gen)] * C.size))
         numeric = Cnum @ rho - rho @ Cnum
-        dg = calc.dmap[gen]
-        derived = np.zeros_like(numeric)
-        for label, coeff in dg.terms.items():
-            derived = derived + block_matrix(
-                comms[label].scale_poly(coeff) if coeff != pres.one()
-                else comms[label])
+        derived = sum(block_matrix(comms[label].scale_poly(coeff))
+                      for label, coeff in calc.dmap[gen].terms.items())
         out[gen] = _norm(numeric - derived)
     xy = rep.mats["x"] @ rep.mats["y"] - \
         _Q(1).evaluate(rep.s_value) * rep.mats["y"] @ rep.mats["x"]

@@ -123,17 +123,9 @@ _BUILTINS = {
 _CACHE = {}
 
 
-def builtin_presentation(name, params=None):
+def builtin_presentation(name):
     if name not in _BUILTINS:
         raise PresentationError(f"unknown builtin presentation {name!r}")
-    if name == "disc":
-        gamma = (params or {}).get("gamma", ONE)
-        key = (name, gamma)
-        if key not in _CACHE:
-            _CACHE[key] = disc_presentation(gamma)
-        return _CACHE[key]
-    if params:
-        raise PresentationError(f"presentation {name!r} takes no parameters")
     if name not in _CACHE:
         _CACHE[name] = _BUILTINS[name]()
     return _CACHE[name]

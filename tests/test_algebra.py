@@ -48,7 +48,7 @@ def test_disc_normal_form(disc):
 
 def test_disc_gamma_parameter():
     gamma = QScalar.from_int(3)
-    pres = builtin_presentation("disc", {"gamma": gamma})
+    pres = disc_presentation(gamma)
     z, zs = pres.gen("z"), pres.gen("z*")
     assert (zs * z).terms[()] == gamma * (ONE - qp(2))
 

@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import ncgv
-from ncgv import cli
+from ncgv import cli, presentations
 from ncgv.algebra import RewriteError, first_failure, first_failures
 from ncgv.cli import load_scenario, main, run_scenario
 
@@ -180,10 +181,16 @@ def write_scenario(tmp_path, checks, algebra="slq2"):
     ({"name": "summability", "tol": True}, "tol"),
     ({"name": "faithfulness", "degrees": [1, "2"]}, "degrees"),
     ({"name": "calculus_consistency"}, "variant"),
+    ({"name": "confluence", "presentation": "nope"}, "presentation"),
+    ({"name": "idempotence_random", "presentations": ["slq2", "nope"]}, "presentations"),
 ])
 def test_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, item, key):
     assert main(["verify", write_scenario(tmp_path, [item])]) == 2
     assert repr(key) in capsys.readouterr().err
+
+
+def test_presentation_parameters_name_every_builtin():
+    assert set(typing.get_args(cli.Presentation)) == set(presentations._BUILTINS)
 
 
 def test_bad_last_item_rejected_before_first_check_runs(tmp_path, capsys, monkeypatch):

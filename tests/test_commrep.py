@@ -11,8 +11,8 @@ from ncgv.commrep import (BOperator, centrality_check,
                           prop4_verify, quantum_space_commrep_report,
                           tau_central, MatrixOverAlgebra, _flatten,
                           _mul_by_algebra_right)
-from ncgv.dual import (BF, CrossElement, DualElement, LP, make_slq2_context,
-                       mixed_word_to_cross)
+from ncgv.dual import (BF, CHAR, LM, LP, CrossElement, DualElement,
+                       make_slq2_context, mixed_word_to_cross)
 from ncgv.fodc import (BicovariantOutput, FodcData, GammaElement, bicovariant_build,
                        builtin_calculus)
 from ncgv.linalg import exact_rank
@@ -224,12 +224,37 @@ def prop4_reference(B, degree):
     checks = [first_failure("prop4_omega_rows", omega_rows()),
               first_failure("prop4_bimodule_map", bimodule_map()),
               first_failure("prop4_tau_formula", tau_formula())]
-    theta_image = tau_gamma(B.theta())
-    target = CrossElement.from_dual(ctx, B.C + ctx.unit().scale(B.TrA))
-    ok = theta_image.ext_equal(target, degree)
+    # tau(theta) = C + Tr(A) eps as operators on the corpus
+    diff = tau_gamma(B.theta()) - CrossElement.from_dual(ctx, B.C + ctx.unit().scale(B.TrA))
+    ok = acts_as_zero(diff, degree)
     checks.append(("prop4_theta_image", ok,
                    None if ok else {"identity": "theta_image", "degree": degree}))
     return checks
+
+
+def acts_as_zero(x, degree):
+    """Whether a cross element acts as zero on every corpus word."""
+    pres = x.ctx.pres
+    return all(x.act(NCPoly(pres, {w: ONE})).is_zero() for w in x.ctx.corpus(degree))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_functional_acts_as_zero_iff_it_vanishes(ctx, B, degree):
+    # a functional g acts as zero on the corpus exactly when g is zero there:
+    # g(w) = eps(g |> w), and the legs of Delta(w) are no longer than w;
+    # prop4 decides tau(theta) = C + Tr(A) eps by this equivalence
+    letters = [BF(kind, i, j) for kind in (LP, LM) for i in (1, 2) for j in (1, 2)]
+    letters.append(BF(CHAR, name=B.zeta_name))
+    zero = DualElement(ctx, {})
+    outcomes = set()
+    for bf in letters:
+        word = DualElement(ctx, {ctx.canonical_word((bf,)): ONE})
+        commutator = B.C * word - word * B.C
+        for g in (commutator, commutator + word):
+            vanishes = g.ext_equal(zero, degree)
+            assert acts_as_zero(CrossElement.from_dual(ctx, g), degree) == vanishes, bf
+            outcomes.add(vanishes)
+    assert outcomes == {True, False}
 
 
 @pytest.fixture(scope="module")

@@ -42,10 +42,11 @@ def test_disc_rep_boundary_and_spectrum():
 def test_disc_relation_residual():
     M, q = 64, 0.5
     rep = disc_rep(M, q)
-    report = numeric_verify(rep, tol=TOL)
-    assert report["classes"]["relations"] <= TOL
-    assert report["classes"]["star_compatibility"] <= TOL
-    assert report["status"] == "pass"
+    relations = rep.relation_residuals()
+    adjoints = rep.adjoint_residuals()
+    assert [lhs for lhs, _ in relations] == ["z* z"]
+    assert [pair for pair, _ in adjoints] == ["z* = adjoint(z)"]
+    assert all(r <= TOL for _, r in relations + adjoints)
 
 
 def test_disc_commrep_all_classes():

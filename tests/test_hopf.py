@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ncgv.algebra import NCPoly
+from ncgv.algebra import NCPoly, first_failure
 from ncgv.hopf import (HopfStructure, Tensor, hopf_axiom_report, hopf_to_doc,
                        load_hopf, slq2_hopf)
 from ncgv.presentations import builtin_presentation
@@ -131,6 +131,72 @@ def test_relation_consistency_fails_at_the_broken_rule(H, pres, table, gen, rule
     broken = HopfStructure(pres, **tables)
     assert hopf_axiom_report(broken, 1)[-1] == ("relation_consistency", False, rule)
     assert hopf_axiom_report(H, 1)[-1] == ("relation_consistency", True, None)
+
+
+def axiom_reference(H, degree):
+    """The four corpus axioms, one loop each, each stopping at its first
+    failing word."""
+    pres = H.pres
+    words = pres.normal_words(degree)
+
+    def poly_of(w):
+        return NCPoly(pres, {w: ONE})
+
+    def counit_contraction(d, leg):
+        out = pres.zero()
+        for key, c in d.terms.items():
+            out = out + poly_of(key[1 - leg]).scale(c * H.counit_word(key[leg]))
+        return out
+
+    def coassociativity():
+        for w in words:
+            d = H.coproduct(poly_of(w))
+            if H.coproduct_leg(d, 0) != H.coproduct_leg(d, 1):
+                yield w
+
+    def counit():
+        for w in words:
+            p = poly_of(w)
+            d = H.coproduct(p)
+            if counit_contraction(d, 0) != p or counit_contraction(d, 1) != p:
+                yield w
+
+    def antipode():
+        for w in words:
+            p = poly_of(w)
+            left = pres.zero()
+            right = pres.zero()
+            for (w1, w2), c in H.coproduct(p).terms.items():
+                left = left + (H.antipode(poly_of(w1)) * poly_of(w2)).scale(c)
+                right = right + (poly_of(w1) * H.antipode(poly_of(w2))).scale(c)
+            target = pres.one().scale(H.counit(p))
+            if left != target or right != target:
+                yield w
+
+    def star_compatibility():
+        for w in words:
+            p = poly_of(w)
+            if H.coproduct(p.star()) != H.coproduct(p).star_legwise():
+                yield w
+
+    return [first_failure(name, check()) for name, check in (
+        ("coassociativity", coassociativity), ("counit", counit),
+        ("antipode", antipode), ("star_compatibility", star_compatibility))]
+
+
+@pytest.mark.parametrize("table, gen", [("delta", "v12"), ("delta", "v21"),
+                                        ("delta", "v22"), ("counit", "v22")])
+def test_axioms_in_one_pass_match_one_loop_each(H, pres, table, gen):
+    # twice one entry of Delta, eps or S breaks several axioms, first at
+    # different words; the one pass keeps each axiom's first witness
+    tables = {"delta": dict(H.delta), "counit": dict(H.counit_table),
+              "antipode": dict(H.antipode_table)}
+    tables[table][gen] = tables[table][gen] + tables[table][gen]
+    broken = HopfStructure(pres, **tables)
+    report = hopf_axiom_report(broken, 2)[:-1]
+    assert report == axiom_reference(broken, 2)
+    assert len({w for _, ok, w in report if not ok}) >= 2
+    assert hopf_axiom_report(H, 2)[:-1] == axiom_reference(H, 2)
 
 
 def test_hopf_json_roundtrip(H, pres):
