@@ -7,9 +7,10 @@ leading block only).  The disc models are scipy sparse (CSR) matrices; the
 clock/shift model is dense.  A residual's masked spectral norm is exact: a
 weighted partial permutation (at most one nonzero in each row and column, as
 every residual of the disc model is) has norm max |entry|, and any other
-matrix takes a dense SVD.  scipy is imported only where a sparse model is
-built, so that the exact checks do not pay for it.  Symbolic side: the
-extended-plane representation on a formal module in the basis d_n e_n,
+matrix takes a dense SVD.  The command line imports this module only when a
+scenario binds a numeric check, so an exact-only run loads neither numpy nor
+scipy; scipy is imported only where a sparse model is built.  Symbolic side:
+the extended-plane representation on a formal module in the basis d_n e_n,
 d_n = lambda_1 ... lambda_n, where only lambda_n^2 = 1 - q^(2n) enters,
 with an exact quotient coefficient ring, where zero means zero.
 """

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ncgv
-from ncgv import cli, presentations
+from ncgv import cli, fodc, hilbert, presentations
 from ncgv.algebra import RewriteError, first_failure, first_failures
 from ncgv.cli import load_scenario, main, run_scenario
 
@@ -183,6 +183,8 @@ def write_scenario(tmp_path, checks, algebra="slq2"):
     ({"name": "calculus_consistency"}, "variant"),
     ({"name": "confluence", "presentation": "nope"}, "presentation"),
     ({"name": "idempotence_random", "presentations": ["slq2", "nope"]}, "presentations"),
+    ({"name": "star_closure", "variant": "nope"}, "variant"),
+    ({"name": "variant_selection", "variants": ["pw-a", "nope"]}, "variants"),
 ])
 def test_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, item, key):
     assert main(["verify", write_scenario(tmp_path, [item])]) == 2
@@ -191,6 +193,10 @@ def test_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, item, key):
 
 def test_presentation_parameters_name_every_builtin():
     assert set(typing.get_args(cli.Presentation)) == set(presentations._BUILTINS)
+
+
+def test_calculus_parameters_name_every_builtin():
+    assert set(typing.get_args(cli.Calculus)) == set(fodc._BUILTIN_CALCULI)
 
 
 def test_bad_last_item_rejected_before_first_check_runs(tmp_path, capsys, monkeypatch):
@@ -423,7 +429,7 @@ def test_crashing_check_is_reported_as_its_own_error(tmp_path, monkeypatch, targ
     def crash(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, target, crash)
+    monkeypatch.setattr(hilbert, target, crash)
     out = tmp_path / "report.json"
     assert main(["verify", path, "--out", str(out)]) == 3
     report, expected = json.loads(out.read_text()), json.loads(clean.read_text())

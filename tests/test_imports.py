@@ -1,9 +1,12 @@
 """Imports of the package: every name a module imports is used in that module,
 every private module-level name is read somewhere in the package, every
 public function and method is reached from the package or is part of its
-named API, and importing the command line leaves scipy unloaded."""
+named API, and the numeric layer (``hilbert``, with numpy and scipy) is loaded
+only by a process that binds a numeric check."""
 
 import ast
+import inspect
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import ncgv
+from ncgv import cli
 
 MODULES = sorted(Path(ncgv.__file__).parent.glob("*.py"))
 
@@ -170,12 +174,61 @@ def test_only_algebra_reads_the_rules():
     assert rule_readers({path.stem: path.read_text() for path in MODULES}) == []
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs about 0.2 s to import, so only the numeric checks load it
+NUMERIC = ("ncgv.hilbert", "numpy", "scipy")
+
+
+def numeric_modules_after(code):
+    """The modules of ``NUMERIC`` loaded in a fresh interpreter that has run
+    ``code``."""
     root = str(Path(ncgv.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, ncgv.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps([m for m in {NUMERIC!r} if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy costs about 0.15 s to import and scipy about 0.2 s, so only the
+    # numeric checks load them
+    assert numeric_modules_after("import ncgv.cli") == []
+
+
+def test_exact_verify_leaves_numpy_unloaded(tmp_path):
+    out = tmp_path / "report.json"
+    code = ("from ncgv import cli\n"
+            f"assert cli.main(['verify', 'builtin:slq2_full', '--out', {str(out)!r}]) == 0")
+    assert numeric_modules_after(code) == []
+    assert json.loads(out.read_text())["status"] == "pass"
+
+
+def test_numeric_check_loads_hilbert_when_bound():
+    # binding loads numpy, so that its import is set-up time of a numeric
+    # scenario and not time of its first check; scipy waits for a sparse model
+    code = ("from ncgv import cli\n"
+            "cli.validate_scenario({'checks': [{'name': 'weyl_numeric'}]})")
+    assert numeric_modules_after(code) == ["ncgv.hilbert", "numpy"]
+
+
+def hilbert_readers(sources):
+    """The names in ``sources`` ({name: function source}) whose function
+    imports from ``hilbert``."""
+    return {name for name, source in sources.items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module == "hilbert"
+                 or any(alias.name == "hilbert" for alias in node.names))}
+
+
+def test_detects_a_hilbert_reader():
+    sources = {"a": "def a():\n    from .hilbert import x\n    return x()\n",
+               "b": "def b():\n    from . import hilbert\n",
+               "c": "def c():\n    from .hopf import hilbert_space\n"}
+    assert hilbert_readers(sources) == {"a", "b"}
+
+
+def test_numeric_checks_are_the_hilbert_readers():
+    # a check missing from NUMERIC_CHECKS would load numpy inside its own time
+    sources = {name: inspect.getsource(fn) for name, fn in cli.CHECKS.items()}
+    assert hilbert_readers(sources) == cli.NUMERIC_CHECKS
