@@ -161,10 +161,11 @@ class HopfStructure:
 # ---------------------------------------------------------------------------
 
 
-def derive_antipode(pres, delta, counit, max_degree=1):
+def derive_antipode(pres, delta, counit):
     """Solve m(S (x) id) Delta(g) = eps(g) 1 = m(id (x) S) Delta(g) for the
-    generator antipodes with a degree-bounded ansatz, over Q(s)."""
-    words = pres.normal_words(max_degree)
+    generator antipodes over Q(s), with the ansatz that each S(g) is a
+    combination of the normal words of degree <= 1."""
+    words = pres.normal_words(1)
     gens = pres.generators
     unknowns = [(g, w) for g in gens for w in words]
     col = {k: i for i, k in enumerate(unknowns)}
@@ -231,7 +232,7 @@ def matrix_hopf(pres, n, gen_name):
                 terms[((gen_name(k, j),), (gen_name(j, l),))] = ONE
             delta[g] = Tensor(pres, 2, terms)
             counit[g] = ONE if k == l else ZERO
-    antipode = derive_antipode(pres, delta, counit, max_degree=1)
+    antipode = derive_antipode(pres, delta, counit)
     return HopfStructure(pres, delta, counit, antipode)
 
 

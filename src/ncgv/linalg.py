@@ -1,11 +1,14 @@
-"""Exact linear algebra over Q(s): the one exact matrix type, fraction-free
-rank and field solving.
+"""Exact linear algebra over Q(s): the one exact matrix type and one
+fraction-free elimination, which serves both rank and field solving.
 
-Rank is the sum of the ranks of the connected blocks of the matrix: the
-components of the bipartite graph of rows and columns joined by nonzero
-entries.  Each block is ranked by Bareiss elimination on its rows scaled by
-the lcm of their denominators, an integer-polynomial matrix over Z[s], so no
-rational-function arithmetic happens in the pivoting loop.
+A matrix is split into its connected blocks: the components of the
+bipartite graph of rows and columns joined by nonzero entries.  Each block
+is brought to echelon form by Bareiss elimination on its rows scaled by the
+lcm of their denominators, an integer-polynomial matrix over Z[s], so no
+rational-function arithmetic happens in the pivoting loop.  Rank is the
+sum of the blocks' pivot counts.  A linear system is solved on the blocks
+of its augmented matrix, by a back substitution that stays in Z[s] until
+it divides by one determinant.
 
 The matrix type has entries in algebras over Q(s) and nothing else: it
 carries no formal complex unit, since no identity checked with it needs one.
@@ -104,7 +107,8 @@ class MatrixOverAlgebra:
 
 def _clear_denominators(row):
     """Scale a row of QScalars to integer polynomials by the lcm of its
-    denominators (any nonzero scaling preserves rank)."""
+    denominators (any nonzero scaling of a row preserves rank and
+    solutions)."""
     lcm = (1,)
     for x in row:
         if x.den != (1,):
@@ -144,26 +148,24 @@ def exact_rank(rows):
     """Rank of a matrix of QScalars: the sum of the exact ranks of its
     connected blocks."""
     rows = [list(r) for r in rows]
-    return sum(_bareiss_rank([[rows[i][c] for c in cs] for i in rs])
+    return sum(len(_echelon([[rows[i][c] for c in cs] for i in rs])[1])
                for rs, cs in _blocks(rows))
 
 
-def _bareiss_rank(rows):
-    """Rank of a matrix of QScalars by fraction-free (Bareiss) elimination."""
-    m = [_clear_denominators(list(r)) for r in rows]
+def _echelon(rows):
+    """Fraction-free (Bareiss) row echelon form of a matrix of QScalars,
+    each row first scaled by the lcm of its denominators: the nonzero
+    echelon rows over Z[s] and their pivot columns.  The pivot of echelon
+    row k is the minor of the first k + 1 rows on the first k + 1 pivot
+    columns, in the row order the elimination chose."""
+    m = [_clear_denominators(r) for r in rows]
     m = [r for r in m if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
+    ncols = len(m[0]) if m else 0
+    pivots = []
     prev = (1,)
     row = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
@@ -174,47 +176,41 @@ def _bareiss_rank(rows):
                 m[r][c] = _pdiv_exact(num, prev) if num else ()
             m[r][col] = ()
         prev = p
-        rank += 1
+        pivots.append(col)
         row += 1
         if row == len(m):
             break
-    return rank
+    return m[:row], pivots
 
 
 def solve_field(a_rows, b_cols):
-    """Solve A x = b over Q(s) by Gaussian elimination.
+    """Solve A x = b over Q(s): the unique solution vector, or ValueError
+    if the system is inconsistent or underdetermined.
 
-    Returns the unique solution vector; raises ValueError if the system is
-    inconsistent or underdetermined.
-    """
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else 0
-    aug = [list(a_rows[r]) + [b_cols[r]] for r in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if not aug[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and not aug[r][col].is_zero():
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nrows):
-        if not aug[r][ncols].is_zero():
-            raise ValueError("inconsistent linear system")
-    if len(pivots) < ncols:
+    Each connected block of [A | b] is brought to echelon form [U | y].  Its
+    last pivot D is the determinant of its pivot part, so z = D x is a
+    vector over Z[s] (Cramer's rule) and the back substitution
+    z_i = (D y_i - sum_{j>i} U_ij z_j) / U_ii divides exactly.  A block
+    without the b column has x = 0."""
+    ncols = len(a_rows[0]) if a_rows else 0
+    aug = [list(row) + [b] for row, b in zip(a_rows, b_cols)]
+    echelons = [(cs, *_echelon([[aug[i][c] for c in cs] for i in rs]))
+                for rs, cs in _blocks(aug)]
+    if any(cs[pivots[-1]] == ncols for cs, _, pivots in echelons):
+        raise ValueError("inconsistent linear system")
+    if sum(len(pivots) for _, _, pivots in echelons) < ncols:
         raise ValueError("underdetermined linear system")
     sol = [ZERO] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
+    for cs, u, _ in echelons:
+        if cs[-1] != ncols:
+            continue
+        n = len(u)
+        d = u[n - 1][n - 1]
+        z = [()] * n
+        for i in reversed(range(n)):
+            acc = _pmul(d, u[i][n])
+            for j in range(i + 1, n):
+                acc = _psub(acc, _pmul(u[i][j], z[j]))
+            z[i] = _pdiv_exact(acc, u[i][i])
+            sol[cs[i]] = QScalar(z[i], d)
     return sol

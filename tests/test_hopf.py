@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ncgv import linalg
 from ncgv.algebra import NCPoly, first_failure
 from ncgv.hopf import (HopfStructure, Tensor, hopf_axiom_report, hopf_to_doc,
                        load_hopf, slq2_hopf)
@@ -77,6 +78,21 @@ def test_antipode_is_matrix_inverse(H, pres):
                                  * NCPoly(pres, {w2: ONE})).scale(c)
             want = pres.one() if i == j else pres.zero()
             assert total == want
+
+
+def test_antipode_is_solved_without_exact_rank(pres, monkeypatch):
+    # derive_antipode reaches solve_field only, so a traced run counts rank
+    # matrices alone in linalg.rank_calls
+    def no_rank(rows):
+        raise AssertionError("solve_field called exact_rank")
+
+    monkeypatch.setattr(linalg, "exact_rank", no_rank)
+    assert hopf_to_doc(slq2_hopf(pres))["antipode"] == {
+        "v11": [{"coeff": "1", "word": "v22"}],
+        "v12": [{"coeff": "(-1)/(s^2)", "word": "v12"}],
+        "v21": [{"coeff": "-s^2", "word": "v21"}],
+        "v22": [{"coeff": "1", "word": "v11"}],
+    }
 
 
 def test_antipode_antihomomorphism_random(H, pres):

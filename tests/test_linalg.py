@@ -1,17 +1,20 @@
-"""Exact rank over Q(s): connected blocks, each ranked by Bareiss elimination,
-checked by hand-made cases and against sympy's rank over QQ(s)."""
+"""Exact rank and field solving over Q(s): connected blocks, each brought to
+echelon form by Bareiss elimination, checked by hand-made cases, against
+sympy's rank and solution over QQ(s), and on dense matrices by rank at a
+rational point and by A x == b."""
 
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from ncgv import commrep
 from ncgv.dual import make_slq2_context
 from ncgv.fodc import bicovariant_build
-from ncgv.linalg import exact_rank
+from ncgv.linalg import exact_rank, solve_field
 from ncgv.scalars import ONE, Q, QScalar, S, ZERO
 
 
@@ -98,23 +101,101 @@ def planted_matrices(draw):
     return draw(st.permutations(base + planted))
 
 
-def sympy_rank(rows):
-    s = sympy.Symbol("s")
+SYM_S = sympy.Symbol("s")
+QQ_S = sympy.QQ.frac_field(SYM_S)
 
-    def value(x):
-        num = sum(sympy.Integer(c) * s**i for i, c in enumerate(x.num))
-        den = sum(sympy.Integer(c) * s**i for i, c in enumerate(x.den))
-        return num / den
 
-    field = sympy.QQ.frac_field(s)
+def value(x):
+    """A QScalar as a sympy expression in s."""
+    num = sum(sympy.Integer(c) * SYM_S**i for i, c in enumerate(x.num))
+    den = sum(sympy.Integer(c) * SYM_S**i for i, c in enumerate(x.den))
+    return num / den
+
+
+def field_matrix(rows):
+    """A matrix of QScalars as a sympy DomainMatrix over QQ(s)."""
     return DomainMatrix.from_Matrix(sympy.Matrix([[value(x) for x in row] for row in rows])
-                                    ).convert_to(field).rank()
+                                    ).convert_to(QQ_S)
+
+
+def sympy_rank(rows):
+    return field_matrix(rows).rank()
 
 
 @settings(max_examples=60, deadline=None)
 @given(planted_matrices())
 def test_rank_matches_sympy_over_q_of_s(rows):
     assert exact_rank(rows) == sympy_rank(rows)
+
+
+@st.composite
+def planted_systems(draw):
+    """A square system A x = b with a unique solution, plus rows that are
+    combinations of its rows, with the rows and the columns of A shuffled:
+    (rows of A, b, square A, square b, column order)."""
+    n = draw(st.integers(1, 5))
+    square = []
+    for i in range(n):
+        row = draw(st.lists(entries, min_size=n, max_size=n))
+        row[i] = draw(laurent)
+        square.append(row)
+    assume(sympy_rank(square) == n)
+    rhs = draw(st.lists(st.one_of(st.just(ZERO), laurent), min_size=n, max_size=n))
+    aug = [row + [y] for row, y in zip(square, rhs)]
+    planted = draw(st.lists(
+        st.lists(st.one_of(st.just(ZERO), laurent), min_size=n,
+                 max_size=n).map(lambda cs: combine(cs, aug)),
+        max_size=3))
+    rows = draw(st.permutations(aug + planted))
+    perm = draw(st.permutations(range(n)))
+    return ([[row[c] for c in perm] for row in rows], [row[n] for row in rows],
+            square, rhs, perm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_systems())
+def test_solve_matches_sympy_over_q_of_s(system):
+    a, b, square, rhs, perm = system
+    want = field_matrix(square).lu_solve(field_matrix([rhs]).transpose()).to_list()
+    assert [QQ_S.from_sympy(value(x)) for x in solve_field(a, b)] == \
+        [want[c][0] for c in perm]
+
+
+def test_solve_rejects_inconsistent_and_underdetermined_systems():
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_field([[ONE], [ZERO]], [ONE, S])
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_field([[ONE, S], [S, Q]], [ONE, ONE])
+    # a zero column
+    with pytest.raises(ValueError, match="underdetermined"):
+        solve_field([[ONE, ZERO]], [S])
+    # a rank-deficient block: its second row is s times its first
+    with pytest.raises(ValueError, match="underdetermined"):
+        solve_field([[ONE, S], [S, Q]], [ONE, S])
+    # an inconsistent block and a block of rank 1 in 3 unknowns:
+    # inconsistent wins
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_field([[ONE, ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO, ZERO],
+                     [ZERO, ONE, S, Q], [ZERO, S, Q, S * Q]],
+                    [ONE, ONE, ZERO, ZERO])
+
+
+def test_empty_system_has_the_empty_solution():
+    assert solve_field([], []) == []
+
+
+def dense_laurent(rng, nrows, ncols):
+    """A dense matrix of Laurent polynomials with small coefficients."""
+    return [[scalar([rng.randint(-3, 3) for _ in range(3)], rng.randint(-2, 2))
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_dense_solve_is_exact():
+    rng = random.Random(8)
+    a = dense_laurent(rng, 8, 8)
+    b = dense_laurent(rng, 1, 8)[0]
+    x = solve_field(a, b)
+    assert field_matrix(a) * field_matrix([x]).transpose() == field_matrix([b]).transpose()
 
 
 def fraction_rank(rows, point):
@@ -149,6 +230,18 @@ def test_fraction_rank_sees_the_dependence():
     assert fraction_rank([[ONE, S], [S, Q]], Fraction(3, 5)) == 1
     assert fraction_rank([[ONE, S], [S, ONE]], Fraction(3, 5)) == 2
     assert fraction_rank([[ONE, S], [S, ONE]], Fraction(1)) == 1
+
+
+def test_dense_rank_with_a_planted_dependence():
+    # One dense block, where sparse Gauss-Jordan over Q(s) swells (seconds
+    # at 10 x 10) and Bareiss does not.  The last row is a combination of
+    # the others, so the rank is at most 9, and at least 9 since evaluation
+    # at s = 3/5 can only lower it.
+    rng = random.Random(10)
+    base = dense_laurent(rng, 9, 10)
+    rows = base + [combine(dense_laurent(rng, 1, 9)[0], base)]
+    assert fraction_rank(rows, Fraction(3, 5)) == 9
+    assert exact_rank(rows) == 9
 
 
 def test_degree_4_faithfulness_has_full_rank_at_a_rational_point(monkeypatch):
