@@ -200,7 +200,7 @@ def prop4_verify(B, degree=2):
 
 def centrality_check(B, degree=3):
     """<Cg - gC, a> = 0 for every structural generator functional g and every
-    corpus word a."""
+    word a (``dual_centrality``)."""
     ctx = B.ctx
     letters = [BF(LP, i, j) for i in range(1, ctx.n + 1) for j in range(1, ctx.n + 1)]
     letters += [BF(LM, i, j) for i in range(1, ctx.n + 1) for j in range(1, ctx.n + 1)]
@@ -209,13 +209,19 @@ def centrality_check(B, degree=3):
 
 
 def dual_centrality(C, letters, degree=3):
+    """Cg - gC = 0 for each letter g, certificate first, corpus search on
+    refusal: a commutator that ``DualElement.vanishes`` is zero on every
+    word; one that does not is searched over the corpus of ``degree``, and
+    the first nonzero word is the witness."""
     ctx = C.ctx
 
     def witnesses():
         for bf in letters:
             g = DualElement(ctx, {ctx.canonical_word((bf,)): ONE})
-            for w in (C * g - g * C).nonzero_words(degree):
-                yield {"letter": repr(bf), "word": w}
+            commutator = C * g - g * C
+            if not commutator.vanishes():
+                for w in commutator.nonzero_words(degree):
+                    yield {"letter": repr(bf), "word": w}
 
     return [first_failure("centrality", witnesses())]
 

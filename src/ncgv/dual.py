@@ -12,16 +12,24 @@ is one entry of G(g1)...G(gd) for their tensor product G
 (``DualContext.representation``).  Words are canonical with counital letters
 dropped; equality of functionals is extensional over a degree-bounded word
 corpus, as recorded in every report that uses it.
+
+The same matrices make a combination of functional words a weighted
+automaton over the free monoid on the generators (``_Automaton``), whose
+forward space gives two certificates for words of every length: the
+vanishing test ``DualElement.vanishes`` and the multiplicativity test
+``multiplicative`` of a matrix of functionals.  A check runs its certificate
+first and searches the corpus only when the certificate refuses.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial, reduce
 from typing import NamedTuple
 
 from .algebra import LinComb, NCPoly, _accum
 from .exprparse import base_env, parse_scalar, scalar_to_str
-from .linalg import MatrixOverAlgebra
+from .linalg import MatrixOverAlgebra, add as add_row
 from .scalars import ONE, QScalar, ZERO
 
 LP, LM, SLP, SLM, CHAR, EPS = "LP", "LM", "SLP", "SLM", "CHAR", "EPS"
@@ -182,7 +190,8 @@ class DualContext:
         so G(g) is the sum of c M1(u1) (x) ... (x) Mm(um) over the m-fold
         coproduct of g, with Mr multiplied along the leg ur (the identity on
         an empty leg), indexed as in ``MatrixOverAlgebra.from_index``, and
-        cached per word of letter families."""
+        cached per word of letter families.  G(g) is kept as sparse rows: row
+        k lists (t, G(g)_kt) over the nonzero entries."""
         n, m = self.n, len(fword)
         start = end = 0
         for bf in fword:
@@ -200,7 +209,9 @@ class DualContext:
                                      (letter[r][h] for h in u), one).entries
                               for r, u in enumerate(legs)])
                          for legs, c in self.hopf.iterated_coproduct_word((g,), m).terms.items()]
-                mats[g] = MatrixOverAlgebra.from_index(n, m, partial(_kron_entry, m, terms))
+                G = MatrixOverAlgebra.from_index(n, m, partial(_kron_entry, m, terms))
+                mats[g] = [[(t, e) for t, e in enumerate(row) if not e.is_zero()]
+                           for row in G.entries]
             self._rep_cache[family] = mats
         return start, end, self._rep_cache[family]
 
@@ -214,15 +225,14 @@ class DualContext:
         vec = {start: ONE}
         for g in w:
             try:
-                rows = mats[g].entries
+                rows = mats[g]
             except KeyError:
                 raise DualError(
                     f"no evaluation table entry for generator {g!r}") from None
             nxt = {}
             for k, c in vec.items():
-                for t, e in enumerate(rows[k]):
-                    if not e.is_zero():
-                        _accum(nxt, t, c * e)
+                for t, e in rows[k]:
+                    _accum(nxt, t, c * e)
             vec = nxt
         val = cache[key] = vec.get(end, ZERO)
         return val
@@ -337,6 +347,15 @@ class DualElement(LinComb):
         """Extensional equality over the evaluation corpus of the given degree."""
         return next((self - other).nonzero_words(degree), None) is None
 
+    def vanishes(self):
+        """Whether the functional is zero on every word of generators, of any
+        length and normal or not, and so on the whole algebra: its end vector
+        is orthogonal to the forward space of its start vector
+        (``_Automaton``)."""
+        auto = _Automaton(self.ctx, {(0, 0): self})
+        return auto.complete and all(auto.read(x, 0).is_zero()
+                                     for x, _ in auto.search([auto.start(0)]))
+
     def nonzero_words(self, degree):
         """Lazily, in corpus order, the words of the evaluation corpus of the
         given degree on which the functional is nonzero."""
@@ -396,6 +415,115 @@ class DualElement(LinComb):
             word = "*".join(repr(bf) for bf in w) if w else "eps"
             parts.append(f"({scalar_to_str(c)})*{word}")
         return " + ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# functionals as weighted automata: certificates for words of every length
+# ---------------------------------------------------------------------------
+
+
+class _Automaton:
+    """Functionals {(j, k): f} as one weighted automaton over the free monoid
+    on the generators.  Each term c w of an entry (j, k) is a block of
+    states carrying the representation of w (``DualContext.representation``,
+    the empty word as the counit), with c at the block's start state in the
+    start vector u_j and 1 at its end state in the end vector v_k.  So
+    <f_jk, g1...gd> = u_j G(g1)...G(gd) v_k for every word, normal or not:
+    the walk of ``DualContext._walk`` on each block.  References:
+    Schutzenberger, Inf. Control 4 (1961); Tzeng, SIAM J. Comput. 21 (1992)."""
+
+    def __init__(self, ctx, entries):
+        self.gens = list(ctx.gen_index)
+        # every generator has a matrix, so every corpus word is a word here
+        self.complete = set(ctx.pres.generators) == set(self.gens)
+        self.starts, self.ends = {}, {}
+        # steps[g][i] = (base, row): state i of the block at ``base`` goes to
+        # state base + t with weight e for each (t, e) in row
+        self.steps = {g: [] for g in self.gens}
+        self.size = 0
+        for (j, k), f in entries.items():
+            for fw, c in f.terms.items():
+                start, end, mats = ctx.representation(fw or (BF(EPS),))
+                self.starts.setdefault(j, {})[self.size + start] = c
+                self.ends.setdefault(k, []).append(self.size + end)
+                for g in self.gens:
+                    self.steps[g] += [(self.size, row) for row in mats[g]]
+                self.size += len(mats[self.gens[0]])
+
+    def start(self, j):
+        return self.starts.get(j, {})
+
+    def step(self, x, g):
+        """x G(g) for a sparse row vector x."""
+        steps = self.steps[g]
+        out = {}
+        for i, c in x.items():
+            base, row = steps[i]
+            for t, e in row:
+                _accum(out, base + t, c * e)
+        return out
+
+    def read(self, x, k):
+        """x v_k."""
+        return sum((x[i] for i in self.ends.get(k, ()) if i in x), ZERO)
+
+    def search(self, starts):
+        """Breadth first, each vector x of a basis of the forward space
+        span{u G(w)} of the start vectors u, over all words w, with its
+        successors {g: x G(g)}.  Every basis vector is some u G(w), so the
+        space is found within size x #generators products; the basis is
+        kept by exact elimination (``linalg.add``)."""
+        rows, pivots = [], []
+
+        def new(x):
+            return add_row(rows, pivots, [x.get(i, ZERO) for i in range(self.size)])
+
+        queue = deque(u for u in starts if new(u))
+        while queue:
+            x = queue.popleft()
+            succ = {g: self.step(x, g) for g in self.gens}
+            yield x, succ
+            queue.extend(y for y in succ.values() if new(y))
+
+
+def multiplicative(M):
+    """Whether a square matrix M of functionals is multiplicative on the
+    algebra, M(ab) = M(a) M(b) for all a and b, certified for words of every
+    length.  With W(w) = (u_j G(w) v_k) the automaton of the entries
+    (``_Automaton``), three conditions suffice:
+
+    - M(1) = I;
+    - x G(g) v_k = sum_l (x v_l) M(g)_lk for every basis vector x of the
+      forward space of the u_j, every generator g and every column k, so
+      W(wg) = W(w) W(g) and, by induction on length, W(xy) = W(x) W(y) on
+      free words;
+    - every entry kills the relations on the raw rule words, so W kills the
+      relation ideal and W(NF(ab)) = W(ab).
+
+    False means only that the certificate does not apply."""
+    ctx = M[0][0].ctx
+    size = len(M)
+    auto = _Automaton(ctx, {(j, k): m for j, row in enumerate(M) for k, m in enumerate(row)})
+    starts = [auto.start(j) for j in range(size)]
+
+    def at(x):
+        return [auto.read(x, k) for k in range(size)]
+
+    identity = [[ONE if j == k else ZERO for k in range(size)] for j in range(size)]
+    if not auto.complete or [at(u) for u in starts] != identity:
+        return False
+    if any(not res.is_zero() for row in M for m in row
+           for _, _, res in ctx.pres.relation_residuals(m.evaluate)):
+        return False
+    at_gen = {g: [at(auto.step(u, g)) for u in starts] for g in auto.gens}
+    for x, succ in auto.search(starts):
+        xv = at(x)
+        for g, y in succ.items():
+            # x G(g) v_k against sum_l (x v_l) M(g)_lk, for every column k
+            if at(y) != [sum((xv[l] * at_gen[g][l][k] for l in range(size)), ZERO)
+                         for k in range(size)]:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

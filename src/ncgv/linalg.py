@@ -8,7 +8,9 @@ lcm of their denominators, an integer-polynomial matrix over Z[s], so no
 rational-function arithmetic happens in the pivoting loop.  Rank is the
 sum of the blocks' pivot counts.  A linear system is solved on the blocks
 of its augmented matrix, by a back substitution that stays in Z[s] until
-it divides by one determinant.
+it divides by one determinant.  For a search that meets its vectors one at
+a time, ``add`` is the incremental step: it keeps a reduced basis over Z[s]
+and says whether each new vector enlarges its span.
 
 The matrix type has entries in algebras over Q(s) and nothing else: it
 carries no formal complex unit, since no identity checked with it needs one.
@@ -19,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 from math import gcd as _igcd
 
-from .scalars import ZERO, QScalar, _pcontent, _pdiv_exact, _pgcd, _pmul, _psub
+from .scalars import ZERO, QScalar, _pcontent, _pdiv_exact, _pgcd, _pmul, _pshift, _psub
 
 
 class MatrixOverAlgebra:
@@ -111,11 +113,18 @@ def _clear_denominators(row):
     solutions)."""
     lcm = (1,)
     for x in row:
-        if x.den != (1,):
+        if x.den == (1,) or x.den == lcm:
+            continue
+        if not any(x.den[:-1]) and not any(lcm[:-1]):
+            # two monomials c s^k: the lcm of the c at the larger power
+            c, d = lcm[-1], x.den[-1]
+            lcm = _pshift((c * d // _igcd(c, d),), max(len(lcm), len(x.den)) - 1)
+        else:
             c = _igcd(_pcontent(lcm), _pcontent(x.den))
             g = tuple(c * k for k in _pgcd(lcm, x.den))
             lcm = _pmul(lcm, _pdiv_exact(x.den, g))
-    return [_pmul(x.num, _pdiv_exact(lcm, x.den)) for x in row]
+    return [_pmul(x.num, _pdiv_exact(lcm, x.den)) if x.num and x.den != lcm else x.num
+            for x in row]
 
 
 def _blocks(rows):
@@ -181,6 +190,60 @@ def _echelon(rows):
         if row == len(m):
             break
     return m[:row], pivots
+
+
+def _zgcd(a, b):
+    """gcd of two nonzero polynomials in Z[s], content included."""
+    return _pmul((_igcd(_pcontent(a), _pcontent(b)),), _pgcd(a, b))
+
+
+def _primitive(row):
+    """A row over Z[s] divided by the gcd of its entries: their integer
+    content, their common power of s, and the gcd of their parts prime to
+    s, which is 1 from the first monomial entry on."""
+    content, shift, g = 0, None, None
+    for x in row:
+        if x:
+            k = next(i for i, a in enumerate(x) if a)
+            content = _igcd(content, _pcontent(x))
+            shift = k if shift is None else min(shift, k)
+            if g != (1,):
+                g = _pgcd(x[k:], x[k:] if g is None else g)
+    if g is None or (content, shift, g) == (1, 0, (1,)):
+        return row
+    d = _pmul((content,), g)
+    return [_pdiv_exact(x[shift:], d) if x and d != (1,) else x[shift:] for x in row]
+
+
+def _eliminate(v, r, c):
+    """r[c] v - v[c] r over their gcd, which is zero at column c."""
+    g = _zgcd(r[c], v[c])
+    a, b = _pdiv_exact(r[c], g), _pdiv_exact(v[c], g)
+    return [_psub(_pmul(a, x), _pmul(b, y)) if y else _pmul(a, x) for x, y in zip(v, r)]
+
+
+def add(rows, pivots, vec):
+    """One more step of the elimination, for a search that meets its
+    vectors one at a time.  ``rows`` over Z[s] are kept reduced: row i is
+    nonzero at column ``pivots[i]`` and every other row is zero there.
+    ``vec``, a row of QScalars, is scaled to Z[s] and reduced against them.
+    If anything is left, it becomes a new row, pivoting at its first nonzero
+    column, which is cleared from the other rows; the return value says
+    whether the vector was new, that is, outside the span of the rows."""
+    v = _clear_denominators(vec)
+    for r, c in zip(rows, pivots):
+        if v[c]:
+            v = _eliminate(v, r, c)
+    col = next((c for c, x in enumerate(v) if x), None)
+    if col is None:
+        return False
+    v = _primitive(v)
+    for i, r in enumerate(rows):
+        if r[col]:
+            rows[i] = _primitive(_eliminate(r, v, col))
+    rows.append(v)
+    pivots.append(col)
+    return True
 
 
 def solve_field(a_rows, b_cols):

@@ -355,6 +355,38 @@ def test_centrality_counterexamples(ctx, B):
     assert not ok and witness is not None
 
 
+def centrality_letters(ctx, zeta):
+    """The letters of ``centrality_check``."""
+    return ([BF(kind, i, j) for kind in (LP, LM) for i in (1, 2) for j in (1, 2)]
+            + [BF(CHAR, name=zeta)])
+
+
+def test_centrality_is_certified_for_every_word(ctx, B):
+    for bf in centrality_letters(ctx, "eps"):
+        g = DualElement(ctx, {ctx.canonical_word((bf,)): ONE})
+        assert (B.C * g - g * B.C).vanishes(), bf
+
+
+# the first witness of the corpus search, for C of zeta_q and for a C with
+# one term times q
+NONCENTRAL = [("centrality", False, {"letter": "l+[1,2]", "word": ("v21",)})]
+
+
+def test_noncentral_letters_are_refused_and_searched(ctx, B):
+    fw, c = min(((w, c) for w, c in B.C.terms.items() if w),
+                key=lambda kv: (len(kv[0]), repr(kv[0])))
+    mutant = B.C + DualElement(ctx, {fw: c * (qp(1) - ONE)})
+    letters = centrality_letters(ctx, "eps")
+
+    def commutator(bf):
+        g = DualElement(ctx, {ctx.canonical_word((bf,)): ONE})
+        return mutant * g - g * mutant
+    refused = [repr(bf) for bf in letters if not commutator(bf).vanishes()]
+    assert refused == ["l+[1,2]", "l-[2,1]"]
+    assert dual_centrality(mutant, letters, 3) == NONCENTRAL
+    assert centrality_check(bicovariant_build(ctx, "zeta_q"), 3) == NONCENTRAL
+
+
 def test_hermiticity(B):
     checks = hermiticity_check(B, degree=3)
     assert all(ok for _, ok, _ in checks), checks

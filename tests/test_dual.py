@@ -1,15 +1,18 @@
 """Functional evaluation against the R-matrix tables, convolution algebra,
-dual star, left action and cross product straightening."""
+dual star, left action, cross product straightening, and the certificates
+for words of every length (the vanishing test and the multiplicativity
+test on the weighted automaton of a functional)."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncgv.algebra import NCPoly, random_poly
-from ncgv.dual import (BF, CHAR, CrossElement, DualElement, EPS, LM, LP, SLM,
-                       SLP, make_slq2_context, mixed_word_to_cross,
-                       validate_letters, validate_r_form)
-from ncgv.scalars import ONE, QScalar, S, ZERO
+from ncgv.dual import (BF, CHAR, CrossElement, DualContext, DualElement, EPS, LM, LP,
+                       SLM, SLP, _Automaton, make_slq2_context, mixed_word_to_cross,
+                       multiplicative, validate_letters, validate_r_form)
+from ncgv.scalars import ONE, Q, QScalar, S, ZERO
 
 qp = QScalar.q_power
 
@@ -505,3 +508,122 @@ def test_repeated_cross_product_makes_no_new_action(monkeypatch):
     calls.clear()
     assert x * x == first
     assert calls == []
+
+
+# -- certificates for words of every length ------------------------------------------
+
+
+def letter_element(ctx, *letters, c=ONE):
+    return DualElement(ctx, {ctx.canonical_word(letters): c})
+
+
+def antipode_identity(ctx, kind, i, j):
+    """sum_t l[i,t] S(l)[t,j] - delta_ij eps for the family of ``kind``
+    (S(l+) or S(l-)): the antipode axiom of the dual, zero on every word."""
+    base = LP if kind == SLP else LM
+    f = sum((letter_element(ctx, BF(base, i, t), BF(kind, t, j)) for t in (1, 2)),
+            DualElement(ctx, {}))
+    return f - ctx.unit() if i == j else f
+
+
+ALL_LETTERS = ([BF(kind, i, j) for kind in (LP, LM, SLP, SLM) for i in (1, 2) for j in (1, 2)]
+               + [BF(CHAR, name="zeta_q"), BF(CHAR, name="eps"), BF(EPS)])
+scalars = st.builds(lambda cs, k: QScalar(tuple(cs)) * QScalar.s_power(k),
+                    st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+                    st.integers(-2, 2)).filter(lambda c: not c.is_zero())
+
+
+def combinations(max_letters, max_terms, min_terms=0):
+    """Terms {functional word: coefficient} with letters of every kind."""
+    return st.dictionaries(st.lists(st.sampled_from(ALL_LETTERS), max_size=max_letters).map(tuple),
+                           scalars, min_size=min_terms, max_size=max_terms)
+
+
+def element(ctx, terms):
+    return sum((letter_element(ctx, *w, c=c) for w, c in terms.items()), DualElement(ctx, {}))
+
+
+def test_antipode_identities_vanish(ctx):
+    for kind in (SLP, SLM):
+        for i in (1, 2):
+            for j in (1, 2):
+                f = antipode_identity(ctx, kind, i, j)
+                assert f.terms and f.vanishes()
+                assert next(f.nonzero_words(4), None) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(left=combinations(1, 2, 1), right=combinations(1, 2, 1),
+       identity=st.tuples(st.sampled_from([SLP, SLM]), st.integers(1, 2), st.integers(1, 2)),
+       noise=combinations(2, 2))
+def test_vanishing_certificate_is_sound(ctx, left, right, identity, noise):
+    # psi chi psi' vanishes on every word when chi does, so it must be
+    # certified; with noise added, a certificate must still mean that every
+    # corpus word gives 0
+    zero = element(ctx, left) * antipode_identity(ctx, *identity) * element(ctx, right)
+    assert zero.vanishes()
+    f = zero + element(ctx, noise)
+    if f.vanishes():
+        assert next(f.nonzero_words(4), None) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms=combinations(3, 3),
+       word=st.lists(st.sampled_from(["v11", "v12", "v21", "v22"]), max_size=5).map(tuple))
+def test_automaton_value_is_the_walk_on_raw_words(ctx, terms, word):
+    f = element(ctx, terms)
+    auto = _Automaton(ctx, {(0, 0): f})
+    x = auto.start(0)
+    for g in word:
+        x = auto.step(x, g)
+    assert auto.read(x, 0) == sum((c * ctx.eval_word_on_word(fw, word)
+                                   for fw, c in f.terms.items()), ZERO)
+
+
+def test_vanishing_test_refuses_a_functional_zero_at_one(ctx):
+    # l+[1,2] is 0 at 1, so the start vector alone would certify it
+    f = letter_element(ctx, BF(LP, 1, 2))
+    assert f.evaluate(()) == ZERO and not f.vanishes()
+    assert next(f.nonzero_words(1)) == ("v21",)
+
+
+def letter_matrix(ctx, kind, transpose=False):
+    return [[letter_element(ctx, BF(kind, j, i) if transpose else BF(kind, i, j))
+             for j in (1, 2)] for i in (1, 2)]
+
+
+def test_letter_matrices_are_multiplicative(ctx):
+    # Delta l[i,j] = sum_t l[i,t] (x) l[t,j]; the antipodes reverse the
+    # coproduct, so their matrices are multiplicative only transposed
+    for kind in (LP, LM):
+        assert multiplicative(letter_matrix(ctx, kind))
+    for kind in (SLP, SLM):
+        assert multiplicative(letter_matrix(ctx, kind, transpose=True))
+        assert not multiplicative(letter_matrix(ctx, kind))
+    assert multiplicative([[letter_element(ctx, BF(CHAR, name="zeta_q"))]])
+
+
+def test_multiplicativity_refuses_a_character_that_breaks_a_relation(ctx):
+    # multiplicative on free words and 1 at 1, but not an algebra map:
+    # v11 v22 - q v12 v21 = 1 fails
+    bad = DualContext(ctx.pres, ctx.hopf, ctx.R,
+                      {"bad": {"v11": S, "v12": ZERO, "v21": ZERO, "v22": ONE}})
+    chi = DualElement(bad, {(BF(CHAR, name="bad"),): ONE})
+    assert multiplicative([[chi]]) is False
+    pres = bad.pres
+    assert any(chi.evaluate(NCPoly(pres, {a: ONE}) * NCPoly(pres, {b: ONE}))
+               != chi.evaluate(a) * chi.evaluate(b)
+               for a in bad.corpus(1) for b in bad.corpus(1))
+
+
+def test_multiplicativity_checks_column_0(ctx):
+    # M = (eps 0; l+[1,2] eps) holds in column 1 but not in column 0, where
+    # M(ab)_10 = l+[1,2](ab) would have to be l+[1,2](a) eps(b) + eps(a) l+[1,2](b)
+    phi = letter_element(ctx, BF(LP, 1, 2))
+    M = [[ctx.unit(), DualElement(ctx, {})], [phi, ctx.unit()]]
+    assert multiplicative(M) is False
+    eps = ctx.hopf.counit_word
+    pres = ctx.pres
+    assert any(phi.evaluate(NCPoly(pres, {a: ONE}) * NCPoly(pres, {b: ONE}))
+               != phi.evaluate(a) * eps(b) + eps(a) * phi.evaluate(b)
+               for a in ctx.corpus(1) for b in ctx.corpus(1))

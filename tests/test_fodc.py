@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ncgv.algebra import NCPoly, random_poly
-from ncgv.dual import BF, CHAR, DualElement, SLM, make_slq2_context
+from ncgv.dual import BF, CHAR, DualElement, SLM, make_slq2_context, multiplicative
 from ncgv.fodc import (BicovariantOutput, FodcData, GammaElement,
                        bicovariant_build, builtin_calculus,
                        calculus_consistency_report, fodc_validate,
@@ -119,6 +119,52 @@ def test_corrupted_structure_functional_at_one_fails_unit_values(B, ctx):
     broken = FodcData(ctx, B.labels, B.fodc.X, f)
     report = {name: (ok, wit) for name, ok, wit in fodc_validate(broken, 2)}
     assert report["unit_values"] == (False, ("f_at_1", 1, 2))
+
+
+def test_certified_calculi_skip_the_pair_loop(ctx, monkeypatch):
+    # the covariance certificate settles both shipped calculi for every
+    # degree, so the corpus pair loop, which multiplies corpus words, never
+    # runs, and the reports are those the loop gives
+    B_eps, B_zeta = bicovariant_build(ctx, "eps"), bicovariant_build(ctx, "zeta_q")
+
+    def no_pairs(self, other):
+        raise AssertionError("the corpus pair loop ran")
+    monkeypatch.setattr(NCPoly, "__mul__", no_pairs)
+    passed = [("unit_values", True, None), ("tangent_coproduct", True, None),
+              ("f_comultiplicative", True, None)]
+    assert fodc_validate(B_eps.fodc, 3) == passed + [("tangent_star_invariance", True, None)]
+    assert fodc_validate(B_zeta.fodc, 3) == passed
+
+
+def broken_calculus(B, ctx, name):
+    """The corrupted calculi of this file."""
+    X, f = list(B.fodc.X), [row[:] for row in B.fodc.f]
+    if name == "group_like_tangent":
+        X[0] = DualElement(ctx, {(BF(CHAR, name="zeta_q"),): ONE})
+    elif name == "f01_doubled":
+        f[0][1] = f[0][1].scale(QScalar.from_int(2))
+    else:
+        f[1][2] = f[1][2] + ctx.unit()
+    return FodcData(ctx, B.labels, X, f)
+
+
+@pytest.mark.parametrize("name, report", [
+    ("group_like_tangent", [("unit_values", False, ("X_at_1", 0)),
+                            ("tangent_coproduct", False, ("tangent_coproduct", 0, (), ())),
+                            ("f_comultiplicative", True, None)]),
+    ("f01_doubled", [("unit_values", True, None),
+                     ("tangent_coproduct", False, ("tangent_coproduct", 1, ("v11",), ("v21",))),
+                     ("f_comultiplicative", False,
+                      ("f_comultiplicative", 0, 3, ("v21",), ("v12",)))]),
+    ("f12_plus_eps", [("unit_values", False, ("f_at_1", 1, 2)),
+                      ("tangent_coproduct", False, ("tangent_coproduct", 2, ("v21",), ())),
+                      ("f_comultiplicative", False, ("f_comultiplicative", 1, 2, (), ()))]),
+])
+def test_broken_calculi_are_refused_and_searched(B, ctx, name, report):
+    # the certificate refuses, and the corpus search gives its first witnesses
+    broken = broken_calculus(B, ctx, name)
+    assert not multiplicative(broken.structure_matrix())
+    assert fodc_validate(broken, 2) == report
 
 
 def test_trivial_rank_one_calculus(ctx):
