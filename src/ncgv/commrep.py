@@ -189,7 +189,7 @@ def prop4_verify(B, degree=2):
     # acts as zero on every corpus word w exactly when g(w) = 0 there:
     # g(w) = eps(g |> w), and the legs of Delta(w) are normal words no
     # longer than w.  So tau(theta) = C + Tr(A) eps is a comparison of
-    # functionals on the corpus.
+    # functionals (``ext_equal``).
     theta_image = sum((B.Omega[B.labels.index(lab)] for lab in B.theta().terms),
                       DualElement(ctx, {}))
     ok = theta_image.ext_equal(B.C + ctx.unit().scale(B.TrA), degree)
@@ -209,25 +209,23 @@ def centrality_check(B, degree=3):
 
 
 def dual_centrality(C, letters, degree=3):
-    """Cg - gC = 0 for each letter g, certificate first, corpus search on
-    refusal: a commutator that ``DualElement.vanishes`` is zero on every
-    word; one that does not is searched over the corpus of ``degree``, and
-    the first nonzero word is the witness."""
+    """Cg - gC = 0 for each letter g, by the one zero test
+    (``DualElement.nonzero_words``): zero on every word when certified, else
+    searched over the corpus of ``degree``, the first nonzero word the
+    witness."""
     ctx = C.ctx
 
     def witnesses():
         for bf in letters:
             g = DualElement(ctx, {ctx.canonical_word((bf,)): ONE})
-            commutator = C * g - g * C
-            if not commutator.vanishes():
-                for w in commutator.nonzero_words(degree):
-                    yield {"letter": repr(bf), "word": w}
+            for w in (C * g - g * C).nonzero_words(degree):
+                yield {"letter": repr(bf), "word": w}
 
     return [first_failure("centrality", witnesses())]
 
 
 def hermiticity_check(B, degree=3):
-    """C* = C extensionally, plus the twist-matrix ingredient
+    """C* = C as functionals (``ext_equal``), plus the twist-matrix ingredient
     conj(A^j_k) = A^k_j (entrywise, in the REAL star mode)."""
     ctx = B.ctx
     mode = ctx.pres.star_mode

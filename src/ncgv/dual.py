@@ -10,15 +10,19 @@ CHAR a named multiplicative functional, EPS the counit.  Each letter is a
 matrix coefficient of an n-dimensional representation, so <f1...fm, g1...gd>
 is one entry of G(g1)...G(gd) for their tensor product G
 (``DualContext.representation``).  Words are canonical with counital letters
-dropped; equality of functionals is extensional over a degree-bounded word
-corpus, as recorded in every report that uses it.
+dropped.
 
 The same matrices make a combination of functional words a weighted
 automaton over the free monoid on the generators (``_Automaton``), whose
 forward space gives two certificates for words of every length: the
 vanishing test ``DualElement.vanishes`` and the multiplicativity test
-``multiplicative`` of a matrix of functionals.  A check runs its certificate
-first and searches the corpus only when the certificate refuses.
+``multiplicative`` of a matrix of functionals.  Every zero test of a
+functional (``DualElement.nonzero_words``, and so ``ext_equal``) runs the
+certificate first, and is extensional over a degree-bounded word corpus
+only when the certificate refuses, as recorded in every report that uses
+it.  Each letter family (l+, l-, the transposed S(l+) and S(l-), eps, each
+character) is a matrix that ``multiplicative`` certifies, so every letter
+kills the relation ideal.
 """
 
 from __future__ import annotations
@@ -64,6 +68,16 @@ def _kron_entry(m, terms, *idx):
             c = c * mat[idx[r] - 1][idx[m + r] - 1]
         total = total + c
     return total
+
+
+def _times(x, rows):
+    """x G for a sparse row vector x {i: c} and a matrix G kept as sparse
+    rows: row i lists (t, G_it) over its nonzero entries."""
+    out = {}
+    for i, c in x.items():
+        for t, e in rows[i]:
+            _accum(out, t, c * e)
+    return out
 
 
 class BF(NamedTuple):
@@ -229,11 +243,7 @@ class DualContext:
             except KeyError:
                 raise DualError(
                     f"no evaluation table entry for generator {g!r}") from None
-            nxt = {}
-            for k, c in vec.items():
-                for t, e in rows[k]:
-                    _accum(nxt, t, c * e)
-            vec = nxt
+            vec = _times(vec, rows)
         val = cache[key] = vec.get(end, ZERO)
         return val
 
@@ -344,7 +354,9 @@ class DualElement(LinComb):
         return val
 
     def ext_equal(self, other, degree):
-        """Extensional equality over the evaluation corpus of the given degree."""
+        """Equality on every word when ``vanishes`` certifies the difference,
+        else extensional over the evaluation corpus of the given degree
+        (``nonzero_words``)."""
         return next((self - other).nonzero_words(degree), None) is None
 
     def vanishes(self):
@@ -358,8 +370,10 @@ class DualElement(LinComb):
 
     def nonzero_words(self, degree):
         """Lazily, in corpus order, the words of the evaluation corpus of the
-        given degree on which the functional is nonzero."""
-        if self.terms:
+        given degree on which the functional is nonzero: the one zero test.
+        None when ``vanishes`` certifies the functional zero on every word;
+        on refusal, every corpus word is evaluated."""
+        if self.terms and not self.vanishes():
             for w in self.ctx.corpus(degree):
                 if not self.evaluate(w).is_zero():
                     yield w
@@ -437,8 +451,7 @@ class _Automaton:
         # every generator has a matrix, so every corpus word is a word here
         self.complete = set(ctx.pres.generators) == set(self.gens)
         self.starts, self.ends = {}, {}
-        # steps[g][i] = (base, row): state i of the block at ``base`` goes to
-        # state base + t with weight e for each (t, e) in row
+        # steps[g]: the sparse rows of G(g), each block's shifted onto its states
         self.steps = {g: [] for g in self.gens}
         self.size = 0
         for (j, k), f in entries.items():
@@ -447,7 +460,7 @@ class _Automaton:
                 self.starts.setdefault(j, {})[self.size + start] = c
                 self.ends.setdefault(k, []).append(self.size + end)
                 for g in self.gens:
-                    self.steps[g] += [(self.size, row) for row in mats[g]]
+                    self.steps[g] += [[(self.size + t, e) for t, e in row] for row in mats[g]]
                 self.size += len(mats[self.gens[0]])
 
     def start(self, j):
@@ -455,13 +468,7 @@ class _Automaton:
 
     def step(self, x, g):
         """x G(g) for a sparse row vector x."""
-        steps = self.steps[g]
-        out = {}
-        for i, c in x.items():
-            base, row = steps[i]
-            for t, e in row:
-                _accum(out, base + t, c * e)
-        return out
+        return _times(x, self.steps[g])
 
     def read(self, x, k):
         """x v_k."""
@@ -615,64 +622,8 @@ def mixed_word_to_cross(ctx, items):
 
 
 # ---------------------------------------------------------------------------
-# r-form checks and context construction
+# context construction
 # ---------------------------------------------------------------------------
-
-
-def r_form_on_words(ctx, x, w):
-    """r(x (x) w) for an algebra element x and generator word w = g1...gd:
-    by r(a (x) bc) = r(a_(1) (x) c) r(a_(2) (x) b), the pairing of x with
-    the functional word l+(gd)...l+(g1), where l+(v^i_j) = l^{+i}_j."""
-    fword = tuple(BF(LP, *ctx.gen_index[g]) for g in reversed(w))
-    return DualElement(ctx, {fword: ONE}).evaluate(x)
-
-
-def validate_r_form(ctx, degree=2):
-    """Bialgebra axioms of the universal r-form on the word corpus; exercises
-    the normalization constant c (a wrong c breaks them)."""
-    pres = ctx.pres
-    words = ctx.corpus(degree)
-    failures = []
-    for wa in words:
-        if len(wa) == 0 or len(wa) > 2:
-            continue
-        a = NCPoly(pres, {wa: ONE})
-        for wc in words:
-            # r(ab (x) c) = r(a (x) c_(1)) r(b (x) c_(2)) with a, b letters
-            if len(wa) == 2:
-                a1 = NCPoly(pres, {wa[:1]: ONE})
-                a2 = NCPoly(pres, {wa[1:]: ONE})
-                lhs = r_form_on_words(ctx, a, wc)
-                rhs = ZERO
-                cpoly = NCPoly(pres, {wc: ONE})
-                for (c1, c2), cc in ctx.hopf.coproduct(cpoly).terms.items():
-                    rhs = rhs + cc * r_form_on_words(ctx, a1, c1) * r_form_on_words(ctx, a2, c2)
-                if lhs != rhs:
-                    failures.append(("product_left", wa, wc))
-            # r(a (x) bc) = r(a_(1) (x) c) r(a_(2) (x) b) beyond the
-            # single-letter peeling the evaluator is built from
-            if len(wc) == 2:
-                b1, b2 = wc[:1], wc[1:]
-                lhs = r_form_on_words(ctx, a, wc)
-                rhs = ZERO
-                for (x1, x2), cc in ctx.hopf.coproduct(a).terms.items():
-                    rhs = rhs + cc * r_form_on_words(
-                        ctx, NCPoly(pres, {x1: ONE}), b2) * r_form_on_words(
-                        ctx, NCPoly(pres, {x2: ONE}), b1)
-                if lhs != rhs:
-                    failures.append(("product_right", wa, wc))
-    return failures
-
-
-def validate_letters(ctx):
-    """Every structural letter must annihilate the relation ideal: (letter,
-    rule lhs) of every rule a letter does not respect, letter by letter."""
-    indices = range(1, ctx.n + 1)
-    letters = [BF(EPS), *(BF(CHAR, name=name) for name in ctx.characters),
-               *(BF(kind, i, j) for kind in (LP, LM, SLP, SLM) for i in indices for j in indices)]
-    return [(bf, lhs) for bf in letters
-            for lhs, _, res in ctx.pres.relation_residuals(partial(ctx.eval_letter_word, bf))
-            if not res.is_zero()]
 
 
 def shipped_characters():

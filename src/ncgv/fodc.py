@@ -116,8 +116,8 @@ def fodc_validate(F, degree=3):
     1..n, where row 0 is the tangent coproduct identity
     <X_k, ab> = eps(a)<X_k, b> + sum_j <X_j, a><f^j_k, b> and rows 1..n the
     comultiplicativity of the f-table; plus star-invariance of the tangent
-    span for *-calculi.  Column 0 of M(ab) = M(a) M(b) is the
-    multiplicativity of the counit, a Hopf axiom.
+    span for *-calculi (``DualElement.ext_equal``).  Column 0 of
+    M(ab) = M(a) M(b) is the multiplicativity of the counit, a Hopf axiom.
 
     Covariance is certificate first, corpus search on refusal: when
     ``multiplicative`` certifies M for words of every length, no corpus
@@ -207,8 +207,7 @@ class BicovariantOutput:
         """The biinvariant element: unit coefficient at each diagonal label."""
         pres = self.ctx.pres
         coeffs = {}
-        n = int(len(self.labels) ** 0.5)
-        for k in range(1, n + 1):
+        for k in range(1, self.ctx.n + 1):
             coeffs[f"theta{k}{k}"] = pres.one()
         return GammaElement(pres, coeffs)
 

@@ -11,7 +11,7 @@ from ncgv.commrep import (BOperator, centrality_check,
                           prop4_verify, quantum_space_commrep_report,
                           tau_central, MatrixOverAlgebra, _flatten,
                           _mul_by_algebra_right)
-from ncgv.dual import (BF, CHAR, LM, LP, CrossElement, DualElement,
+from ncgv.dual import (BF, CHAR, LM, LP, CrossElement, DualContext, DualElement,
                        make_slq2_context, mixed_word_to_cross)
 from ncgv.fodc import (BicovariantOutput, FodcData, GammaElement, bicovariant_build,
                        builtin_calculus)
@@ -390,6 +390,26 @@ def test_noncentral_letters_are_refused_and_searched(ctx, B):
 def test_hermiticity(B):
     checks = hermiticity_check(B, degree=3)
     assert all(ok for _, ok, _ in checks), checks
+
+
+def test_hermiticity_is_certified_for_every_word(ctx, monkeypatch):
+    # C* - C of zeta_q is a nonzero combination of words that vanishes on
+    # every word, so the check passes without evaluating any of them
+    Bq = bicovariant_build(ctx, "zeta_q")
+    assert len((Bq.C.star() - Bq.C).terms) == 8
+
+    def refuse(*args):
+        raise AssertionError("a functional word was evaluated")
+    monkeypatch.setattr(DualContext, "eval_word_on_word", refuse)
+    checks = hermiticity_check(Bq, degree=3)
+    assert all(ok for _, ok, _ in checks), checks
+
+
+def test_non_hermitean_c_is_refused_at_the_corpus_degree(ctx, B):
+    C = B.C + DualElement(ctx, {(BF(LP, 1, 2),): ONE})
+    mutant = BicovariantOutput(ctx, B.zeta_name, B.fodc, C, B.Omega, B.A, B.TrA)
+    assert hermiticity_check(mutant, degree=3)[1] == (
+        "central_element_hermitean", False, {"degree": 3})
 
 
 def test_hermiticity_of_unit(ctx, B):

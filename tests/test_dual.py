@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from ncgv.algebra import NCPoly, random_poly
 from ncgv.dual import (BF, CHAR, CrossElement, DualContext, DualElement, EPS, LM, LP,
                        SLM, SLP, _Automaton, make_slq2_context, mixed_word_to_cross,
-                       multiplicative, validate_letters, validate_r_form)
+                       multiplicative, shipped_characters)
+from ncgv.rmatrix import RMatrixData
 from ncgv.scalars import ONE, Q, QScalar, S, ZERO
 
 qp = QScalar.q_power
@@ -65,28 +66,6 @@ def test_lplus_generator_value_is_r_entry(ctx):
     assert val == S  # s^-1 * q
     val12 = DualElement(ctx, {(BF(LP, 1, 2),): ONE}).evaluate(ctx.pres.gen("v21"))
     assert val12 == S.inverse() * (qp(1) - qp(-1))
-
-
-def test_letters_annihilate_relations(ctx):
-    assert validate_letters(ctx) == []
-
-
-def test_r_form_axioms_and_normalization(ctx):
-    assert validate_r_form(ctx, 2) == []
-
-
-def test_wrong_normalization_fails():
-    from ncgv.dual import DualContext
-    from ncgv.hopf import slq2_hopf
-    from ncgv.presentations import builtin_presentation
-    from ncgv.rmatrix import RMatrixData, builtin_rmatrix
-
-    pres = builtin_presentation("slq2")
-    R0 = builtin_rmatrix("slq2")
-    bad = RMatrixData("bad_c", R0.n, ONE, R0.R, R0.Rinv)
-    ctx = DualContext(pres, slq2_hopf(pres), bad, {})
-    assert validate_letters(ctx) != []
-    assert validate_r_form(ctx, 2) != []
 
 
 # -- convolution product ---------------------------------------------------------
@@ -594,13 +573,32 @@ def letter_matrix(ctx, kind, transpose=False):
 
 def test_letter_matrices_are_multiplicative(ctx):
     # Delta l[i,j] = sum_t l[i,t] (x) l[t,j]; the antipodes reverse the
-    # coproduct, so their matrices are multiplicative only transposed
+    # coproduct, so their matrices are multiplicative only transposed; eps
+    # and each character are 1 x 1 families
     for kind in (LP, LM):
         assert multiplicative(letter_matrix(ctx, kind))
     for kind in (SLP, SLM):
         assert multiplicative(letter_matrix(ctx, kind, transpose=True))
         assert not multiplicative(letter_matrix(ctx, kind))
-    assert multiplicative([[letter_element(ctx, BF(CHAR, name="zeta_q"))]])
+    assert multiplicative([[letter_element(ctx, BF(EPS))]])
+    for name in shipped_characters():
+        assert multiplicative([[letter_element(ctx, BF(CHAR, name=name))]]), name
+
+
+NORMALISATIONS = {"c": lambda c: c, "-c": lambda c: -c, "1": lambda c: ONE,
+                  "2c": lambda c: c * 2, "c*s": lambda c: c * S, "c/s": lambda c: c * S.inverse(),
+                  "c*q": lambda c: c * Q, "c/q": lambda c: c * Q.inverse()}
+
+
+@pytest.mark.parametrize("label", NORMALISATIONS)
+def test_r_form_normalisation(ctx, label):
+    # the letters kill v11 v22 - q v12 v21 = 1 only for c^2, so every family
+    # accepts c and -c and refuses any other normalisation
+    R = ctx.R
+    scaled = RMatrixData(label, R.n, NORMALISATIONS[label](R.c), R.R, R.Rinv)
+    other = DualContext(ctx.pres, ctx.hopf, scaled, {})
+    for kind, transpose in ((LP, False), (LM, False), (SLP, True), (SLM, True)):
+        assert multiplicative(letter_matrix(other, kind, transpose)) is (label in ("c", "-c")), kind
 
 
 def test_multiplicativity_refuses_a_character_that_breaks_a_relation(ctx):

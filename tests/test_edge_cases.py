@@ -64,8 +64,3 @@ def test_missing_evaluation_table(ctx):
     with pytest.raises(DualError):
         ctx.eval_letter_word(BF("LP", 1, 1), ("z",))
     del f, disc
-
-
-def test_r_form_both_axioms(ctx):
-    from ncgv.dual import validate_r_form
-    assert validate_r_form(ctx, 2) == []

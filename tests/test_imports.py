@@ -101,8 +101,6 @@ API = {
     "quantum_space_from_doc": "file format: quantum-space calculi",
     "load_character": "file format: characters",
     "run_scenario": "the in-process entry point of ncgv verify",
-    "validate_letters": "precondition of the all-degree certificates (ROADMAP item 3)",
-    "validate_r_form": "precondition of the all-degree certificates (ROADMAP item 3)",
     "star_closure_report": "precondition of the generator induction (ROADMAP item 4)",
 }
 
