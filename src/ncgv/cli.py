@@ -299,9 +299,11 @@ def check_idempotence_random(session, *, samples=500, seed: int | None = None,
                              presentations: list[Presentation] = typing.get_args(
                                  Presentation)):
     def witnesses(rng):
-        for name in presentations:
+        # the first samples % n presentations draw one extra polynomial
+        n = len(presentations)
+        for i, name in enumerate(presentations):
             pres = builtin_presentation(name)
-            for _ in range(samples // len(presentations)):
+            for _ in range(samples // n + (i < samples % n)):
                 p = random_poly(pres, rng, 3, 3)
                 if pres.normal_form_terms(p.terms) != p.terms:
                     yield {"presentation": name, "p": repr(p)}

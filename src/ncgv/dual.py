@@ -261,6 +261,18 @@ class DualContext:
         """<f1...fm, w>, the walk of any m; the empty word is the counit."""
         return self._walk(self._word_eval_cache, (fword, w), fword or (BF(EPS),), w)
 
+    def act_on_word(self, fword, w):
+        """fword |> w = w_(1) <fword, w_(2)> for a functional word and an
+        algebra word, as {u: coeff}; cached per (fword, w) and shared:
+        callers must not mutate it."""
+        key = (fword, w)
+        hit = self._act_cache.get(key)
+        if hit is None:
+            hit = self._act_cache[key] = {}
+            for (u, v), cv in self.hopf.coproduct_word(w).terms.items():
+                _accum(hit, u, cv * self.eval_word_on_word(fword, v))
+        return hit
+
     # -- letter structure -----------------------------------------------------------
 
     def letter_coproduct(self, bf):
@@ -318,9 +330,11 @@ class DualContext:
 
 
 class DualElement(LinComb):
-    """Finite Q(s)-combination of functional words."""
+    """Finite Q(s)-combination of functional words.  ``_acts``, made on the
+    first ``left_act``, caches the action of the whole element per algebra
+    word."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "_acts")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
@@ -406,20 +420,39 @@ class DualElement(LinComb):
         return DualElement(ctx, out)
 
     def left_act(self, a):
-        """f |> a = a_(1) <f, a_(2)>, an element of the algebra."""
+        """f |> a = a_(1) <f, a_(2)>, an element of the algebra: the sum of
+        c_w (f |> w) over the terms of a.  The action of the whole element on
+        a word, f |> w = sum fc (fw |> w) over its terms, is kept in a cache
+        on the element, made on first use from the context's per-(fw, w)
+        actions (``DualContext.act_on_word``); a single term with coefficient
+        1 shares the context's dict, read-only.  So f |> a costs one product
+        per (w, u) of a and of the cached actions."""
+        try:
+            acts = self._acts
+        except AttributeError:
+            acts = self._acts = {}
         ctx = self.ctx
         total = {}
-        for fw, fc in self.terms.items():
-            for w, c in a.terms.items():
-                key = (fw, w)
-                hit = ctx._act_cache.get(key)
-                if hit is None:
-                    hit = ctx._act_cache[key] = {}
-                    for (u, v), cv in ctx.hopf.coproduct_word(w).terms.items():
-                        _accum(hit, u, cv * ctx.eval_word_on_word(fw, v))
-                for u, cu in hit.items():
-                    _accum(total, u, fc * c * cu)
+        for w, c in a.terms.items():
+            hit = acts.get(w)
+            if hit is None:
+                hit = acts[w] = self._act_word(w)
+            for u, cu in hit.items():
+                _accum(total, u, c * cu)
         return NCPoly(ctx.pres, total)
+
+    def _act_word(self, w):
+        """f |> w as {u: coeff}, for the cache of ``left_act``."""
+        ctx = self.ctx
+        if len(self.terms) == 1:
+            (fw, fc), = self.terms.items()
+            if fc.is_one():
+                return ctx.act_on_word(fw, w)
+        out = {}
+        for fw, fc in self.terms.items():
+            for u, cu in ctx.act_on_word(fw, w).items():
+                _accum(out, u, fc * cu)
+        return out
 
     def __repr__(self):
         if not self.terms:
@@ -584,15 +617,21 @@ class CrossElement(LinComb):
         return CrossElement(ctx, out)
 
     def act(self, b):
-        """Left action on the algebra: (a f) . b = a (f |> b)."""
+        """Left action on the algebra: (w f) . b = w (f |> b).  The terms are
+        grouped by functional word, so each distinct f acts on b once; the
+        raw words w u of all terms are gathered in one dict and brought to
+        normal form once."""
         ctx = self.ctx
-        total = ctx.pres.zero()
+        by_f = {}
         for (w, f), c in self.terms.items():
-            acted = DualElement(ctx, {f: ONE}).left_act(b)
-            if acted.is_zero():
-                continue
-            total = total + (NCPoly(ctx.pres, {w: ONE}) * acted).scale(c)
-        return total
+            by_f.setdefault(f, []).append((w, c))
+        raw = {}
+        for f, prefixes in by_f.items():
+            acted = DualElement(ctx, {f: ONE}).left_act(b).terms
+            for w, c in prefixes:
+                for u, cu in acted.items():
+                    _accum(raw, w + u, c * cu)
+        return NCPoly(ctx.pres, ctx.pres.normal_form_terms(raw) if raw else {})
 
     def __repr__(self):
         if not self.terms:

@@ -69,6 +69,7 @@ class FodcData:
         self.ctx = ctx
         self.labels = list(labels)
         self.n = len(labels)
+        self._index = {label: k for k, label in enumerate(self.labels)}
         if len(X) != self.n or len(f) != self.n or any(len(row) != self.n for row in f):
             raise FodcError("X/f tables must match the basis size")
         self.X = list(X)
@@ -96,18 +97,23 @@ class FodcData:
         return GammaElement(self.pres, coeffs)
 
     def right_mul(self, g, a):
-        """(sum_k c_k omega_k) a = sum_{k,j} c_k (f^k_j |> a) omega_j."""
-        out = {}
-        for k, label in enumerate(self.labels):
-            c = g.terms.get(label)
-            if c is None:
-                continue
-            for j, label_j in enumerate(self.labels):
-                acted = self.f[k][j].left_act(a)
-                if acted.is_zero():
-                    continue
-                _accum(out, label_j, c * acted)
-        return GammaElement(self.pres, out)
+        """(sum_k c_k omega_k) a = sum_{k,j} c_k (f^k_j |> a) omega_j.  The
+        raw products c_k (f^k_j |> a) are gathered over all k for each label
+        omega_j and brought to normal form once per label.  A label of g that
+        is not a basis label raises FodcError."""
+        raw = [{} for _ in self.labels]
+        for label, c in g.terms.items():
+            k = self._index.get(label)
+            if k is None:
+                raise FodcError(f"{label!r} is not a basis label of the calculus")
+            for f, out in zip(self.f[k], raw):
+                acted = f.left_act(a).terms
+                for w, cw in c.terms.items():
+                    for u, cu in acted.items():
+                        _accum(out, w + u, cw * cu)
+        nf = self.pres.normal_form_terms
+        return GammaElement(self.pres, {label: NCPoly(self.pres, nf(out))
+                                        for label, out in zip(self.labels, raw) if out})
 
 
 def fodc_validate(F, degree=3):

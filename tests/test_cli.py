@@ -270,6 +270,23 @@ def test_first_failure_reports_the_empty_word():
     assert first_failure("c", iter([()])) == ("c", False, ())
 
 
+@pytest.mark.parametrize("samples, per_presentation", [(7, [2, 2, 2, 1]), (8, [2, 2, 2, 2])])
+def test_idempotence_random_draws_the_samples_it_reports(monkeypatch, samples,
+                                                         per_presentation):
+    drawn = []
+    real = cli.random_poly
+
+    def counted(pres, rng, *args):
+        drawn.append(pres.name)
+        return real(pres, rng, *args)
+
+    monkeypatch.setattr(cli, "random_poly", counted)
+    result = cli.check_idempotence_random(cli.Session({}, 0), samples=samples)
+    assert result["status"] == "pass" and result["samples"] == samples
+    assert [drawn.count(name) for name in typing.get_args(cli.Presentation)] \
+        == per_presentation
+
+
 def test_readme_lists_every_check():
     text = README.read_text()
     paragraph = text[text.index("Check names:"):].split("\n\n")[0]

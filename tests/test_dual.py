@@ -625,3 +625,102 @@ def test_multiplicativity_checks_column_0(ctx):
     assert any(phi.evaluate(NCPoly(pres, {a: ONE}) * NCPoly(pres, {b: ONE}))
                != phi.evaluate(a) * eps(b) + eps(a) * phi.evaluate(b)
                for a in ctx.corpus(1) for b in ctx.corpus(1))
+
+
+# -- oracle: the per-term left action and cross action that the caches replaced -------
+
+
+def reference_left_act(f, a):
+    """f |> a = sum fc c (fw |> w) over every pair of terms fc fw of f and c w
+    of a, each fw |> w = sum cv <fw, v> u over the coproduct u (x) v of w,
+    with nothing cached."""
+    ctx = f.ctx
+    out = {}
+    for fw, fc in f.terms.items():
+        for w, c in a.terms.items():
+            for (u, v), cv in ctx.hopf.coproduct_word(w).terms.items():
+                out[u] = out.get(u, ZERO) + fc * c * cv * ctx.eval_word_on_word(fw, v)
+    return NCPoly(ctx.pres, {u: c for u, c in out.items() if not c.is_zero()})
+
+
+def reference_cross_act(x, b):
+    """(w f) . b = w (f |> b) summed term by term, with one polynomial
+    product per term."""
+    ctx = x.ctx
+    total = ctx.pres.zero()
+    for (w, f), c in x.terms.items():
+        acted = reference_left_act(DualElement(ctx, {f: ONE}), b)
+        total = total + (NCPoly(ctx.pres, {w: ONE}) * acted).scale(c)
+    return total
+
+
+UNIT_COEFFICIENTS = st.sampled_from([ONE, -ONE, qp(1), QScalar.from_int(2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(terms=st.dictionaries(st.lists(st.sampled_from(ALL_LETTERS), max_size=2).map(tuple),
+                             UNIT_COEFFICIENTS, min_size=1, max_size=3),
+       a_terms=st.dictionaries(st.integers(0, 29), UNIT_COEFFICIENTS, min_size=1, max_size=3))
+def test_left_act_matches_per_term_reference(ctx, terms, a_terms):
+    words = ctx.corpus(3)
+    a = NCPoly(ctx.pres, {words[i]: c for i, c in a_terms.items()})
+    f = element(ctx, terms)
+    want = reference_left_act(f, a)
+    assert f.left_act(a) == want
+    # the second call reads the element's cache
+    assert f.left_act(a) == want
+
+
+def test_element_caches_are_per_element(ctx):
+    # elements acting on the same words, one a multiple of another
+    a = random_poly(ctx.pres, random.Random(31), 2, 3)
+    fs = [x_functional(ctx, 1, 1), f_functional(ctx, 1, 2, 1, 2), x_functional(ctx, 2, 1)]
+    fs += [f.scale(qp(1)) for f in fs] + [f.scale(QScalar.from_int(-2)) for f in fs]
+    for _ in range(2):
+        for f in fs:
+            want = reference_left_act(f, a)
+            assert not want.is_zero()
+            assert f.left_act(a) == want, f
+
+
+def test_scaled_single_term_leaves_the_context_actions_alone(ctx):
+    # a single term with coefficient 1 shares the context's dicts; a scaled
+    # one must neither share nor scale them
+    f = f_functional(ctx, 1, 2, 1, 2)
+    (fw,) = f.terms
+    a = random_poly(ctx.pres, random.Random(32), 2, 3)
+    unit = f.left_act(a)
+    assert not unit.is_zero()
+    before = {w: dict(ctx._act_cache[fw, w]) for w in a.terms}
+    scaled = f.scale(qp(1))
+    for _ in range(2):
+        assert scaled.left_act(a) == unit.scale(qp(1))
+    assert {w: ctx._act_cache[fw, w] for w in a.terms} == before
+    assert f.left_act(a) == unit
+
+
+def test_cross_act_matches_per_term_reference(ctx):
+    rng = random.Random(33)
+    duals = cross_functionals(ctx)
+    prefixed = 0
+    for _ in range(8):
+        x, y = random_cross(ctx, rng, duals), random_cross(ctx, rng, duals)
+        b = random_poly(ctx.pres, rng, 2, 3)
+        for z in (x, x * y):
+            prefixed += any(w and f for w, f in z.terms)
+            assert z.act(b) == reference_cross_act(z, b), (z, b)
+    assert prefixed >= 4
+
+
+def test_cross_act_makes_no_polynomial_product(ctx, monkeypatch):
+    rng = random.Random(34)
+    duals = cross_functionals(ctx)
+    x = random_cross(ctx, rng, duals) * random_cross(ctx, rng, duals)
+    b = random_poly(ctx.pres, rng, 2, 3)
+    want = reference_cross_act(x, b)
+
+    def refuse(self, other):
+        raise AssertionError("NCPoly product in the cross action")
+
+    monkeypatch.setattr(NCPoly, "__mul__", refuse)
+    assert x.act(b) == want

@@ -7,7 +7,7 @@ import pytest
 
 from ncgv.algebra import NCPoly, random_poly
 from ncgv.dual import BF, CHAR, DualElement, SLM, make_slq2_context, multiplicative
-from ncgv.fodc import (BicovariantOutput, FodcData, GammaElement,
+from ncgv.fodc import (BicovariantOutput, FodcData, FodcError, GammaElement,
                        bicovariant_build, builtin_calculus,
                        calculus_consistency_report, fodc_validate,
                        quantum_space_from_doc, quantum_space_to_doc, star_row_closure_report,
@@ -200,6 +200,66 @@ def test_right_mul_unit(B, ctx):
     for label in B.labels:
         g = GammaElement.basis(ctx.pres, label)
         assert B.fodc.right_mul(g, ctx.pres.one()) == g
+
+
+def per_term_left_act(f, a):
+    """f |> a = sum fc c cv <fw, v> u over the terms fc fw of f, c w of a and
+    u (x) v of the coproduct of w, with nothing cached."""
+    ctx = f.ctx
+    out = {}
+    for fw, fc in f.terms.items():
+        for w, c in a.terms.items():
+            for (u, v), cv in ctx.hopf.coproduct_word(w).terms.items():
+                out[u] = out.get(u, ZERO) + fc * c * cv * ctx.eval_word_on_word(fw, v)
+    return NCPoly(ctx.pres, {u: c for u, c in out.items() if not c.is_zero()})
+
+
+def reference_right_mul(F, g, a):
+    """sum_{k,j} c_k (f^k_j |> a) omega_j, with one polynomial product and
+    one sum per (k, j)."""
+    out = GammaElement.zero(F.pres)
+    for k, label in enumerate(F.labels):
+        c = g.terms.get(label)
+        if c is not None:
+            for label_j, f in zip(F.labels, F.f[k]):
+                out = out + GammaElement(F.pres, {label_j: c * per_term_left_act(f, a)})
+    return out
+
+
+def random_gamma(F, rng):
+    """Random polynomial coefficients at two to four of the basis labels."""
+    labels = rng.sample(F.labels, rng.randint(2, len(F.labels)))
+    return GammaElement(F.pres, {label: random_poly(F.pres, rng, 2, 2) for label in labels})
+
+
+@pytest.mark.parametrize("zeta", ["eps", "zeta_q"])
+def test_right_mul_matches_per_label_reference(ctx, zeta):
+    rng = random.Random(12)
+    F = bicovariant_build(ctx, zeta).fodc
+    for _ in range(10):
+        g = random_gamma(F, rng)
+        a = random_poly(ctx.pres, rng, 2, 3)
+        assert F.right_mul(g, a) == reference_right_mul(F, g, a), (g, a)
+
+
+def test_right_mul_makes_no_polynomial_product(B, ctx, monkeypatch):
+    rng = random.Random(13)
+    F = B.fodc
+    g, a = random_gamma(F, rng), random_poly(ctx.pres, rng, 2, 3)
+    want = reference_right_mul(F, g, a)
+
+    def refuse(self, other):
+        raise AssertionError("NCPoly product in right_mul")
+
+    monkeypatch.setattr(NCPoly, "__mul__", refuse)
+    assert F.right_mul(g, a) == want
+
+
+def test_right_mul_rejects_a_foreign_label(B, ctx):
+    # dz is a basis label of the disc calculus, not of this one
+    g = GammaElement(ctx.pres, {"theta11": ctx.pres.one(), "dz": ctx.pres.one()})
+    with pytest.raises(FodcError, match="'dz'"):
+        B.fodc.right_mul(g, ctx.pres.gen("v12"))
 
 
 def differential_via_theta(B, a):
