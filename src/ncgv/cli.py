@@ -107,10 +107,6 @@ class Session:
 
     def context(self):
         if self._ctx is None:
-            algebra = self.doc.get("algebra", "slq2")
-            if algebra != "slq2":
-                raise ScenarioError(
-                    f"functional checks need the builtin slq2 algebra, got {algebra!r}")
             self._ctx = make_slq2_context()
         return self._ctx
 
@@ -358,6 +354,12 @@ CHECKS = {
 # and a scenario without them never pays for it.
 NUMERIC_CHECKS = frozenset({"disc_numeric", "weyl_numeric", "ex3_symbolic", "summability"})
 
+# The checks that evaluate functionals through ``Session.context`` or
+# ``Session.bicovariant``, which are built on the builtin slq2 algebra only.
+SLQ2_CHECKS = frozenset({"hopf_axioms", "fodc_validate", "prop1", "prop4", "centrality",
+                         "hermiticity", "faithfulness", "leibniz_random",
+                         "cross_assoc_random"})
+
 
 # --------------------------------------------------------------------------
 # scenario execution
@@ -405,12 +407,14 @@ def _bind(item, overrides, algebra):
     ``_AT_LEAST``, a list must not be empty, and every parameter without a
     default must be given, and a ``zeta`` must name a shipped character.  An
     override reaches only the checks that declare it.  ``algebra`` is the
-    scenario's algebra."""
+    scenario's algebra, which must be slq2 for a check of ``SLQ2_CHECKS``."""
     if not isinstance(item, dict):
         raise ScenarioError(f"a check must be an object, got {item!r}")
     name = item.get("name")
     if type(name) is not str or name not in CHECKS:
         raise ScenarioError(f"unknown check {name!r}")
+    if name in SLQ2_CHECKS and algebra != "slq2":
+        raise ScenarioError(f"functional checks need the builtin slq2 algebra, got {algebra!r}")
     declared = inspect.signature(CHECKS[name], eval_str=True).parameters
     kwargs = {k: v for k, v in item.items() if k != "name"}
     kwargs.update((k, v) for k, v in overrides.items() if k in declared)
@@ -470,11 +474,14 @@ def _bind(item, overrides, algebra):
 
 def validate_scenario(doc, overrides=None):
     """Bind every check of the scenario to its parameters, before any check
-    runs; returns [(check name, keyword arguments)]."""
+    runs, in an algebra that names a builtin presentation; returns
+    [(check name, keyword arguments)]."""
     checks = doc.get("checks") if isinstance(doc, dict) else None
     if not isinstance(checks, list) or not checks:
         raise ScenarioError("scenario needs a non-empty 'checks' list")
     algebra = doc.get("algebra", "slq2")
+    if not _has_type(algebra, Presentation):
+        raise ScenarioError(f"scenario 'algebra' must be {Presentation}, got {algebra!r}")
     bound = [_bind(item, overrides or {}, algebra) for item in checks]
     if any(name in NUMERIC_CHECKS for name, _ in bound):
         importlib.import_module(".hilbert", __package__)

@@ -314,9 +314,8 @@ class DualContext:
         hit = self._straight_cache.get(key)
         if hit is None:
             hit = self._straight_cache[key] = {}
-            b = NCPoly(self.pres, {w: ONE})
             for (fl, fr), cc in DualElement(self, {fword: ONE}).coproduct().items():
-                for u, cu in DualElement(self, {fl: ONE}).left_act(b).terms.items():
+                for u, cu in self.act_on_word(fl, w).items():
                     _accum(hit, (u, fr), cc * cu)
         return hit
 

@@ -154,22 +154,15 @@ def fodc_validate(F, degree=3):
 
     def covariance():
         for wa in words:
-            a = NCPoly(pres, {wa: ONE})
             ma = m_at(wa)
             for wb in words:
                 mb = m_at(wb)
                 # M(ab) = sum_w c_w M(w) over the normal form of ab
-                ab = [(c, m_at(w)) for w, c in (a * NCPoly(pres, {wb: ONE})).terms.items()]
+                ab = [(c, m_at(w)) for w, c in pres.normal_form_word(wa + wb).items()]
                 for j in range(size):
                     for k in range(1, size):
-                        rhs = ZERO
-                        for l in range(size):
-                            if not ma[j][l].is_zero():
-                                rhs = rhs + ma[j][l] * mb[l][k]
-                        lhs = ZERO
-                        for c, mw in ab:
-                            if not mw[j][k].is_zero():
-                                lhs = lhs + c * mw[j][k]
+                        rhs = sum((ma[j][l] * mb[l][k] for l in range(size)), ZERO)
+                        lhs = sum((c * mw[j][k] for c, mw in ab), ZERO)
                         if lhs == rhs:
                             continue
                         if j == 0:

@@ -164,59 +164,31 @@ class HopfStructure:
 def derive_antipode(pres, delta, counit):
     """Solve m(S (x) id) Delta(g) = eps(g) 1 = m(id (x) S) Delta(g) for the
     generator antipodes over Q(s), with the ansatz that each S(g) is a
-    combination of the normal words of degree <= 1."""
+    combination of the normal words of degree <= 1: one equation per
+    generator, side and normal word of the products, read off the
+    normal-form table."""
+    nf = pres.normal_form_word
     words = pres.normal_words(1)
-    gens = pres.generators
-    unknowns = [(g, w) for g in gens for w in words]
-    col = {k: i for i, k in enumerate(unknowns)}
+    unknowns = [(g, w) for g in pres.generators for w in words]
     rows = []
     rhs = []
-
-    def add_equations(g, left):
-        # target word basis -> linear equation per basis word
-        eq = {}
-        target = {(): counit[g]}
-        for (w1, w2), c in delta[g].terms.items():
-            if left:
-                # sum_h S-coeff over ansatz: S(w1-part) * w2
-                anchor, other = w1, w2
-            else:
-                anchor, other = w2, w1
-            if len(anchor) != 1:
-                # products of generators in a coproduct leg: expand the
-                # ansatz multiplicatively is not linear; generator tables
-                # only is supported (matrix coalgebras and group-likes)
-                raise HopfError("antipode solver needs generator-only coproduct legs")
-            a = anchor[0]
-            for w in words:
-                prod = (NCPoly(pres, {w: ONE}) * NCPoly(pres, {other: ONE})
-                        if left else
-                        NCPoly(pres, {other: ONE}) * NCPoly(pres, {w: ONE}))
-                for u, cu in prod.terms.items():
-                    eq.setdefault(u, {})
-                    key = (a, w)
-                    eq[u][key] = eq[u].get(key, ZERO) + c * cu
-        all_words = set(eq) | set(target)
-        for u in sorted(all_words, key=pres.word_key):
-            row = [ZERO] * len(unknowns)
-            for key, cv in eq.get(u, {}).items():
-                row[col[key]] = row[col[key]] + cv
-            rows.append(row)
-            rhs.append(target.get(u, ZERO))
-
-    for g in gens:
-        add_equations(g, left=True)
-        add_equations(g, left=False)
-    sol = solve_field(rows, rhs)
-    table = {}
-    for g in gens:
-        terms = {}
-        for w in words:
-            c = sol[col[(g, w)]]
-            if not c.is_zero():
-                terms[w] = c
-        table[g] = NCPoly(pres, terms)
-    return table
+    for g in pres.generators:
+        for left in (True, False):
+            eq = {(): {}}  # the unit word, where the right-hand side eps(g) sits
+            for (w1, w2), c in delta[g].terms.items():
+                anchor, other = (w1, w2) if left else (w2, w1)
+                # S of a longer leg is a product of unknowns: not a linear equation
+                if len(anchor) != 1:
+                    raise HopfError("antipode solver needs generator-only coproduct legs")
+                for w in words:
+                    for u, cu in nf(w + other if left else other + w).items():
+                        _accum(eq.setdefault(u, {}), (anchor[0], w), c * cu)
+            for u in sorted(eq, key=pres.word_key):
+                rows.append([eq[u].get(k, ZERO) for k in unknowns])
+                rhs.append(ZERO if u else counit[g])
+    sol = dict(zip(unknowns, solve_field(rows, rhs)))
+    return {g: NCPoly(pres, {w: sol[g, w] for w in words if not sol[g, w].is_zero()})
+            for g in pres.generators}
 
 
 def matrix_hopf(pres, n, gen_name):
@@ -264,7 +236,7 @@ def hopf_axiom_report(H, degree=3):
             d = H.coproduct(p)
             if H.coproduct_leg(d, 0) != H.coproduct_leg(d, 1):
                 yield 0, w
-            if _contract_counit(H, d, 0) != p or _contract_counit(H, d, 1) != p:
+            if any(_contract_counit(H, d, leg) != p.terms for leg in (0, 1)):
                 yield 1, w
             left = pres.zero()
             right = pres.zero()
@@ -289,14 +261,10 @@ def hopf_axiom_report(H, degree=3):
 
 
 def _contract_counit(H, tensor, leg):
-    pres = H.pres
-    out = pres.zero()
+    """The 2-leg tensor with eps applied to one leg, as {word: coeff}."""
+    out = {}
     for key, c in tensor.terms.items():
-        v = H.counit_word(key[leg])
-        if v.is_zero():
-            continue
-        other = key[1 - leg]
-        out = out + NCPoly(pres, {other: ONE}).scale(c * v)
+        _accum(out, key[1 - leg], c * H.counit_word(key[leg]))
     return out
 
 

@@ -1,5 +1,6 @@
 """Scenario runner: exit codes, determinism, report completeness."""
 
+import inspect
 import json
 import os
 import re
@@ -457,3 +458,26 @@ def test_crashing_check_is_reported_as_its_own_error(tmp_path, monkeypatch, targ
             assert got["witness"] == f"{type(exc).__name__}: {exc}"
         else:
             assert got == want
+
+
+# the checks whose code builds the slq2 context, directly or through the calculus
+CONTEXT_CHECKS = sorted(name for name, check in cli.CHECKS.items()
+                        if re.search(r"session\.(context|bicovariant)\(",
+                                     inspect.getsource(check)))
+
+
+@pytest.mark.parametrize("name", CONTEXT_CHECKS)
+def test_functional_check_in_another_algebra_is_a_scenario_error(tmp_path, capsys, name):
+    path = write_scenario(tmp_path, [{"name": name}], algebra="disc")
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert "functional checks need the builtin slq2 algebra, got 'disc'" in err
+    assert "Traceback" not in err
+
+
+def test_unknown_algebra_is_a_scenario_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, [{"name": "disc_block_exact"}], algebra="foo")
+    assert main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert "'algebra'" in err and "'foo'" in err
+    assert "Traceback" not in err

@@ -477,13 +477,13 @@ def test_repeated_cross_product_makes_no_new_action(monkeypatch):
     ctx = make_slq2_context()
     x = random_cross(ctx, random.Random(22), cross_functionals(ctx))
     calls = []
-    for name in ("left_act", "coproduct"):
-        def counted(self, *args, _orig=getattr(DualElement, name), _name=name):
+    for owner, name in ((DualContext, "act_on_word"), (DualElement, "coproduct")):
+        def counted(self, *args, _orig=getattr(owner, name), _name=name):
             calls.append(_name)
             return _orig(self, *args)
-        monkeypatch.setattr(DualElement, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     first = x * x
-    assert "left_act" in calls and "coproduct" in calls
+    assert "act_on_word" in calls and "coproduct" in calls
     calls.clear()
     assert x * x == first
     assert calls == []

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ncgv.algebra import NCPoly, random_poly
+from ncgv.algebra import AlgebraPresentation, NCPoly, random_poly
 from ncgv.dual import BF, CHAR, DualElement, SLM, make_slq2_context, multiplicative
 from ncgv.fodc import (BicovariantOutput, FodcData, FodcError, GammaElement,
                        bicovariant_build, builtin_calculus,
@@ -123,13 +123,13 @@ def test_corrupted_structure_functional_at_one_fails_unit_values(B, ctx):
 
 def test_certified_calculi_skip_the_pair_loop(ctx, monkeypatch):
     # the covariance certificate settles both shipped calculi for every
-    # degree, so the corpus pair loop, which multiplies corpus words, never
-    # runs, and the reports are those the loop gives
+    # degree, so the corpus pair loop, which normal-forms the products of
+    # corpus words, never runs, and the reports are those the loop gives
     B_eps, B_zeta = bicovariant_build(ctx, "eps"), bicovariant_build(ctx, "zeta_q")
 
-    def no_pairs(self, other):
+    def no_pairs(self, w):
         raise AssertionError("the corpus pair loop ran")
-    monkeypatch.setattr(NCPoly, "__mul__", no_pairs)
+    monkeypatch.setattr(AlgebraPresentation, "normal_form_word", no_pairs)
     passed = [("unit_values", True, None), ("tangent_coproduct", True, None),
               ("f_comultiplicative", True, None)]
     assert fodc_validate(B_eps.fodc, 3) == passed + [("tangent_star_invariance", True, None)]
@@ -160,10 +160,15 @@ def broken_calculus(B, ctx, name):
                       ("tangent_coproduct", False, ("tangent_coproduct", 2, ("v21",), ())),
                       ("f_comultiplicative", False, ("f_comultiplicative", 1, 2, (), ()))]),
 ])
-def test_broken_calculi_are_refused_and_searched(B, ctx, name, report):
-    # the certificate refuses, and the corpus search gives its first witnesses
+def test_broken_calculi_are_refused_and_searched(B, ctx, name, report, monkeypatch):
+    # the certificate refuses, and the corpus search gives its first
+    # witnesses, reading each product of corpus words off the normal-form table
     broken = broken_calculus(B, ctx, name)
     assert not multiplicative(broken.structure_matrix())
+
+    def no_product(self, other):
+        raise AssertionError("the corpus search formed a polynomial product")
+    monkeypatch.setattr(NCPoly, "__mul__", no_product)
     assert fodc_validate(broken, 2) == report
 
 

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from ncgv import linalg
-from ncgv.algebra import NCPoly, first_failure
-from ncgv.hopf import (HopfStructure, Tensor, hopf_axiom_report, hopf_to_doc,
-                       load_hopf, slq2_hopf)
+from ncgv.algebra import AlgebraPresentation, NCPoly, first_failure
+from ncgv.hopf import (HopfError, HopfStructure, Tensor, derive_antipode, hopf_axiom_report,
+                       hopf_to_doc, load_hopf, slq2_hopf)
 from ncgv.presentations import builtin_presentation
 from ncgv.scalars import ONE, Q, QScalar, ZERO
 
@@ -82,17 +82,43 @@ def test_antipode_is_matrix_inverse(H, pres):
 
 def test_antipode_is_solved_without_exact_rank(pres, monkeypatch):
     # derive_antipode reaches solve_field only, so a traced run counts rank
-    # matrices alone in linalg.rank_calls
+    # matrices alone in linalg.rank_calls; its equations are read off the
+    # normal-form table, with no polynomial product
     def no_rank(rows):
         raise AssertionError("solve_field called exact_rank")
 
+    def no_product(self, other):
+        raise AssertionError("derive_antipode formed a polynomial product")
+
     monkeypatch.setattr(linalg, "exact_rank", no_rank)
+    monkeypatch.setattr(NCPoly, "__mul__", no_product)
     assert hopf_to_doc(slq2_hopf(pres))["antipode"] == {
         "v11": [{"coeff": "1", "word": "v22"}],
         "v12": [{"coeff": "(-1)/(s^2)", "word": "v12"}],
         "v21": [{"coeff": "-s^2", "word": "v21"}],
         "v22": [{"coeff": "1", "word": "v11"}],
     }
+
+
+def group_likes():
+    """g and ginv with g ginv = ginv g = 1, Delta(x) = x (x) x and eps(x) = 1."""
+    pres = AlgebraPresentation("group", ["g", "ginv"],
+                               [(("g", "ginv"), {(): ONE}), (("ginv", "g"), {(): ONE})])
+    delta = {x: Tensor(pres, 2, {((x,), (x,)): ONE}) for x in pres.generators}
+    return pres, delta, {x: ONE for x in pres.generators}
+
+
+def test_antipode_of_group_likes_is_the_inverse():
+    pres, delta, counit = group_likes()
+    assert derive_antipode(pres, delta, counit) == {"g": pres.gen("ginv"),
+                                                    "ginv": pres.gen("g")}
+
+
+def test_antipode_solver_refuses_a_longer_coproduct_leg():
+    pres, delta, counit = group_likes()
+    delta["g"] = Tensor(pres, 2, {(("g", "g"), ("g",)): ONE})
+    with pytest.raises(HopfError, match="generator-only coproduct legs"):
+        derive_antipode(pres, delta, counit)
 
 
 def test_antipode_antihomomorphism_random(H, pres):
