@@ -5,7 +5,9 @@ Two constructions are covered: the bordered block-matrix operators
 central functional C = sum X_kj A^j_k acting inside the cross product.
 The block operators are the rows of the structure matrix M = (eps X; 0 f)
 of the calculus written into bordered blocks, and Prop. 1 is the one
-identity Omega_j rho(a) = sum_k (M_jk |> a) Omega_k, with Omega_0 = C.
+identity Omega_j rho(a) = sum_k (M_jk |> a) Omega_k, with Omega_0 = C,
+decided for every a from the unit and the generators when M is
+multiplicative.
 The complex unit in front of [C, rho(a)] and of each Omega_k multiplies
 both sides of every identity and is left out, so every entry lies over Q(s).
 """
@@ -15,7 +17,8 @@ from __future__ import annotations
 from functools import cache
 
 from .algebra import NCPoly, first_failure, first_failures
-from .dual import BF, CHAR, LM, LP, CrossElement, DualElement, mixed_word_to_cross
+from .dual import (BF, CHAR, LM, LP, CrossElement, DualElement, mixed_word_to_cross,
+                   multiplicative)
 from .fodc import GammaElement
 from .linalg import MatrixOverAlgebra, exact_rank
 from .scalars import ONE, QScalar, ZERO
@@ -91,8 +94,18 @@ def prop1_verify(C, Omegas, F, degree_a=2):
 
     Row 0 is (r1) (Ca - aC) . b = sum_k (X_k |> a) Omega_k . b, and row k+1
     is (r2) Omega_k a . b = sum_l (f^k_l |> a) Omega_l . b.  Both sides act
-    as one operator, their difference, on the tuples whose one nonzero slot
-    holds a word b of degree <= 1 (the action is componentwise linear)."""
+    as one operator, their difference P_j(a), on the tuples whose one
+    nonzero slot holds a word b of degree <= 1 (the action is componentwise
+    linear).
+
+    When M is multiplicative (``dual.multiplicative``), M_jk |> ab =
+    sum_l (M_jl |> a)(M_lk |> b), so P_j(ab) = P_j(a) b + sum_k (M_jk |> a)
+    P_k(b), and P vanishes on every a once it vanishes on the unit and the
+    generators.  So when every P_j(a) of the words a of degree <= 1 is the
+    zero operator term by term (no term left in any entry) and M is
+    multiplicative, the identity holds for every a and the corpus search
+    stops there; otherwise it runs through the words of degree <= degree_a,
+    and each identity's first failing (a, slot, b) is its witness."""
     ctx = F.ctx
     pres = ctx.pres
     size = F.n + 1
@@ -108,7 +121,14 @@ def prop1_verify(C, Omegas, F, degree_a=2):
                 yield slot, wb, tup
 
     def witnesses():
+        pending = set(words_b)
+        certify = True  # every P_j(a) so far without a term
         for wa in ctx.corpus(degree_a):
+            if certify and not pending:
+                if multiplicative(M):
+                    return
+                certify = False
+            pending.discard(wa)
             a = NCPoly(pres, {wa: ONE})
             for j, row in enumerate(M):
                 rhs = BOperator.zero(ctx, size)
@@ -118,6 +138,7 @@ def prop1_verify(C, Omegas, F, degree_a=2):
                         if not acted.is_zero():
                             rhs = rhs + op.scale_poly(acted)
                 delta = _mul_by_algebra_right(ops[j], a) - rhs
+                certify = certify and delta.is_zero()
                 for slot, wb, tup in tuples():
                     if all(x.is_zero() for x in delta.act(tup)):
                         continue

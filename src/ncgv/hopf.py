@@ -1,6 +1,7 @@
 """Hopf *-algebra structure on presented algebras: coproduct, counit and
-antipode tables on generators, extended (anti)homomorphically, with a
-corpus-based axiom checker.
+antipode tables on generators, extended (anti)homomorphically, with an
+axiom checker that decides every degree from the generators and searches a
+word corpus only when that induction does not apply.
 
 Antipode tables for built-in algebras are not typed in: they are solved for
 from the antipode axiom with a bounded-degree ansatz, then frozen on the
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 import json
 
-from .algebra import LinComb, NCPoly, _accum, first_failure, first_failures
+from .algebra import (LinComb, NCPoly, _accum, ambiguities, confluence_check, first_failure,
+                      first_failures, star_closure_report)
 from .linalg import solve_field
 from .exprparse import (base_env, parse_scalar, scalar_to_str, terms_from_doc,
                         terms_to_doc)
@@ -218,36 +220,63 @@ def slq2_hopf(pres):
 
 
 def hopf_axiom_report(H, degree=3):
-    """Check coassociativity, counit, antipode and star compatibility on all
-    normal words up to the given degree, in one pass that takes Delta(w) once
-    per word, and that the structure maps kill the relation ideal.  Returns
-    a list of (check, ok, witness)."""
+    """Check coassociativity, counit, antipode and star compatibility on the
+    normal words up to the given degree, in one pass that takes Delta(w)
+    once per word, and that the structure maps kill the relation ideal.
+    Returns a list of (check, ok, witness).
+
+    The words of degree <= 1 (the unit and the generators) decide every
+    degree when the maps are well defined on the algebra: Delta, eps and S
+    kill the relations (``relation_consistency``), so does the star
+    (``star_closure_report``), and every ambiguity of the rules resolves
+    (``confluence_check``), so that normal forms are unique (Bergman's
+    diamond lemma) and equal maps have equal normal forms on every word.
+    Coassociativity and the counit then compare algebra maps, star
+    compatibility compares anti-multiplicative maps, and the antipode axiom
+    passes from x and y to xy because S is anti-multiplicative: each axiom
+    holds in every degree once it holds on those words, whatever the other
+    axioms do.  So when these conditions hold the pass stops after the
+    words of degree <= 1, where a failing axiom has already met its first
+    witness; otherwise it runs through the corpus."""
     pres = H.pres
+    nf = pres.normal_form_word
     names = ["coassociativity", "counit", "antipode"]
     if pres.star is not None:
         names.append("star_compatibility")
+    antipodes = {}
 
     def poly_of(w):
         return NCPoly(pres, {w: ONE})
 
-    def axioms():
-        for w in pres.normal_words(degree):
-            p = poly_of(w)
-            d = H.coproduct(p)
-            if H.coproduct_leg(d, 0) != H.coproduct_leg(d, 1):
-                yield 0, w
-            if any(_contract_counit(H, d, leg) != p.terms for leg in (0, 1)):
-                yield 1, w
-            left = pres.zero()
-            right = pres.zero()
-            for (w1, w2), c in d.terms.items():
-                left = left + (H.antipode(poly_of(w1)) * poly_of(w2)).scale(c)
-                right = right + (poly_of(w1) * H.antipode(poly_of(w2))).scale(c)
-            target = pres.one().scale(H.counit(p))
-            if left != target or right != target:
-                yield 2, w
-            if pres.star is not None and H.coproduct(p.star()) != d.star_legwise():
-                yield 3, w
+    def antipode_word(w):
+        """S(w) = S(g_k) ... S(g_1) as {normal word: coeff}, once per word."""
+        terms = antipodes.get(w)
+        if terms is None:
+            terms = {(): ONE}
+            for g in reversed(w):
+                out = {}
+                _product(nf, out, ONE, terms, H.antipode_table[g].terms)
+                terms = out
+            antipodes[w] = terms
+        return terms
+
+    def failed_axioms(w):
+        p = poly_of(w)
+        d = H.coproduct(p)
+        if H.coproduct_leg(d, 0) != H.coproduct_leg(d, 1):
+            yield 0
+        if any(_contract_counit(H, d, leg) != p.terms for leg in (0, 1)):
+            yield 1
+        # S(w_(1)) w_(2) and w_(1) S(w_(2)), read off the normal-form table
+        left, right = {}, {}
+        for (w1, w2), c in d.terms.items():
+            _product(nf, left, c, antipode_word(w1), {w2: ONE})
+            _product(nf, right, c, {w1: ONE}, antipode_word(w2))
+        target = pres.one().scale(H.counit(p)).terms
+        if left != target or right != target:
+            yield 2
+        if pres.star is not None and H.coproduct(p.star()) != d.star_legwise():
+            yield 3
 
     def relation_consistency():
         # Delta, eps and S, rule by rule: the first rule any of them breaks
@@ -256,8 +285,37 @@ def hopf_axiom_report(H, degree=3):
             if any(not res.is_zero() for _, _, res in rows):
                 yield rows[0][0]
 
-    return [*first_failures(names, axioms()),
-            first_failure("relation_consistency", relation_consistency())]
+    consistency = first_failure("relation_consistency", relation_consistency())
+
+    def induction():
+        top = max((pres.word_weight(w) for w, *_ in ambiguities(pres)), default=0)
+        return (consistency[1]
+                and (pres.star is None or not star_closure_report(pres))
+                and not confluence_check(pres, top))
+
+    def axioms():
+        pending = set(pres.normal_words(1))
+        certify = True
+        for w in pres.normal_words(degree):
+            if certify and not pending:
+                if induction():
+                    return
+                certify = False
+            pending.discard(w)
+            for i in failed_axioms(w):
+                yield i, w
+
+    return [*first_failures(names, axioms()), consistency]
+
+
+def _product(nf, out, coeff, left, right):
+    """Accumulate coeff * left * right into ``out``, for {normal word: coeff}
+    dicts, each product of two words read off the normal-form table."""
+    for u, cu in left.items():
+        for v, cv in right.items():
+            c = coeff * cu * cv
+            for x, cx in nf(u + v).items():
+                _accum(out, x, c * cx)
 
 
 def _contract_counit(H, tensor, leg):

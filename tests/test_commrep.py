@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ncgv import commrep
 from ncgv.algebra import NCPoly, first_failure, random_poly
 from ncgv.commrep import (BOperator, centrality_check,
                           disc_block_c, dual_centrality, faithfulness_rank,
@@ -11,7 +12,7 @@ from ncgv.commrep import (BOperator, centrality_check,
                           prop4_verify, quantum_space_commrep_report,
                           tau_central, MatrixOverAlgebra, _flatten,
                           _mul_by_algebra_right)
-from ncgv.dual import (BF, CHAR, LM, LP, CrossElement, DualContext, DualElement,
+from ncgv.dual import (BF, CHAR, LM, LP, SLP, CrossElement, DualContext, DualElement,
                        make_slq2_context, mixed_word_to_cross)
 from ncgv.fodc import (BicovariantOutput, FodcData, GammaElement, bicovariant_build,
                        builtin_calculus)
@@ -94,6 +95,71 @@ def test_corrupted_omega_fails_r2_with_its_row(blocks, B):
               prop1_verify(C, [bad] + list(Omegas[1:]), B.fodc, degree_a=1)}
     assert checks["prop1_r2"] == (False, {"identity": "r2", "a": ("v11",), "k": 0,
                                           "slot": 2, "b": ()})
+
+
+@pytest.mark.parametrize("degree_a", [1, 2, 3])
+def test_corrupted_omega_keeps_its_witnesses_at_every_degree(blocks, B, degree_a):
+    # a failure on a generator refuses the induction, and the search keeps
+    # the first witnesses of degree 1 (Omega_1 enters row 0 too)
+    C, Omegas = blocks
+    bad = BOperator(B.ctx, [row[:] for row in Omegas[0].entries])
+    bad.entries[0][2] = bad.entries[0][2].scale(QScalar.from_int(-1))
+    assert prop1_verify(C, [bad] + list(Omegas[1:]), B.fodc, degree_a=degree_a) == [
+        ("prop1_r1", False, {"identity": "r1", "a": ("v11",), "slot": 2, "b": ("v11",)}),
+        ("prop1_r2", False, {"identity": "r2", "a": ("v11",), "k": 0, "slot": 2, "b": ()})]
+
+
+def act_calls(monkeypatch):
+    """A list that gains one entry, the operator, per call of BOperator.act."""
+    calls = []
+    act = BOperator.act
+
+    def spy(self, tup):
+        calls.append(self)
+        return act(self, tup)
+
+    monkeypatch.setattr(BOperator, "act", spy)
+    return calls
+
+
+@pytest.mark.parametrize("zeta", ["eps", "zeta_q"])
+def test_prop1_is_certified_from_the_generators(ctx, zeta, monkeypatch):
+    # P_j(a) is zero term by term on the unit and the generators and M is
+    # multiplicative, so the rows a of degree 2 and 3 are never acted on
+    F = bicovariant_build(ctx, zeta).fodc
+    C, Omegas = prop1_build(F)
+    calls = act_calls(monkeypatch)
+    assert prop1_verify(C, Omegas, F, degree_a=3) == [("prop1_r1", True, None),
+                                                       ("prop1_r2", True, None)]
+    # every word a of degree <= 1, row j, slot and word b once
+    low = len(ctx.corpus(1))
+    assert len(calls) == low * (F.n + 1) ** 2 * low
+
+
+@pytest.mark.parametrize("degree_a", [1, 2, 3])
+def test_refused_prop1_induction_searches_the_corpus(blocks, B, ctx, degree_a, monkeypatch):
+    C, Omegas = blocks
+    certified = prop1_verify(C, Omegas, B.fodc, degree_a=degree_a)
+    monkeypatch.setattr(commrep, "multiplicative", lambda M: False)
+    calls = act_calls(monkeypatch)
+    assert prop1_verify(C, Omegas, B.fodc, degree_a=degree_a) == certified
+    assert len(calls) == len(ctx.corpus(degree_a)) * (B.fodc.n + 1) ** 2 * len(ctx.corpus(1))
+
+
+def test_zero_with_terms_refuses_the_prop1_induction(blocks, B, ctx, monkeypatch):
+    # sum_t l+[1,t] S(l+)[t,2] is zero on every word but keeps its terms:
+    # added to Omega_1, it leaves every identity true, and P_j(a) is no
+    # longer zero term by term, so the corpus decides
+    C, Omegas = blocks
+    z = sum((DualElement(ctx, {ctx.canonical_word((BF(LP, 1, t), BF(SLP, t, 2))): ONE})
+             for t in (1, 2)), DualElement(ctx, {}))
+    assert z.vanishes() and z.terms
+    padded = BOperator(ctx, [row[:] for row in Omegas[0].entries])
+    padded.entries[0][1] = padded.entries[0][1] + CrossElement.from_dual(ctx, z)
+    calls = act_calls(monkeypatch)
+    assert prop1_verify(C, [padded] + list(Omegas[1:]), B.fodc, degree_a=2) == [
+        ("prop1_r1", True, None), ("prop1_r2", True, None)]
+    assert len(calls) == len(ctx.corpus(2)) * (B.fodc.n + 1) ** 2 * len(ctx.corpus(1))
 
 
 def test_trivial_calculus_prop1(ctx):

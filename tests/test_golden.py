@@ -23,14 +23,16 @@ BICOVARIANT = ROOT / "tests" / "data" / "bicovariant"
 SCENARIOS = sorted(p.stem for p in (ROOT / "src" / "ncgv" / "data" / "scenarios").glob("*.json"))
 
 
-def _load_gate():
-    spec = importlib.util.spec_from_file_location("perfbench_gate", ROOT / "perfbench" / "gate.py")
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-gate = _load_gate()
+gate = _load_perfbench("gate")
+workloads = _load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("zeta", ["eps", "zeta_q"])
@@ -53,3 +55,14 @@ def test_report_matches_golden(name, tmp_path):
     code = main(["verify", f"builtin:{name}", "--out", str(out)])
     report = json.loads(out.read_text())
     assert gate.compare(golden, report, code, seed=0) == []
+
+
+def test_exact_slq2_workload_matches_its_benchmark_reference(tmp_path):
+    # hopf_axioms at degree 4 and prop1 at degree 3, both certified from the
+    # generators; the shipped scenarios reach them only at degrees 3 and 2
+    scenario = tmp_path / "exact_slq2.json"
+    scenario.write_text(json.dumps(workloads.scenario("exact_slq2", 0)))
+    out = tmp_path / "report.json"
+    code = main(["verify", str(scenario), "--seed", "0", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert gate.compare(gate.load_reference("exact_slq2"), report, code, seed=0) == []

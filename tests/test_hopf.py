@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ncgv import linalg
+from ncgv import hopf, linalg
 from ncgv.algebra import AlgebraPresentation, NCPoly, first_failure
 from ncgv.hopf import (HopfError, HopfStructure, Tensor, derive_antipode, hopf_axiom_report,
                        hopf_to_doc, load_hopf, slq2_hopf)
@@ -173,6 +173,8 @@ def test_relation_consistency_fails_at_the_broken_rule(H, pres, table, gen, rule
     broken = HopfStructure(pres, **tables)
     assert hopf_axiom_report(broken, 1)[-1] == ("relation_consistency", False, rule)
     assert hopf_axiom_report(H, 1)[-1] == ("relation_consistency", True, None)
+    # a broken relation refuses the generator induction: the corpus decides
+    assert hopf_axiom_report(broken, 2)[:-1] == axiom_reference(broken, 2)
 
 
 def axiom_reference(H, degree):
@@ -239,6 +241,62 @@ def test_axioms_in_one_pass_match_one_loop_each(H, pres, table, gen):
     assert report == axiom_reference(broken, 2)
     assert len({w for _, ok, w in report if not ok}) >= 2
     assert hopf_axiom_report(H, 2)[:-1] == axiom_reference(H, 2)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_rescaled_antipode_fails_on_a_generator(H, pres, degree):
+    # S(v12) doubled and S(v21) halved still kill the relations, so only
+    # the axioms on the generators refuse the induction
+    two = QScalar.from_int(2)
+    antipode = dict(H.antipode_table)
+    antipode["v12"] = antipode["v12"].scale(two)
+    antipode["v21"] = antipode["v21"].scale(two.inverse())
+    broken = HopfStructure(pres, dict(H.delta), dict(H.counit_table), antipode)
+    report = hopf_axiom_report(broken, degree)
+    assert report[-1] == ("relation_consistency", True, None)
+    assert report[:-1] == axiom_reference(broken, degree)
+    assert report[2] == ("antipode", False, ("v11",))
+
+
+def coproduct_lengths(monkeypatch):
+    """The lengths of the words whose coproduct the axiom pass takes."""
+    seen = set()
+    coproduct = HopfStructure.coproduct
+
+    def spy(self, p):
+        seen.update(len(w) for w in p.terms)
+        return coproduct(self, p)
+
+    monkeypatch.setattr(HopfStructure, "coproduct", spy)
+    return seen
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_axioms_are_certified_from_the_generators(H, degree, monkeypatch):
+    # the axioms on the unit and the generators, the relations, the star
+    # and confluence prove every degree: no longer word is visited
+    seen = coproduct_lengths(monkeypatch)
+    report = hopf_axiom_report(H, degree)
+    assert all(ok for _, ok, _ in report), report
+    assert seen == {0, 1}
+
+
+REFUSALS = {
+    # a rule that Delta, eps or S breaks (the only first_failure of the report)
+    "first_failure": lambda name, witnesses: (name, False, ("v21", "v12")),
+    "star_closure_report": lambda pres: [(("v21", "v12"), pres.one())],
+    "confluence_check": lambda pres, degree: [(("v21", "v12", "v11"), pres.zero(), pres.one())],
+}
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("refusal", sorted(REFUSALS))
+def test_refused_induction_searches_the_corpus(H, degree, refusal, monkeypatch):
+    certified = hopf_axiom_report(H, degree)
+    monkeypatch.setattr(hopf, refusal, REFUSALS[refusal])
+    seen = coproduct_lengths(monkeypatch)
+    assert hopf_axiom_report(H, degree)[:-1] == certified[:-1]
+    assert max(seen) == degree
 
 
 def test_hopf_json_roundtrip(H, pres):

@@ -101,7 +101,6 @@ API = {
     "quantum_space_from_doc": "file format: quantum-space calculi",
     "load_character": "file format: characters",
     "run_scenario": "the in-process entry point of ncgv verify",
-    "star_closure_report": "precondition of the generator induction (ROADMAP item 4)",
 }
 
 
