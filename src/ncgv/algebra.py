@@ -420,6 +420,24 @@ def first_failures(names, witnesses):
     return [(name, i not in found, found.get(i)) for i, name in enumerate(names)]
 
 
+def search_until_certified(corpus, base, certificate):
+    """The words of ``corpus`` that a witness search visits: all of them,
+    unless ``certificate()`` holds once every word of ``base`` has been
+    visited, which proves the claim for the words left.  The certificate is
+    asked at most once, and only when the corpus goes on past ``base``."""
+    pending = set(base)
+    words = iter(corpus)
+    for w in words:
+        if not pending:
+            if certificate():
+                return
+            yield w
+            yield from words
+            return
+        pending.discard(w)
+        yield w
+
+
 # ---------------------------------------------------------------------------
 # diamond-lemma overlap checking
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .algebra import NCPoly, first_failure, first_failures
+from .algebra import NCPoly, first_failure, first_failures, search_until_certified
 from .dual import (BF, CHAR, LM, LP, CrossElement, DualElement, mixed_word_to_cross,
                    multiplicative)
 from .fodc import GammaElement
@@ -120,15 +120,14 @@ def prop1_verify(C, Omegas, F, degree_a=2):
                 tup[slot] = NCPoly(pres, {wb: ONE})
                 yield slot, wb, tup
 
+    zero_so_far = True  # every P_j(a) visited so far without a term
+
+    def certificate():
+        return zero_so_far and multiplicative(M)
+
     def witnesses():
-        pending = set(words_b)
-        certify = True  # every P_j(a) so far without a term
-        for wa in ctx.corpus(degree_a):
-            if certify and not pending:
-                if multiplicative(M):
-                    return
-                certify = False
-            pending.discard(wa)
+        nonlocal zero_so_far
+        for wa in search_until_certified(ctx.corpus(degree_a), words_b, certificate):
             a = NCPoly(pres, {wa: ONE})
             for j, row in enumerate(M):
                 rhs = BOperator.zero(ctx, size)
@@ -138,7 +137,7 @@ def prop1_verify(C, Omegas, F, degree_a=2):
                         if not acted.is_zero():
                             rhs = rhs + op.scale_poly(acted)
                 delta = _mul_by_algebra_right(ops[j], a) - rhs
-                certify = certify and delta.is_zero()
+                zero_so_far = zero_so_far and delta.is_zero()
                 for slot, wb, tup in tuples():
                     if all(x.is_zero() for x in delta.act(tup)):
                         continue

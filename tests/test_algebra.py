@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ncgv import hopf
 from ncgv.algebra import (AlgebraPresentation, PresentationError, RewriteError,
                           confluence_check, load_presentation,
                           presentation_to_doc, random_poly,
@@ -278,15 +279,28 @@ def test_skew_presentation_is_not_confluent():
     assert confluence_check(skew_presentation(), 4) != []
 
 
-def test_long_words_within_default_budget():
+def test_long_words_within_default_budget(monkeypatch):
     # an uncached work-stack rewriter exhausts the default budget on these
     slq2 = slq2_presentation()
     for k in (6, 8):
         assert len(slq2.normal_form_word(("v22",) * k + ("v11",) * k)) == k + 1
     disc = disc_presentation()
     assert len(disc.normal_form_word(("z*",) * 8 + ("z",) * 8)) == 9
-    report = hopf_axiom_report(slq2_hopf(slq2_presentation()), 6)
+    # a refused induction makes the axiom pass rewrite every word of degree 6
+    monkeypatch.setattr(hopf, "confluence_check",
+                        lambda pres, degree: [(("v21", "v12", "v11"), pres.zero(), pres.one())])
+    H = slq2_hopf(slq2_presentation())
+    lengths = set()
+    coproduct = H.coproduct
+
+    def spy(p):
+        lengths.update(len(w) for w in p.terms)
+        return coproduct(p)
+
+    monkeypatch.setattr(H, "coproduct", spy)
+    report = hopf_axiom_report(H, 6)
     assert [ok for _, ok, _ in report] == [True] * len(report), report
+    assert max(lengths) == 6
 
 
 def test_budget_error_keeps_no_partial_entry():
