@@ -15,7 +15,7 @@ by every later word.
 from __future__ import annotations
 
 from .exprparse import base_env, parse_scalar, scalar_to_str, terms_from_doc, terms_to_doc
-from .scalars import ONE, REAL, QScalar
+from .scalars import ONE, REAL, ZERO, QScalar
 
 Word = tuple
 
@@ -394,6 +394,20 @@ class NCPoly(LinComb):
         return " + ".join(parts)
 
 
+def character_value(vals, terms):
+    """sum c vals[g1] ... vals[gk] over the terms {(g1, ..., gk): c} of a
+    polynomial or word: the character with generator values ``vals``.  A
+    product stops at its first zero factor."""
+    total = ZERO
+    for w, c in terms.items():
+        for g in w:
+            c = c * vals[g]
+            if c.is_zero():
+                break
+        total = total + c
+    return total
+
+
 # ---------------------------------------------------------------------------
 # check protocol
 # ---------------------------------------------------------------------------
@@ -418,6 +432,24 @@ def first_failures(names, witnesses):
         if len(found) == len(names):
             break
     return [(name, i not in found, found.get(i)) for i, name in enumerate(names)]
+
+
+def row_statuses(rows, witness):
+    """(label, status, witness) for each row of a per-row check.  ``rows``
+    yields (label, residual, skip reason), where a skipped row has a reason
+    and no residual; ``witness(residual)`` is None exactly when the residual
+    vanishes, and a skipped row's witness is its reason."""
+    out = []
+    for label, residual, skip in rows:
+        wit = skip or witness(residual)
+        out.append((label, "skipped" if skip else "pass" if wit is None else "fail", wit))
+    return out
+
+
+def nonzero_repr(residual):
+    """The ``row_statuses`` witness of an exact residual: its repr, or None
+    when it is zero."""
+    return None if residual.is_zero() else repr(residual)
 
 
 def search_until_certified(corpus, base, certificate):

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .algebra import NCPoly, first_failure, first_failures, search_until_certified
+from .algebra import (NCPoly, first_failure, first_failures, nonzero_repr, row_statuses,
+                      search_until_certified)
 from .dual import (BF, CHAR, LM, LP, CrossElement, DualElement, mixed_word_to_cross,
                    multiplicative)
 from .fodc import GammaElement
@@ -391,20 +392,8 @@ def quantum_space_commrep_report(calc, C):
     Also reports the derived generator commutators."""
     rows, comms = row_transport(
         calc, lambda p: MatrixOverAlgebra.diagonal([p] * C.size), C)
-    return row_statuses(
-        rows, lambda delta: None if delta.is_zero() else repr(delta)), comms
-
-
-def row_statuses(rows, witness):
-    """(row, status, witness) for each transported row; ``witness(residual)``
-    is None exactly when the residual vanishes, and a skipped row carries
-    its reason."""
-    out = []
-    for label, gen, delta, skip in rows:
-        wit = skip or witness(delta)
-        status = "skipped" if skip else "pass" if wit is None else "fail"
-        out.append((f"{label}.{gen}", status, wit))
-    return out
+    return row_statuses(((f"{label}.{gen}", delta, skip) for label, gen, delta, skip in rows),
+                        nonzero_repr), comms
 
 
 def disc_commutator_comparison(pres, comm_z):

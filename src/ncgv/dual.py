@@ -31,7 +31,7 @@ from collections import deque
 from functools import partial, reduce
 from typing import NamedTuple
 
-from .algebra import LinComb, NCPoly, _accum
+from .algebra import LinComb, NCPoly, _accum, character_value
 from .exprparse import base_env, parse_scalar, scalar_to_str
 from .linalg import MatrixOverAlgebra, add as add_row
 from .scalars import ONE, QScalar, ZERO
@@ -45,18 +45,6 @@ STAR_SUFFIX, ANTIPODE_SUFFIX = "*", "_S"
 
 class DualError(ValueError):
     pass
-
-
-def _character_value(vals, terms):
-    """sum c vals[g1] ... vals[gk] over the terms {(g1, ..., gk): c} of a
-    polynomial or word: a character with generator values ``vals``."""
-    total = ZERO
-    for w, c in terms.items():
-        t = c
-        for g in w:
-            t = t * vals[g]
-        total = total + t
-    return total
 
 
 def _kron_entry(m, terms, *idx):
@@ -142,7 +130,7 @@ class DualContext:
             if g not in vals:
                 raise DualError(f"character {name!r} missing value at {g!r}")
         for lhs, _, res in self.pres.relation_residuals(
-                lambda w: _character_value(vals, {w: ONE})):
+                lambda w: character_value(vals, {w: ONE})):
             if not res.is_zero():
                 raise DualError(
                     f"character {name!r} does not respect relation {' '.join(lhs)}")
@@ -157,7 +145,7 @@ class DualContext:
         star_vals = {}
         for g in self.pres.generators:
             p = self.hopf.antipode(self.pres.gen(g)).star()
-            star_vals[g] = _character_value(vals, p.terms).star(mode)
+            star_vals[g] = character_value(vals, p.terms).star(mode)
         self.characters[star_name] = star_vals
         self._star_char_cache[name] = star_name
         # involution: the star of the star character is the original

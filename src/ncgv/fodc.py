@@ -9,7 +9,8 @@ stored in left normal form: coefficients to the left of the basis symbols.
 
 from __future__ import annotations
 
-from .algebra import LinComb, NCPoly, _accum, first_failure, first_failures
+from .algebra import (LinComb, NCPoly, _accum, first_failure, first_failures, nonzero_repr,
+                      row_statuses)
 from .dual import BF, CHAR, DualElement, LP, SLM, multiplicative
 from .exprparse import base_env, parse_scalar, scalar_to_str, terms_from_doc, terms_to_doc
 from .linalg import MatrixOverAlgebra
@@ -351,14 +352,10 @@ def calculus_consistency_report(calc):
     def image(w):
         return calc.differential_word(w) if calc.dmap.keys() >= set(w) else None
 
-    results = []
-    for lhs, _, res in calc.pres.relation_residuals(image):
-        if res is None:
-            results.append((" ".join(lhs), "skipped", "no differential images"))
-        else:
-            results.append((" ".join(lhs), "pass" if res.is_zero() else "fail",
-                            None if res.is_zero() else repr(res)))
-    return results
+    return row_statuses(
+        ((" ".join(lhs), res, "no differential images" if res is None else None)
+         for lhs, _, res in calc.pres.relation_residuals(image)),
+        nonzero_repr)
 
 
 def star_row_closure_report(calc):
@@ -366,17 +363,17 @@ def star_row_closure_report(calc):
     sum conj(c) omega'* h*; both sides are brought to left normal form and
     compared."""
     if calc.label_star is None:
-        return [("all", "skipped", "calculus carries no star data")]
+        return row_statuses([("all", None, "calculus carries no star data")], nonzero_repr)
     pres = calc.pres
-    results = []
-    for (label, gen), row in sorted(calc.rows.items()):
-        gstar = pres.gen(gen).star()
-        lhs = GammaElement.basis(pres, calc.label_star[label]).left_mul(gstar)
-        rhs = calc.gamma_star(row)
-        ok = lhs == rhs
-        results.append((f"{label}.{gen}", "pass" if ok else "fail",
-                        None if ok else repr(lhs - rhs)))
-    return results
+
+    def residual(label, gen, row):
+        lhs = GammaElement.basis(pres, calc.label_star[label]).left_mul(pres.gen(gen).star())
+        return lhs - calc.gamma_star(row)
+
+    return row_statuses(
+        ((f"{label}.{gen}", residual(label, gen, row), None)
+         for (label, gen), row in sorted(calc.rows.items())),
+        nonzero_repr)
 
 
 # ---------------------------------------------------------------------------

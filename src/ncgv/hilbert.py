@@ -12,7 +12,9 @@ scenario binds a numeric check, so an exact-only run loads neither numpy nor
 scipy; scipy is imported only where a sparse model is built.  Symbolic side:
 the extended-plane representation on a formal module in the basis d_n e_n,
 d_n = lambda_1 ... lambda_n, where only lambda_n^2 = 1 - q^(2n) enters,
-with an exact quotient coefficient ring, where zero means zero.
+with an exact quotient coefficient ring, where zero means zero.  Its
+relation and row-transport reports are ``algebra.row_statuses`` rows whose
+witness is the first move of the residual from a masked slot.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraPresentation, LinComb, _accum, first_failure
-from .commrep import (plane_block_c, quantum_space_commrep_report, row_statuses,
-                      row_transport)
+from .algebra import AlgebraPresentation, LinComb, _accum, first_failure, row_statuses
+from .commrep import plane_block_c, quantum_space_commrep_report, row_transport
 from .fodc import builtin_calculus
 from .linalg import MatrixOverAlgebra
 from .presentations import builtin_presentation
@@ -355,10 +356,6 @@ class SlotOperator(LinComb):
 
     __matmul__ = compose
 
-    def vanishes_below(self, mask):
-        """Exact zero on every slot n <= mask."""
-        return all(n > mask for n, _ in self.terms)
-
     def entry(self, m, n):
         return self.terms.get((n, m), self.ring.zero())
 
@@ -423,12 +420,9 @@ class Ex3Model:
     def relation_report(self):
         """Exact residual of every defining relation under pi, on the masked
         slots."""
-        results = []
-        for lhs, _, op in self.calc.pres.relation_residuals(self.pi_word):
-            ok = op.vanishes_below(self.mask)
-            results.append((" ".join(lhs), "pass" if ok else "fail",
-                            None if ok else _slot_witness(op, self.mask)))
-        return results
+        return row_statuses(((" ".join(lhs), op, None) for lhs, _, op
+                             in self.calc.pres.relation_residuals(self.pi_word)),
+                            lambda op: _slot_witness(op, self.mask))
 
     def pi_word(self, w):
         cur = SlotOperator.build(self.ring, self.top,
@@ -441,8 +435,8 @@ class Ex3Model:
         """[F, pi(gamma)] pi(g) = sum c pi(h) [F, pi(gamma')], exactly on the
         masked slots, for every bimodule row."""
         rows, _ = row_transport(self.calc, self.pi_poly, self.F)
-        return row_statuses(rows, lambda delta: None if delta.vanishes_below(self.mask)
-                            else _slot_witness(delta, self.mask))
+        return row_statuses(((f"{label}.{gen}", op, skip) for label, gen, op, skip in rows),
+                            lambda op: _slot_witness(op, self.mask))
 
     def f_symmetry_report(self):
         """Formal symmetry F = F* in the basis e_n.  In the basis d_n e_n it
@@ -467,12 +461,14 @@ class Ex3Model:
 
 
 def _slot_witness(op, mask):
-    rows = op.table
-    for n in sorted(rows):
-        if n <= mask:
-            m, c = rows[n][0]
-            return {"slot": n, "target": m, "coefficient": repr(c)}
-    return None
+    """The first move of ``op`` from a slot n <= mask, lowest slot first, as
+    {"slot", "target", "coefficient"}; None exactly when ``op`` vanishes on
+    the masked slots.  So it is the zero test and the witness in one."""
+    moves = [(n, m, c) for (n, m), c in op.terms.items() if n <= mask]
+    if not moves:
+        return None
+    n, m, c = min(moves, key=lambda move: move[0])
+    return {"slot": n, "target": m, "coefficient": repr(c)}
 
 
 def ex3_build(M, pi_variant="consistent", rows_variant="consistent"):

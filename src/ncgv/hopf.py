@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 
-from .algebra import (LinComb, NCPoly, _accum, confluence_check, first_failure, first_failures,
-                      search_until_certified, star_closure_report)
+from .algebra import (LinComb, NCPoly, _accum, character_value, confluence_check, first_failure,
+                      first_failures, search_until_certified, star_closure_report)
 from .linalg import solve_field
 from .exprparse import (base_env, parse_scalar, scalar_to_str, terms_from_doc,
                         terms_to_doc)
@@ -115,18 +115,10 @@ class HopfStructure:
         return total
 
     def counit_word(self, w):
-        v = ONE
-        for g in w:
-            v = v * self.counit_table[g]
-            if v.is_zero():
-                break
-        return v
+        return character_value(self.counit_table, {w: ONE})
 
     def counit(self, p):
-        total = ZERO
-        for w, c in p.terms.items():
-            total = total + c * self.counit_word(w)
-        return total
+        return character_value(self.counit_table, p.terms)
 
     def antipode(self, p):
         pres = self.pres

@@ -8,7 +8,7 @@ import pytest
 from ncgv.algebra import AlgebraPresentation, NCPoly, random_poly
 from ncgv.dual import BF, CHAR, DualElement, SLM, make_slq2_context, multiplicative
 from ncgv.fodc import (BicovariantOutput, FodcData, FodcError, GammaElement,
-                       bicovariant_build, builtin_calculus,
+                       QuantumSpaceCalculus, bicovariant_build, builtin_calculus,
                        calculus_consistency_report, fodc_validate,
                        quantum_space_from_doc, quantum_space_to_doc, star_row_closure_report,
                        bicovariant_to_doc, dual_element_from_doc)
@@ -315,6 +315,30 @@ def test_disc_rows_and_consistency():
     assert all(status == "pass" for _, status, _ in report), report
     star_report = star_row_closure_report(calc)
     assert all(status == "pass" for _, status, _ in star_report), star_report
+
+
+def test_star_closure_reports_a_broken_row():
+    # (dz, z*) with q^-3 in place of q^-2: the starred row lands on (dz*, z),
+    # so both fail and the two untouched rows still pass
+    disc = builtin_calculus("disc")
+    pres = disc.pres
+    rows = dict(disc.rows)
+    rows[("dz", "z*")] = GammaElement(pres, {"dz": pres.gen("z*").scale(qp(-3))})
+    calc = QuantumSpaceCalculus("disc-broken", pres, disc.labels, disc.dmap, rows,
+                                label_star=disc.label_star)
+
+    def residual(label, gen):
+        lhs = GammaElement.basis(pres, disc.label_star[label]).left_mul(pres.gen(gen).star())
+        return lhs - calc.gamma_star(rows[(label, gen)])
+
+    report = {label: (status, wit) for label, status, wit in star_row_closure_report(calc)}
+    assert report == {
+        "dz.z": ("pass", None),
+        "dz.z*": ("fail", repr(residual("dz", "z*"))),
+        "dz*.z": ("fail", repr(residual("dz*", "z"))),
+        "dz*.z*": ("pass", None),
+    }
+    assert report["dz.z*"][1] == "(((s^2 - 1)/(s^2))*z).dz*"
 
 
 def test_disc_gamma_star_example():
