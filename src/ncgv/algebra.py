@@ -106,7 +106,7 @@ class AlgebraPresentation:
             if h not in self._index:
                 raise PresentationError(f"star image {h!r} unknown")
             g2, c2 = self.star[h]
-            if g2 != g or not (c * c2.star(self.star_mode)).is_one():
+            if g2 != g or not (c * self.conj(c2)).is_one():
                 raise PresentationError(f"star table is not an involution at {g!r}")
 
     # -- normal form --------------------------------------------------------
@@ -217,8 +217,15 @@ class AlgebraPresentation:
     def zero(self):
         return NCPoly(self, {})
 
+    def conj(self, c):
+        """The star of a scalar in this presentation's star mode: c itself
+        when REAL, s -> 1/s when UNIT."""
+        return c.star(self.star_mode)
+
     def star_word(self, w):
-        """Star of a word as (raw word, scalar coefficient)."""
+        """The normal form of w*, for a raw or normal word w, as {normal
+        word: coefficient}: the starred letters in reverse order, times the
+        product of their star-table scalars."""
         if self.star is None:
             raise PresentationError(f"presentation {self.name!r} has no star")
         coeff = ONE
@@ -227,7 +234,7 @@ class AlgebraPresentation:
             h, c = self.star[g]
             out.append(h)
             coeff = coeff * c
-        return tuple(out), coeff
+        return {u: coeff * cu for u, cu in self.normal_form_word(out).items()}
 
     # -- relations -------------------------------------------------------------
 
@@ -284,6 +291,14 @@ def _accum(d, w, c):
             del d[w]
         else:
             d[w] = cur
+
+
+def _concat(out, x, y):
+    """Add sum c1 c2 (w1 + w2), over the terms {w1: c1} of x and {w2: c2} of
+    y, into ``out``: the product of two word sums, before any normal form."""
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            _accum(out, w1 + w2, c1 * c2)
 
 
 class LinComb:
@@ -365,18 +380,17 @@ class NCPoly(LinComb):
             return self.scale(other)
         self._same(other)
         raw = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                _accum(raw, w1 + w2, c1 * c2)
+        _concat(raw, self.terms, other.terms)
         return NCPoly(self.pres, self.pres.normal_form_terms(raw))
 
     def star(self):
-        mode = self.pres.star_mode
-        raw = {}
+        pres = self.pres
+        out = {}
         for w, c in self.terms.items():
-            sw, sc = self.pres.star_word(w)
-            _accum(raw, sw, c.star(mode) * sc)
-        return NCPoly(self.pres, self.pres.normal_form_terms(raw))
+            c = pres.conj(c)
+            for u, cu in pres.star_word(w).items():
+                _accum(out, u, c * cu)
+        return NCPoly(pres, out)
 
     def __hash__(self):
         return hash((id(self.pres), frozenset(self.terms.items())))
@@ -475,7 +489,7 @@ def search_until_certified(corpus, base, certificate):
 # ---------------------------------------------------------------------------
 
 
-def _one_step(pres, word, pos, lhs, rhs):
+def _one_step(word, pos, lhs, rhs):
     out = {}
     pre, post = word[:pos], word[pos + len(lhs):]
     for rw, rc in rhs.items():
@@ -515,8 +529,8 @@ def confluence_check(pres, max_degree=6):
     for w, l1, r1, p2, l2, r2 in ambiguities(pres):
         if pres.word_weight(w) > max_degree:
             continue
-        a = pres.normal_form_terms(_one_step(pres, w, 0, l1, r1))
-        b = pres.normal_form_terms(_one_step(pres, w, p2, l2, r2))
+        a = pres.normal_form_terms(_one_step(w, 0, l1, r1))
+        b = pres.normal_form_terms(_one_step(w, p2, l2, r2))
         if a != b:
             failures.append((w, NCPoly(pres, a), NCPoly(pres, b)))
     return failures
@@ -525,12 +539,7 @@ def confluence_check(pres, max_degree=6):
 def star_closure_report(pres):
     """Check that starring every relation gives a consequence of the rules:
     (lhs, residual) of each rule whose starred form does not vanish."""
-
-    def starred(w):
-        sw, sc = pres.star_word(w)
-        return pres.poly({sw: sc})
-
-    residuals = pres.relation_residuals(starred, lambda c: c.star(pres.star_mode))
+    residuals = pres.relation_residuals(lambda w: NCPoly(pres, pres.star_word(w)), pres.conj)
     return [(lhs, res) for lhs, _, res in residuals if not res.is_zero()]
 
 

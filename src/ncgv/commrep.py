@@ -114,12 +114,9 @@ def prop1_verify(C, Omegas, F, degree_a=2):
     M = F.structure_matrix()
     words_b = ctx.corpus(1)
 
-    def tuples():
-        for slot in range(size):
-            for wb in words_b:
-                tup = [pres.zero()] * size
-                tup[slot] = NCPoly(pres, {wb: ONE})
-                yield slot, wb, tup
+    tuples = [(slot, wb, [NCPoly(pres, {wb: ONE}) if s == slot else pres.zero()
+                          for s in range(size)])
+              for slot in range(size) for wb in words_b]
 
     zero_so_far = True  # every P_j(a) visited so far without a term
 
@@ -139,7 +136,7 @@ def prop1_verify(C, Omegas, F, degree_a=2):
                             rhs = rhs + op.scale_poly(acted)
                 delta = _mul_by_algebra_right(ops[j], a) - rhs
                 zero_so_far = zero_so_far and delta.is_zero()
-                for slot, wb, tup in tuples():
+                for slot, wb, tup in tuples:
                     if all(x.is_zero() for x in delta.act(tup)):
                         continue
                     if j == 0:
@@ -247,13 +244,12 @@ def dual_centrality(C, letters, degree=3):
 
 def hermiticity_check(B, degree=3):
     """C* = C as functionals (``ext_equal``), plus the twist-matrix ingredient
-    conj(A^j_k) = A^k_j (entrywise, in the REAL star mode)."""
-    ctx = B.ctx
-    mode = ctx.pres.star_mode
+    conj(A^j_k) = A^k_j (entrywise, through the presentation's ``conj``)."""
+    conj = B.ctx.pres.conj
     n = len(B.A)
     twist = first_failure("twist_matrix_conjugate_transpose",
                           ({"entry": (j + 1, k + 1)} for j in range(n) for k in range(n)
-                           if B.A[j][k].star(mode) != B.A[k][j]))
+                           if conj(B.A[j][k]) != B.A[k][j]))
     ok = B.C.star().ext_equal(B.C, degree)
     return [twist, ("central_element_hermitean", ok, None if ok else {"degree": degree})]
 

@@ -31,12 +31,14 @@ from collections import deque
 from functools import partial, reduce
 from typing import NamedTuple
 
-from .algebra import LinComb, NCPoly, _accum, character_value
+from .algebra import LinComb, NCPoly, _accum, _concat, character_value
 from .exprparse import base_env, parse_scalar, scalar_to_str
 from .linalg import MatrixOverAlgebra, add as add_row
 from .scalars import ONE, QScalar, ZERO
 
 LP, LM, SLP, SLM, CHAR, EPS = "LP", "LM", "SLP", "SLM", "CHAR", "EPS"
+# (l+)* = S(l-) and (l-)* = S(l+), transposed (``DualContext.letter_star``)
+_STAR_KIND = {LP: SLM, SLM: LP, LM: SLP, SLP: LM}
 
 # Suffixes of the derived characters zeta* (``star_character``) and zeta o S:
 # reserved, so that a loaded character can never stand in for one.
@@ -141,11 +143,10 @@ class DualContext:
             return self._star_char_cache[name]
         star_name = name + STAR_SUFFIX
         vals = self.character_values(name)
-        mode = self.pres.star_mode
         star_vals = {}
         for g in self.pres.generators:
             p = self.hopf.antipode(self.pres.gen(g)).star()
-            star_vals[g] = character_value(vals, p.terms).star(mode)
+            star_vals[g] = self.pres.conj(character_value(vals, p.terms))
         self.characters[star_name] = star_vals
         self._star_char_cache[name] = star_name
         # involution: the star of the star character is the original
@@ -277,20 +278,17 @@ class DualContext:
                 for t in range(1, n + 1)]
 
     def letter_star(self, bf):
-        """Star under real r-form with unitary corepresentation."""
+        """Star under real r-form with unitary corepresentation: a matrix
+        letter trades places with the antipode of the other family
+        (``_STAR_KIND``), its indices swapped."""
         if bf.kind == EPS:
             return bf
         if bf.kind == CHAR:
             return BF(CHAR, name=self.star_character(bf.name))
-        if bf.kind == LP:
-            return BF(SLM, bf.j, bf.i)
-        if bf.kind == SLM:
-            return BF(LP, bf.j, bf.i)
-        if bf.kind == LM:
-            return BF(SLP, bf.j, bf.i)
-        if bf.kind == SLP:
-            return BF(LM, bf.j, bf.i)
-        raise DualError(bf.kind)
+        kind = _STAR_KIND.get(bf.kind)
+        if kind is None:
+            raise DualError(bf.kind)
+        return BF(kind, bf.j, bf.i)
 
     # -- cross product straightening ---------------------------------------------
 
@@ -339,9 +337,7 @@ class DualElement(LinComb):
             return self.scale(other)
         self._same(other)
         out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                _accum(out, w1 + w2, c1 * c2)
+        _concat(out, self.terms, other.terms)
         return DualElement(self.ctx, out)
 
     def evaluate(self, a):
@@ -399,11 +395,10 @@ class DualElement(LinComb):
 
     def star(self):
         ctx = self.ctx
-        mode = ctx.pres.star_mode
         out = {}
         for w, c in self.terms.items():
             sw = ctx.canonical_word(tuple(ctx.letter_star(bf) for bf in reversed(w)))
-            _accum(out, sw, c.star(mode))
+            _accum(out, sw, ctx.pres.conj(c))
         return DualElement(ctx, out)
 
     def left_act(self, a):
@@ -611,13 +606,10 @@ class CrossElement(LinComb):
         ctx = self.ctx
         by_f = {}
         for (w, f), c in self.terms.items():
-            by_f.setdefault(f, []).append((w, c))
+            by_f.setdefault(f, {})[w] = c
         raw = {}
         for f, prefixes in by_f.items():
-            acted = DualElement(ctx, {f: ONE}).left_act(b).terms
-            for w, c in prefixes:
-                for u, cu in acted.items():
-                    _accum(raw, w + u, c * cu)
+            _concat(raw, prefixes, DualElement(ctx, {f: ONE}).left_act(b).terms)
         return NCPoly(ctx.pres, ctx.pres.normal_form_terms(raw) if raw else {})
 
     def __repr__(self):

@@ -9,8 +9,8 @@ stored in left normal form: coefficients to the left of the basis symbols.
 
 from __future__ import annotations
 
-from .algebra import (LinComb, NCPoly, _accum, first_failure, first_failures, nonzero_repr,
-                      row_statuses)
+from .algebra import (LinComb, NCPoly, _accum, _concat, character_value, first_failure,
+                      first_failures, nonzero_repr, row_statuses)
 from .dual import BF, CHAR, DualElement, LP, SLM, multiplicative
 from .exprparse import base_env, parse_scalar, scalar_to_str, terms_from_doc, terms_to_doc
 from .linalg import MatrixOverAlgebra
@@ -108,10 +108,7 @@ class FodcData:
             if k is None:
                 raise FodcError(f"{label!r} is not a basis label of the calculus")
             for f, out in zip(self.f[k], raw):
-                acted = f.left_act(a).terms
-                for w, cw in c.terms.items():
-                    for u, cu in acted.items():
-                        _accum(out, w + u, cw * cu)
+                _concat(out, c.terms, f.left_act(a).terms)
         nf = self.pres.normal_form_terms
         return GammaElement(self.pres, {label: NCPoly(self.pres, nf(out))
                                         for label, out in zip(self.labels, raw) if out})
@@ -270,13 +267,10 @@ def bicovariant_build(ctx, zeta_name="eps"):
 
 def _character_hermitean(ctx, name):
     vals = ctx.character_values(name)
-    mode = ctx.pres.star_mode
-    for g in ctx.pres.generators:
-        h, c = ctx.pres.star[g]
-        # zeta(g*) must equal conj(zeta(g))
-        if vals[h] * c != vals[g].star(mode):
-            return False
-    return True
+    pres = ctx.pres
+    # zeta(g*) must equal conj(zeta(g))
+    return all(character_value(vals, pres.star_word((g,))) == pres.conj(vals[g])
+               for g in pres.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,8 @@ class Tensor(LinComb):
     def star_legwise(self):
         pres = self.pres
         out = {}
-        mode = pres.star_mode
         for key, c in self.terms.items():
-            legs = []
-            for w in key:
-                sw, sc = pres.star_word(w)
-                legs.append({u: sc * cu for u, cu in pres.normal_form_word(sw).items()})
-            _expand_legs(out, c.star(mode), legs)
+            _expand_legs(out, pres.conj(c), [pres.star_word(w) for w in key])
         return Tensor(pres, self.nlegs, out)
 
     def __repr__(self):

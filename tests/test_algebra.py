@@ -1,6 +1,7 @@
 """Normal forms, rewrite termination, star and confluence of the built-in
 presentations."""
 
+import itertools
 import random
 
 import pytest
@@ -115,6 +116,47 @@ def test_star_antimultiplicative_random():
             q = random_poly(pres, rng, 2, 2)
             assert (p * q).star() == q.star() * p.star()
             assert p.star().star() == p
+
+
+def raw_star(pres, w):
+    """The starred raw word of w with its scalar, read off the star table:
+    the oracle of ``star_word``."""
+    coeff = ONE
+    for g in w:
+        coeff = coeff * pres.star[g][1]
+    return tuple(pres.star[g][0] for g in reversed(w)), coeff
+
+
+@pytest.mark.parametrize("name", ["disc", "slq2"])
+def test_star_word_of_a_raw_word_is_normal(name):
+    pres = builtin_presentation(name)
+    raw = [w for w in itertools.product(pres.generators, repeat=3)
+           if pres._normal_prefix(w) < len(w)]
+    assert raw
+    for w in raw:
+        sw, sc = raw_star(pres, w)
+        assert pres.star_word(w) == pres.poly({sw: sc}).terms, w
+
+
+def test_poly_star_matches_the_raw_star_path():
+    # the star of each word normal-formed after the sum, coefficient conjugated
+    rng = random.Random(5)
+    for name in ("disc", "real_plane", "ext_plane", "slq2"):
+        pres = builtin_presentation(name)
+        for _ in range(25):
+            p = random_poly(pres, rng, 3, 4)
+            raw = {}
+            for w, c in p.terms.items():
+                sw, sc = raw_star(pres, w)
+                raw[sw] = c.star(pres.star_mode) * sc
+            want = pres.normal_form_terms(raw)
+            assert list(p.star().terms.items()) == list(want.items()), (name, p)
+
+
+def test_conj_follows_the_star_mode(slq2, plane):
+    x = ONE + Q + qp(-3)
+    assert slq2.conj(x) == x
+    assert plane.conj(x) == ONE + qp(-1) + qp(3)
 
 
 def test_star_unit_mode_example(plane):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgv.algebra import NCPoly, random_poly
-from ncgv.dual import (BF, CHAR, CrossElement, DualContext, DualElement, EPS, LM, LP,
+from ncgv.dual import (BF, CHAR, CrossElement, DualContext, DualElement, DualError, EPS, LM, LP,
                        SLM, SLP, _Automaton, make_slq2_context, mixed_word_to_cross,
                        multiplicative, shipped_characters)
 from ncgv.rmatrix import RMatrixData
@@ -126,8 +126,20 @@ def test_star_evaluation_rule(ctx):
     H = ctx.hopf
     for w in ctx.corpus(2):
         a = NCPoly(ctx.pres, {w: ONE})
-        want = f.evaluate(H.antipode(a).star()).star(ctx.pres.star_mode)
+        want = ctx.pres.conj(f.evaluate(H.antipode(a).star()))
         assert fs.evaluate(a) == want
+
+
+def test_letter_star_is_an_involution(ctx):
+    letters = [BF(kind, i, j) for kind in (LP, LM, SLP, SLM)
+               for i in (1, 2) for j in (1, 2)]
+    letters += [BF(EPS)] + [BF(CHAR, name=name) for name in shipped_characters()]
+    for bf in letters:
+        assert ctx.letter_star(ctx.letter_star(bf)) == bf, bf
+    assert ctx.letter_star(BF(LP, 1, 2)) == BF(SLM, 2, 1)
+    assert ctx.letter_star(BF(LM, 1, 2)) == BF(SLP, 2, 1)
+    with pytest.raises(DualError):
+        ctx.letter_star(BF("XX", 1, 2))
 
 
 def test_l_matrix_star_is_transpose(ctx):

@@ -171,6 +171,31 @@ def test_only_algebra_reads_the_rules():
     assert rule_readers({path.stem: path.read_text() for path in MODULES}) == []
 
 
+def star_readers(sources):
+    """(module, line) of every read of an attribute ``star_mode``, and of every
+    subscript of an attribute ``star``, outside ``algebra``: other modules
+    star a scalar through ``AlgebraPresentation.conj`` and a word through
+    ``AlgebraPresentation.star_word``.  Testing ``pres.star is None`` is not
+    a read of the star."""
+    return sorted((module, node.lineno) for module, source in sources.items()
+                  if module != "algebra" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr == "star_mode"
+                  or isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "star")
+
+
+def test_detects_a_star_reader():
+    sources = {"algebra": "m = self.star_mode\nh, c = self.star[g]\n",
+               "a": "if pres.star is None: pass\nx = c.star(pres.star_mode)\n",
+               "b": "p = q.star()\nh, c = ctx.pres.star[g]\nP(star_mode=REAL)\n"}
+    assert star_readers(sources) == [("a", 2), ("b", 2)]
+
+
+def test_only_algebra_reads_the_star():
+    assert star_readers({path.stem: path.read_text() for path in MODULES}) == []
+
+
 NUMERIC = ("ncgv.hilbert", "numpy", "scipy")
 
 
