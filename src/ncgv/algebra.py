@@ -307,16 +307,38 @@ class LinComb:
 
     A subclass stores its owner (presentation, context, ...) and ``terms`` in
     its own slots, and supplies ``_owner`` (the constructor arguments before
-    ``terms``) and ``_same`` (raises unless both operands share the owner).
-    Results keep the insertion order of their terms: ``a + b`` lists the keys
-    of ``a`` first, then the new keys of ``b``, because numeric residuals are
-    summed in term order.
+    ``terms``), ``_error`` (raised when two operands have different owners),
+    and for ``repr`` ``_order`` (the sort key of a term's key, by default the
+    key) and ``_show`` (the text of a key, by default its str).  Results keep
+    the insertion order of their terms: ``a + b`` lists the keys of ``a``
+    first, then the new keys of ``b``, because numeric residuals are summed
+    in term order.
     """
 
     __slots__ = ()
+    _error = ValueError
 
     def _new(self, terms):
         return type(self)(*self._owner(), terms)
+
+    def _same(self, other):
+        if self._owner() != other._owner():
+            raise self._error(f"{type(self).__name__} values of different owners")
+
+    def _order(self, key):
+        return key
+
+    def _show(self, key):
+        return str(key)
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kc: self._order(kc[0]))
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({scalar_to_str(c)})*{self._show(k)}"
+                          for k, c in self.sorted_terms())
 
     def __add__(self, other):
         self._same(other)
@@ -371,9 +393,11 @@ class NCPoly(LinComb):
     def _owner(self):
         return (self.pres,)
 
-    def _same(self, other):
-        if self.pres is not other.pres:
-            raise ValueError("polynomials from different presentations")
+    def _order(self, w):
+        return self.pres.word_key(w)
+
+    def _show(self, w):
+        return " ".join(w) if w else "1"
 
     def __mul__(self, other):
         if isinstance(other, (QScalar, int)):
@@ -394,18 +418,6 @@ class NCPoly(LinComb):
 
     def __hash__(self):
         return hash((id(self.pres), frozenset(self.terms.items())))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: self.pres.word_key(kv[0]))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            word = " ".join(w) if w else "1"
-            parts.append(f"({scalar_to_str(c)})*{word}")
-        return " + ".join(parts)
 
 
 def character_value(vals, terms):

@@ -32,28 +32,13 @@ class CommRepError(ValueError):
 class BOperator(MatrixOverAlgebra):
     """Matrix over the cross product acting on tuples of algebra elements."""
 
-    __slots__ = ("ctx",)
-
-    def __init__(self, ctx, entries):
-        super().__init__(entries)
-        self.ctx = ctx
-
-    @classmethod
-    def zero(cls, ctx, size):
-        empty = CrossElement(ctx, {})
-        return cls(ctx, [[empty for _ in range(size)] for _ in range(size)])
-
-    def _new(self, entries):
-        return BOperator(self.ctx, entries)
-
-    def _cell(self, p):
-        return CrossElement.from_poly(self.ctx, p)
+    __slots__ = ()
 
     def act(self, tup):
         """Apply to a tuple of algebra elements."""
         if len(tup) != self.size:
             raise CommRepError("tuple size mismatch")
-        out = [self.ctx.pres.zero() for _ in range(self.size)]
+        out = [tup[0].pres.zero() for _ in range(self.size)]
         for j, x in enumerate(tup):
             if not x.is_zero():
                 for i, row in enumerate(self.entries):
@@ -70,21 +55,18 @@ def prop1_build(F):
     first column) by row j of the structure matrix M without its first
     entry, and C = Omega_0."""
     ctx = F.ctx
-    size = F.n + 1
+    empty = CrossElement(ctx, {})
     ops = []
     for row in F.structure_matrix():
-        op = BOperator.zero(ctx, size)
-        for k in range(1, size):
-            cell = CrossElement.from_dual(ctx, row[k])
-            op.entries[0][k] = op.entries[k][0] = cell
-        ops.append(op)
+        border = [empty] + [CrossElement.from_dual(ctx, m) for m in row[1:]]
+        ops.append(BOperator([border] + [[b] + [empty] * F.n for b in border[1:]]))
     return ops[0], ops[1:]
 
 
-def _mul_by_algebra_right(op, a):
-    """op * rho(a): multiply every entry by a on the right (straightened)."""
-    cell = CrossElement.from_poly(op.ctx, a)
-    return BOperator(op.ctx, [[e * cell for e in row] for row in op.entries])
+def _mul_by_algebra_right(op, cell):
+    """op * rho(a): multiply every entry on the right by the cross-product
+    cell of a (straightened)."""
+    return BOperator([[e * cell for e in row] for row in op.entries])
 
 
 def prop1_verify(C, Omegas, F, degree_a=2):
@@ -118,6 +100,7 @@ def prop1_verify(C, Omegas, F, degree_a=2):
                           for s in range(size)])
               for slot in range(size) for wb in words_b]
 
+    zero = BOperator([[CrossElement(ctx, {})] * size for _ in range(size)])
     zero_so_far = True  # every P_j(a) visited so far without a term
 
     def certificate():
@@ -127,14 +110,15 @@ def prop1_verify(C, Omegas, F, degree_a=2):
         nonlocal zero_so_far
         for wa in search_until_certified(ctx.corpus(degree_a), words_b, certificate):
             a = NCPoly(pres, {wa: ONE})
+            a_cell = CrossElement.from_poly(ctx, a)
             for j, row in enumerate(M):
-                rhs = BOperator.zero(ctx, size)
+                rhs = zero
                 for op, m in zip(ops, row):
                     if m.terms:
                         acted = m.left_act(a)
                         if not acted.is_zero():
-                            rhs = rhs + op.scale_poly(acted)
-                delta = _mul_by_algebra_right(ops[j], a) - rhs
+                            rhs = rhs + op.scale_poly(CrossElement.from_poly(ctx, acted))
+                delta = _mul_by_algebra_right(ops[j], a_cell) - rhs
                 zero_so_far = zero_so_far and delta.is_zero()
                 for slot, wb, tup in tuples:
                     if all(x.is_zero() for x in delta.act(tup)):

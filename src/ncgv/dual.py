@@ -32,7 +32,7 @@ from functools import partial, reduce
 from typing import NamedTuple
 
 from .algebra import LinComb, NCPoly, _accum, _concat, character_value
-from .exprparse import base_env, parse_scalar, scalar_to_str
+from .exprparse import base_env, parse_scalar
 from .linalg import MatrixOverAlgebra, add as add_row
 from .scalars import ONE, QScalar, ZERO
 
@@ -320,6 +320,7 @@ class DualElement(LinComb):
     word."""
 
     __slots__ = ("ctx", "terms", "_acts")
+    _error = DualError
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
@@ -328,9 +329,11 @@ class DualElement(LinComb):
     def _owner(self):
         return (self.ctx,)
 
-    def _same(self, other):
-        if self.ctx is not other.ctx:
-            raise DualError("functionals from different contexts")
+    def _order(self, w):
+        return (len(w), repr(w))
+
+    def _show(self, w):
+        return "*".join(repr(bf) for bf in w) if w else "eps"
 
     def __mul__(self, other):
         if isinstance(other, (QScalar, int)):
@@ -435,15 +438,6 @@ class DualElement(LinComb):
             for u, cu in ctx.act_on_word(fw, w).items():
                 _accum(out, u, fc * cu)
         return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), repr(kv[0]))):
-            word = "*".join(repr(bf) for bf in w) if w else "eps"
-            parts.append(f"({scalar_to_str(c)})*{word}")
-        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +554,7 @@ class CrossElement(LinComb):
     fixed, so consumers compare, sort or sum the terms exactly."""
 
     __slots__ = ("ctx", "terms")
+    _error = DualError
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
@@ -576,9 +571,12 @@ class CrossElement(LinComb):
     def _owner(self):
         return (self.ctx,)
 
-    def _same(self, other):
-        if self.ctx is not other.ctx:
-            raise DualError("cross elements from different contexts")
+    def _order(self, key):
+        return (len(key[0]), len(key[1]), repr(key))
+
+    def _show(self, key):
+        w, f = key
+        return (" ".join(w) if w else "1") + "|" + ("*".join(map(repr, f)) if f else "eps")
 
     def __mul__(self, other):
         """(w1 f1)(w2 f2) = sum w1 u f_r f2 over the straightened f1 w2 =
@@ -611,17 +609,6 @@ class CrossElement(LinComb):
         for f, prefixes in by_f.items():
             _concat(raw, prefixes, DualElement(ctx, {f: ONE}).left_act(b).terms)
         return NCPoly(ctx.pres, ctx.pres.normal_form_terms(raw) if raw else {})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (w, f), c in sorted(self.terms.items(),
-                                key=lambda kv: (len(kv[0][0]), len(kv[0][1]), repr(kv[0]))):
-            aw = " ".join(w) if w else "1"
-            fw = "*".join(repr(bf) for bf in f) if f else "eps"
-            parts.append(f"({scalar_to_str(c)})*{aw}|{fw}")
-        return " + ".join(parts)
 
 
 def mixed_word_to_cross(ctx, items):

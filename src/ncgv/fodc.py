@@ -28,6 +28,7 @@ class GammaElement(LinComb):
     """Left normal form sum_k a_k . omega_k over named basis labels."""
 
     __slots__ = ("pres", "terms")
+    _error = FodcError
 
     def __init__(self, pres, terms):
         self.pres = pres
@@ -43,10 +44,6 @@ class GammaElement(LinComb):
 
     def _owner(self):
         return (self.pres,)
-
-    def _same(self, other):
-        if self.pres is not other.pres:
-            raise FodcError("calculus elements from different presentations")
 
     def left_mul(self, a):
         """Multiply by an algebra element on the left."""

@@ -310,6 +310,7 @@ class SlotOperator(LinComb):
     slot 0 shows."""
 
     __slots__ = ("ring", "top", "terms")
+    _error = HilbertError
 
     def __init__(self, ring, top, terms):
         self.ring = ring
@@ -318,10 +319,6 @@ class SlotOperator(LinComb):
 
     def _owner(self):
         return (self.ring, self.top)
-
-    def _same(self, other):
-        if self.ring is not other.ring or self.top != other.top:
-            raise HilbertError("slot operators over different modules")
 
     @classmethod
     def build(cls, ring, top, rule):

@@ -30,6 +30,7 @@ class Tensor(LinComb):
     normal-form word, coefficients collected in front."""
 
     __slots__ = ("pres", "nlegs", "terms")
+    _error = HopfError
 
     def __init__(self, pres, nlegs, terms):
         self.pres = pres
@@ -39,9 +40,8 @@ class Tensor(LinComb):
     def _owner(self):
         return (self.pres, self.nlegs)
 
-    def _same(self, other):
-        if self.pres is not other.pres or self.nlegs != other.nlegs:
-            raise HopfError("tensor leg or presentation mismatch")
+    def _show(self, key):
+        return "[" + " (x) ".join(" ".join(w) if w else "1" for w in key) + "]"
 
     def mul(self, other):
         """Legwise product, re-normalizing every leg."""
@@ -59,13 +59,6 @@ class Tensor(LinComb):
         for key, c in self.terms.items():
             _expand_legs(out, pres.conj(c), [pres.star_word(w) for w in key])
         return Tensor(pres, self.nlegs, out)
-
-    def __repr__(self):
-        parts = []
-        for key, c in sorted(self.terms.items()):
-            legs = " (x) ".join(" ".join(w) if w else "1" for w in key)
-            parts.append(f"({scalar_to_str(c)})*[{legs}]")
-        return " + ".join(parts) if parts else "0"
 
 
 def _expand_legs(out, coeff, legs):

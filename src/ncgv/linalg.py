@@ -53,33 +53,26 @@ class MatrixOverAlgebra:
         idx = list(product(range(1, n + 1), repeat=k))
         return cls([[entry(*row, *col) for col in idx] for row in idx])
 
-    def _new(self, entries):
-        """A matrix of the same kind as self."""
-        return MatrixOverAlgebra(entries)
-
-    def _cell(self, p):
-        """An algebra element as an entry."""
-        return p
-
     def __add__(self, other):
-        ent = [[x + y for x, y in zip(ra, rb)]
-               for ra, rb in zip(self.entries, other.entries)]
-        return self._new(ent)
+        ent = [[x + y for x, y in zip(ra, rb, strict=True)]
+               for ra, rb in zip(self.entries, other.entries, strict=True)]
+        return type(self)(ent)
 
     def __sub__(self, other):
         return self + other.scale(QScalar.from_int(-1))
 
     def scale(self, c):
-        return self._new([[e.scale(c) for e in row] for row in self.entries])
+        return type(self)([[e.scale(c) for e in row] for row in self.entries])
 
-    def scale_poly(self, p):
-        """Left multiplication by an algebra element."""
-        cell = self._cell(p)
-        return self._new([[cell * e for e in row] for row in self.entries])
+    def scale_poly(self, cell):
+        """Left multiplication by an algebra element of the entry type."""
+        return type(self)([[cell * e for e in row] for row in self.entries])
 
     def __mul__(self, other):
         if not isinstance(other, MatrixOverAlgebra):
             return NotImplemented
+        if other.size != self.size:
+            raise ValueError(f"matrix sizes differ: {self.size} and {other.size}")
         cols = range(1, self.size)
         ent = []
         for row in self.entries:
@@ -90,7 +83,7 @@ class MatrixOverAlgebra:
                     acc = acc + row[k] * other.entries[k][j]
                 out.append(acc)
             ent.append(out)
-        return self._new(ent)
+        return type(self)(ent)
 
     __matmul__ = __mul__
 

@@ -68,7 +68,7 @@ def test_criterion_3_block_construction(B):
     checks = prop1_verify(C, Omegas, B.fodc, degree_a=2)
     ok = all(okk for _, okk, _ in checks)
     # mutation: one flipped sign must be caught with a witness
-    bad = BOperator(B.ctx, [row[:] for row in Omegas[0].entries])
+    bad = BOperator([row[:] for row in Omegas[0].entries])
     bad.entries[0][1] = bad.entries[0][1].scale(QScalar.from_int(-1))
     mutated = prop1_verify(C, [bad] + list(Omegas[1:]), B.fodc, degree_a=1)
     caught = any(not okk and wit is not None for _, okk, wit in mutated)

@@ -59,7 +59,7 @@ def test_prop1_identities(blocks, B):
 
 def test_prop1_trivial_a_is_one(blocks, B, ctx):
     C, Omegas = blocks
-    a = ctx.pres.one()
+    a = CrossElement.from_poly(ctx, ctx.pres.one())
     lhs = _mul_by_algebra_right(C, a) - C.scale_poly(a)
     assert lhs.is_zero()
 
@@ -67,7 +67,7 @@ def test_prop1_trivial_a_is_one(blocks, B, ctx):
 def test_prop1_mutation_detected(blocks, B):
     C, Omegas = blocks
     corrupted = list(Omegas)
-    bad = BOperator(B.ctx, [row[:] for row in Omegas[0].entries])
+    bad = BOperator([row[:] for row in Omegas[0].entries])
     bad.entries[0][1] = bad.entries[0][1].scale(QScalar.from_int(-1))
     corrupted[0] = bad
     checks = prop1_verify(C, corrupted, B.fodc, degree_a=1)
@@ -78,7 +78,7 @@ def test_prop1_mutation_detected(blocks, B):
 def test_corrupted_c_border_fails_only_r1(blocks, B):
     # C appears only in row 0 of the identity, so only prop1_r1 can fail
     C, Omegas = blocks
-    bad = BOperator(B.ctx, [row[:] for row in C.entries])
+    bad = BOperator([row[:] for row in C.entries])
     bad.entries[0][1] = bad.entries[1][0] = bad.entries[0][1].scale(QScalar.from_int(-1))
     checks = {name: (ok, w) for name, ok, w in
               prop1_verify(bad, Omegas, B.fodc, degree_a=1)}
@@ -89,7 +89,7 @@ def test_corrupted_c_border_fails_only_r1(blocks, B):
 
 def test_corrupted_omega_fails_r2_with_its_row(blocks, B):
     C, Omegas = blocks
-    bad = BOperator(B.ctx, [row[:] for row in Omegas[0].entries])
+    bad = BOperator([row[:] for row in Omegas[0].entries])
     bad.entries[0][2] = bad.entries[0][2].scale(QScalar.from_int(-1))
     checks = {name: (ok, w) for name, ok, w in
               prop1_verify(C, [bad] + list(Omegas[1:]), B.fodc, degree_a=1)}
@@ -102,7 +102,7 @@ def test_corrupted_omega_keeps_its_witnesses_at_every_degree(blocks, B, degree_a
     # a failure on a generator refuses the induction, and the search keeps
     # the first witnesses of degree 1 (Omega_1 enters row 0 too)
     C, Omegas = blocks
-    bad = BOperator(B.ctx, [row[:] for row in Omegas[0].entries])
+    bad = BOperator([row[:] for row in Omegas[0].entries])
     bad.entries[0][2] = bad.entries[0][2].scale(QScalar.from_int(-1))
     assert prop1_verify(C, [bad] + list(Omegas[1:]), B.fodc, degree_a=degree_a) == [
         ("prop1_r1", False, {"identity": "r1", "a": ("v11",), "slot": 2, "b": ("v11",)}),
@@ -154,7 +154,7 @@ def test_zero_with_terms_refuses_the_prop1_induction(blocks, B, ctx, monkeypatch
     z = sum((DualElement(ctx, {ctx.canonical_word((BF(LP, 1, t), BF(SLP, t, 2))): ONE})
              for t in (1, 2)), DualElement(ctx, {}))
     assert z.vanishes() and z.terms
-    padded = BOperator(ctx, [row[:] for row in Omegas[0].entries])
+    padded = BOperator([row[:] for row in Omegas[0].entries])
     padded.entries[0][1] = padded.entries[0][1] + CrossElement.from_dual(ctx, z)
     calls = act_calls(monkeypatch)
     assert prop1_verify(C, [padded] + list(Omegas[1:]), B.fodc, degree_a=2) == [
@@ -173,15 +173,14 @@ def test_trivial_calculus_prop1(ctx):
 
 def rho(ctx, size, a):
     """The algebra element a embedded diagonally in the block operators."""
-    out = BOperator.zero(ctx, size)
-    for i in range(size):
-        out.entries[i][i] = CrossElement.from_poly(ctx, a)
-    return out
+    cell, empty = CrossElement.from_poly(ctx, a), CrossElement(ctx, {})
+    return BOperator([[cell if i == j else empty for j in range(size)] for i in range(size)])
 
 
-def tau_block(a, b, C):
+def tau_block(ctx, a, b, C):
     """tau(a db) = rho(a)(C rho(b) - rho(b) C); the complex unit in front of
     the paper's formula is left out."""
+    a, b = CrossElement.from_poly(ctx, a), CrossElement.from_poly(ctx, b)
     return (_mul_by_algebra_right(C, b) - C.scale_poly(b)).scale_poly(a)
 
 
@@ -193,10 +192,10 @@ def test_tau_block_well_defined(blocks, B, ctx):
     for _ in range(10):
         a = random_poly(pres, rng, 1, 2)
         b = random_poly(pres, rng, 1, 2)
-        lhs = tau_block(pres.one(), a * b, C)
-        rhs = tau_block(a, b, C) + tau_block(pres.one(), a, C) * rho(ctx, 5, b)
+        lhs = tau_block(ctx, pres.one(), a * b, C)
+        rhs = tau_block(ctx, a, b, C) + tau_block(ctx, pres.one(), a, C) * rho(ctx, 5, b)
         assert lhs == rhs
-    assert tau_block(pres.one(), pres.one(), C).is_zero()
+    assert tau_block(ctx, pres.one(), pres.one(), C).is_zero()
 
 
 def test_prop4_identities(B):

@@ -196,6 +196,33 @@ def test_only_algebra_reads_the_star():
     assert star_readers({path.stem: path.read_text() for path in MODULES}) == []
 
 
+def owner_checks(sources):
+    """(module, line) of every definition of ``_same`` but the one in the
+    body of ``algebra.LinComb``, the one owner check: a value type names only
+    its owner (``_owner``) and its error (``_error``)."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        shared = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  and (module, cls.name) == ("algebra", "LinComb") for node in cls.body}
+        found += [(module, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_same"
+                  and id(node) not in shared]
+    return sorted(found)
+
+
+def test_detects_an_owner_check():
+    sources = {"algebra": ("class LinComb:\n    def _same(self, other): pass\n"
+                           "class P(LinComb):\n    def _same(self, other): pass\n"),
+               "a": "class P:\n    _error = KeyError\n    def _owner(self): pass\n",
+               "b": "x = y._same(z)\nclass LinComb:\n    def _same(self, other): pass\n"}
+    assert owner_checks(sources) == [("algebra", 4), ("b", 3)]
+
+
+def test_only_lincomb_checks_owners():
+    assert owner_checks({path.stem: path.read_text() for path in MODULES}) == []
+
+
 NUMERIC = ("ncgv.hilbert", "numpy", "scipy")
 
 

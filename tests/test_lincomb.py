@@ -5,7 +5,7 @@ import pytest
 
 from ncgv.algebra import LinComb
 from ncgv.commrep import MatrixOverAlgebra
-from ncgv.dual import BF, LM, LP, CrossElement, DualElement, make_slq2_context
+from ncgv.dual import BF, LM, LP, CrossElement, DualElement, DualError, make_slq2_context
 from ncgv.fodc import FodcError, GammaElement
 from ncgv.hilbert import HilbertError, SlotOperator, ex3_ring
 from ncgv.hopf import HopfError, Tensor
@@ -132,11 +132,31 @@ def _foreign_slot():
     return SlotOperator(ring, 3, {}), SlotOperator(ring, 4, {})
 
 
+def _foreign_poly():
+    disc, plane = builtin_presentation("disc"), builtin_presentation("real_plane")
+    return disc.gen("z"), plane.gen("x")
+
+
+def _foreign_dual():
+    key = (BF(LP, 1, 1),)
+    return (DualElement(make_slq2_context(), {key: ONE}),
+            DualElement(make_slq2_context(), {key: ONE}))
+
+
+def _foreign_cross():
+    key = (("v11",), ())
+    return (CrossElement(make_slq2_context(), {key: ONE}),
+            CrossElement(make_slq2_context(), {key: ONE}))
+
+
 @pytest.mark.parametrize("pair, error", [
     (_foreign_tensor_legs, HopfError),
     (_foreign_tensor_pres, HopfError),
     (_foreign_gamma, FodcError),
     (_foreign_slot, HilbertError),
+    (_foreign_poly, ValueError),
+    (_foreign_dual, DualError),
+    (_foreign_cross, DualError),
 ])
 def test_combining_elements_of_different_owners_raises(pair, error):
     a, b = pair()
@@ -146,3 +166,41 @@ def test_combining_elements_of_different_owners_raises(pair, error):
         a - b
     assert a != b
 
+
+
+def _rendered(ctx):
+    """(value, its repr, the repr of its empty value) for each type that
+    renders its terms as ``(coefficient)*key``, keys in a fixed order."""
+    pres = builtin_presentation("disc")
+    f, g = (BF(LP, 1, 2),), (BF(LM, 2, 2), BF(LP, 1, 1))
+    return [
+        (pres.poly({("z", "z*"): Q, ("z",): -ONE, (): ONE}),
+         "(1)*1 + (-1)*z + (s^2)*z z*", pres.zero()),
+        (DualElement(ctx, {g: ONE, f: Q, (): -ONE}),
+         "(-1)*eps + (s^2)*l+[1,2] + (1)*l-[2,2]*l+[1,1]", DualElement(ctx, {})),
+        (CrossElement(ctx, {(("v12",), f): ONE, ((), ()): Q, (("v11",), ()): -ONE,
+                            ((), f): ONE}),
+         "(s^2)*1|eps + (1)*1|l+[1,2] + (-1)*v11|eps + (1)*v12|l+[1,2]",
+         CrossElement(ctx, {})),
+        (Tensor(pres, 2, {(("z",), ()): Q, ((), ("z",)): ONE, (("z*",), ("z",)): -ONE}),
+         "(1)*[1 (x) z] + (s^2)*[z (x) 1] + (-1)*[z* (x) z]", Tensor(pres, 2, {})),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["ncpoly", "dual", "cross", "tensor"])
+def test_terms_render_in_order_and_empty_as_zero(ctx, index):
+    value, text, zero = _rendered(ctx)[index]
+    assert repr(value) == text
+    assert repr(zero) == "0"
+
+
+def test_matrices_of_different_sizes_do_not_combine():
+    pres, p, _ = _polys()
+    zero = pres.zero()
+    small = MatrixOverAlgebra([[p, zero], [zero, p]])
+    large = MatrixOverAlgebra([[p, zero, zero], [zero, p, zero], [zero, zero, p]])
+    for x, y in ((small, large), (large, small)):
+        with pytest.raises(ValueError):
+            x + y
+        with pytest.raises(ValueError):
+            x * y
