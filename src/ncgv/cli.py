@@ -369,8 +369,11 @@ SLQ2_CHECKS = frozenset({"hopf_axioms", "fodc_validate", "prop1", "prop4", "cent
 def load_scenario(path):
     if path.startswith("builtin:"):
         name = path.split(":", 1)[1]
-        text = resources.files("ncgv.data.scenarios").joinpath(f"{name}.json").read_text()
-        return json.loads(text)
+        folder = resources.files("ncgv.data.scenarios")
+        names = sorted(p.name[:-5] for p in folder.iterdir() if p.name.endswith(".json"))
+        if name not in names:
+            raise ScenarioError(f"unknown builtin scenario {name!r}, not one of {names}")
+        return json.loads(folder.joinpath(f"{name}.json").read_text())
     with open(path) as fh:
         return json.load(fh)
 

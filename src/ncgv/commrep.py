@@ -6,8 +6,8 @@ central functional C = sum X_kj A^j_k acting inside the cross product.
 The block operators are the rows of the structure matrix M = (eps X; 0 f)
 of the calculus written into bordered blocks, and Prop. 1 is the one
 identity Omega_j rho(a) = sum_k (M_jk |> a) Omega_k, with Omega_0 = C,
-decided for every a from the unit and the generators when M is
-multiplicative.
+decided for every a from the unit and the generators when the calculus's
+one covariance verdict (``FodcData.covariant``) certifies M.
 The complex unit in front of [C, rho(a)] and of each Omega_k multiplies
 both sides of every identity and is left out, so every entry lies over Q(s).
 """
@@ -18,8 +18,7 @@ from functools import cache
 
 from .algebra import (NCPoly, first_failure, first_failures, nonzero_repr, row_statuses,
                       search_until_certified)
-from .dual import (BF, CHAR, LM, LP, CrossElement, DualElement, mixed_word_to_cross,
-                   multiplicative)
+from .dual import BF, CHAR, LM, LP, CrossElement, DualElement, mixed_word_to_cross
 from .fodc import GammaElement
 from .linalg import MatrixOverAlgebra, exact_rank
 from .scalars import ONE, QScalar, ZERO
@@ -57,7 +56,7 @@ def prop1_build(F):
     ctx = F.ctx
     empty = CrossElement(ctx, {})
     ops = []
-    for row in F.structure_matrix():
+    for row in F.structure_matrix:
         border = [empty] + [CrossElement.from_dual(ctx, m) for m in row[1:]]
         ops.append(BOperator([border] + [[b] + [empty] * F.n for b in border[1:]]))
     return ops[0], ops[1:]
@@ -81,7 +80,7 @@ def prop1_verify(C, Omegas, F, degree_a=2):
     nonzero slot holds a word b of degree <= 1 (the action is componentwise
     linear).
 
-    When M is multiplicative (``dual.multiplicative``), M_jk |> ab =
+    When M is multiplicative (``F.covariant``), M_jk |> ab =
     sum_l (M_jl |> a)(M_lk |> b), so P_j(ab) = P_j(a) b + sum_k (M_jk |> a)
     P_k(b), and P vanishes on every a once it vanishes on the unit and the
     generators.  So when every P_j(a) of the words a of degree <= 1 is the
@@ -93,7 +92,7 @@ def prop1_verify(C, Omegas, F, degree_a=2):
     pres = ctx.pres
     size = F.n + 1
     ops = [C, *Omegas]
-    M = F.structure_matrix()
+    M = F.structure_matrix
     words_b = ctx.corpus(1)
 
     tuples = [(slot, wb, [NCPoly(pres, {wb: ONE}) if s == slot else pres.zero()
@@ -104,7 +103,7 @@ def prop1_verify(C, Omegas, F, degree_a=2):
     zero_so_far = True  # every P_j(a) visited so far without a term
 
     def certificate():
-        return zero_so_far and multiplicative(M)
+        return zero_so_far and F.covariant
 
     def witnesses():
         nonlocal zero_so_far

@@ -22,7 +22,8 @@ certificate first, and is extensional over a degree-bounded word corpus
 only when the certificate refuses, as recorded in every report that uses
 it.  Each letter family (l+, l-, the transposed S(l+) and S(l-), eps, each
 character) is a matrix that ``multiplicative`` certifies, so every letter
-kills the relation ideal.
+kills the relation ideal; a character, zeta* too, is checked as it enters
+through ``DualContext.add_character``.
 """
 
 from __future__ import annotations
@@ -91,11 +92,11 @@ class BF(NamedTuple):
 class DualContext:
     """Evaluation and coproduct data shared by all functionals of one algebra."""
 
-    def __init__(self, pres, hopf, rmatrix, characters):
+    def __init__(self, pres, hopf, rmatrix):
         self.pres = pres
         self.hopf = hopf
         self.R = rmatrix
-        self.characters = dict(characters)
+        self.characters = {}
         self.n = rmatrix.n
         self.gen_index = {f"v{i}{j}": (i, j)
                           for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
@@ -107,7 +108,6 @@ class DualContext:
         self._act_cache = {}
         self._straight_cache = {}
         self._rep_cache = {}
-        self._star_char_cache = {}
 
     # -- corpora -------------------------------------------------------------
 
@@ -124,33 +124,34 @@ class DualContext:
         except KeyError:
             raise DualError(f"unknown character {name!r}") from None
 
-    def validate_character(self, name, vals=None):
-        """A character must kill the relation ideal (it is an algebra map):
-        the registered one, or ``vals`` proposed for the name."""
-        vals = self.character_values(name) if vals is None else vals
-        for g in self.pres.generators:
-            if g not in vals:
-                raise DualError(f"character {name!r} missing value at {g!r}")
+    def add_character(self, name, vals):
+        """Register a character, the one way in: the name must be new, since
+        evaluations of the old values may be cached, ``vals`` must give a
+        value at exactly the generators, and the character must kill the
+        relation ideal (it is an algebra map)."""
+        if name in self.characters:
+            raise DualError(f"character {name!r} is already registered")
+        if set(vals) != set(self.pres.generators):
+            raise DualError(f"character {name!r} must have values at exactly the "
+                            f"generators {sorted(self.pres.generators)}, got {sorted(vals)}")
         for lhs, _, res in self.pres.relation_residuals(
                 lambda w: character_value(vals, {w: ONE})):
             if not res.is_zero():
                 raise DualError(
                     f"character {name!r} does not respect relation {' '.join(lhs)}")
+        self.characters[name] = vals
 
     def star_character(self, name):
-        """<zeta*, a> = conj <zeta, S(a)*> defines another character."""
-        if name in self._star_char_cache:
-            return self._star_char_cache[name]
-        star_name = name + STAR_SUFFIX
+        """<zeta*, a> = conj <zeta, S(a)*> defines another character, zeta*,
+        registered on first use; the star of zeta* is zeta."""
         vals = self.character_values(name)
-        star_vals = {}
-        for g in self.pres.generators:
-            p = self.hopf.antipode(self.pres.gen(g)).star()
-            star_vals[g] = self.pres.conj(character_value(vals, p.terms))
-        self.characters[star_name] = star_vals
-        self._star_char_cache[name] = star_name
-        # involution: the star of the star character is the original
-        self._star_char_cache[star_name] = name
+        if name.endswith(STAR_SUFFIX):
+            return name[:-len(STAR_SUFFIX)]
+        star_name = name + STAR_SUFFIX
+        if star_name not in self.characters:
+            self.add_character(star_name, {g: self.pres.conj(character_value(
+                vals, self.hopf.antipode(self.pres.gen(g)).star().terms))
+                for g in self.pres.generators})
         return star_name
 
     def is_counital(self, bf):
@@ -647,35 +648,25 @@ def make_slq2_context():
     from .rmatrix import builtin_rmatrix
 
     pres = builtin_presentation("slq2")
-    H = slq2_hopf(pres)
-    R = builtin_rmatrix("slq2")
-    chars = {}
-    env = base_env()
+    ctx = DualContext(pres, slq2_hopf(pres), builtin_rmatrix("slq2"))
     for name, values in shipped_characters().items():
-        chars[name] = {g: parse_scalar(v, env) for g, v in values.items()}
-    ctx = DualContext(pres, H, R, chars)
-    for name in list(chars):
-        ctx.validate_character(name)
+        load_character({"name": name, "values": values}, ctx)
     return ctx
 
 
 def load_character(doc, ctx):
-    """Register a character from a document or a file, once validated; a
-    name that is already registered is rejected, since evaluations of the
-    old values may be cached, and so is a name with the suffix of a derived
-    character (``*``, ``_S``)."""
+    """Register a character from a document or a file through
+    ``DualContext.add_character``; a name with the suffix of a derived
+    character (``*``, ``_S``) is refused, so that a loaded character can
+    never stand in for one."""
     if isinstance(doc, str):
         import json as _json
         with open(doc) as fh:
             doc = _json.load(fh)
     name = doc["name"]
-    if name in ctx.characters:
-        raise DualError(f"character {name!r} is already registered")
     if name.endswith((STAR_SUFFIX, ANTIPODE_SUFFIX)):
         raise DualError(f"character name {name!r} ends with a suffix reserved for "
                         f"derived characters ({STAR_SUFFIX!r}, {ANTIPODE_SUFFIX!r})")
     env = base_env()
-    vals = {g: parse_scalar(v, env) for g, v in doc["values"].items()}
-    ctx.validate_character(name, vals)
-    ctx.characters[name] = vals
+    ctx.add_character(name, {g: parse_scalar(v, env) for g, v in doc["values"].items()})
     return name

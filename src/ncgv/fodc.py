@@ -2,12 +2,14 @@
 
 Two presentations of a calculus live here: the left-covariant functional
 model (basis omega_k, tangent functionals X_k, structure functionals f^k_j,
-differential da = sum (X_k |> a) omega_k) and the quantum-space model (an
-explicit bimodule relation table for d-symbols).  Gamma elements are always
-stored in left normal form: coefficients to the left of the basis symbols.
+differential da = sum (X_k |> a) omega_k, one covariance verdict) and the
+quantum-space model (bimodule tables for d-symbols).  Gamma elements are
+always stored in left normal form: coefficients left of the basis symbols.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .algebra import (LinComb, NCPoly, _accum, _concat, character_value, first_failure,
                       first_failures, nonzero_repr, row_statuses)
@@ -61,7 +63,11 @@ class GammaElement(LinComb):
 
 
 class FodcData:
-    """Basis labels, tangent functionals X and structure functionals f."""
+    """Basis labels, tangent functionals X and structure functionals f, kept
+    as tuples, and the bordered structure matrix M = (eps X; 0 f) of
+    functionals built from them: row 0 is the counit followed by X, row k+1
+    the zero functional followed by f^k.  Left covariance is
+    Delta(M) = M (x) M, that is M(ab) = M(a) M(b)."""
 
     def __init__(self, ctx, labels, X, f, star_permutation=None):
         self.ctx = ctx
@@ -70,20 +76,21 @@ class FodcData:
         self._index = {label: k for k, label in enumerate(self.labels)}
         if len(X) != self.n or len(f) != self.n or any(len(row) != self.n for row in f):
             raise FodcError("X/f tables must match the basis size")
-        self.X = list(X)
-        self.f = [list(row) for row in f]
+        self.X = tuple(X)
+        self.f = tuple(tuple(row) for row in f)
         self.star_permutation = star_permutation
+        zero = DualElement(ctx, {})
+        self.structure_matrix = ((ctx.unit(), *self.X), *((zero, *row) for row in self.f))
 
     @property
     def pres(self):
         return self.ctx.pres
 
-    def structure_matrix(self):
-        """The bordered matrix M = (eps X; 0 f) of functionals: row 0 is the
-        counit followed by X, row k+1 the zero functional followed by f^k.
-        Left covariance is Delta(M) = M (x) M, that is M(ab) = M(a) M(b)."""
-        zero = DualElement(self.ctx, {})
-        return [[self.ctx.unit(), *self.X]] + [[zero, *row] for row in self.f]
+    @cached_property
+    def covariant(self):
+        """The one covariance verdict: ``multiplicative`` of M, for words of
+        every length; False means only that the certificate does not apply."""
+        return multiplicative(self.structure_matrix)
 
     def differential(self, a):
         """da = sum_k (X_k |> a) omega_k."""
@@ -112,7 +119,7 @@ class FodcData:
 
 
 def fodc_validate(F, degree=3):
-    """Checks of the structure matrix M (``structure_matrix``): boundary
+    """Checks of the structure matrix M (``FodcData``): boundary
     values M(1) = 1 and left covariance M(ab) = M(a) M(b) on the columns
     1..n, where row 0 is the tangent coproduct identity
     <X_k, ab> = eps(a)<X_k, b> + sum_j <X_j, a><f^j_k, b> and rows 1..n the
@@ -120,15 +127,15 @@ def fodc_validate(F, degree=3):
     span for *-calculi (``DualElement.ext_equal``).  Column 0 of
     M(ab) = M(a) M(b) is the multiplicativity of the counit, a Hopf axiom.
 
-    Covariance is certificate first, corpus search on refusal: when
-    ``multiplicative`` certifies M for words of every length, no corpus
+    Covariance is certificate first, corpus search on refusal: when the
+    verdict ``F.covariant`` certifies M for words of every length, no corpus
     pair can fail.  Otherwise each entry of M is evaluated once per normal
     word w, M(ab) is read off the M(w) of the words of the normal form of
     ab, and the first failing pair is the witness."""
     ctx = F.ctx
     pres = F.pres
     words = ctx.corpus(degree)
-    M = F.structure_matrix()
+    M = F.structure_matrix
     size = F.n + 1
 
     values = {}
@@ -172,7 +179,7 @@ def fodc_validate(F, degree=3):
 
     checks = [first_failure("unit_values", unit_values()),
               *first_failures(["tangent_coproduct", "f_comultiplicative"],
-                              () if multiplicative(M) else covariance())]
+                              () if F.covariant else covariance())]
     if F.star_permutation is not None:
         checks.append(first_failure("tangent_star_invariance", tangent_star()))
     return checks
@@ -217,9 +224,8 @@ def bicovariant_build(ctx, zeta_name="eps"):
         C = sum_{k,j} X_kj A^j_k                    (central candidate)
         Omega_kj = sum_{s,t} f^{kj}_{st} A^t_s
 
-    The calculus is validated on the word corpus of degree 2 before use.
+    The calculus is validated on the degree-2 corpus; zeta was checked on entry.
     """
-    ctx.validate_character(zeta_name)
     n = ctx.n
     pres = ctx.pres
     H = ctx.hopf

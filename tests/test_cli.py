@@ -56,6 +56,16 @@ def test_unknown_check_exits_2(tmp_path):
     assert "frobnicate" in err
 
 
+@pytest.mark.parametrize("name", ["../characters", "nope"])
+def test_unknown_builtin_scenario_exits_2_listing_the_builtins(name):
+    # a builtin name is looked up among the shipped scenarios only, so a
+    # path out of the scenario folder is not read as a scenario
+    code, _, err = run_cli(["verify", f"builtin:{name}"])
+    assert code == 2
+    assert f"unknown builtin scenario {name!r}" in err
+    assert "'slq2_full'" in err and "checks" not in err
+
+
 def test_unreadable_scenario_exits_2():
     code, _, _ = run_cli(["verify", "/nonexistent/scenario.json"])
     assert code == 2

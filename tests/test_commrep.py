@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ncgv import commrep
+from ncgv import fodc
 from ncgv.algebra import NCPoly, first_failure, random_poly
 from ncgv.commrep import (BOperator, centrality_check,
                           disc_block_c, dual_centrality, faithfulness_rank,
@@ -15,7 +15,7 @@ from ncgv.commrep import (BOperator, centrality_check,
 from ncgv.dual import (BF, CHAR, LM, LP, SLP, CrossElement, DualContext, DualElement,
                        make_slq2_context, mixed_word_to_cross)
 from ncgv.fodc import (BicovariantOutput, FodcData, GammaElement, bicovariant_build,
-                       builtin_calculus)
+                       builtin_calculus, fodc_validate)
 from ncgv.linalg import exact_rank
 from ncgv.scalars import ONE, QScalar, ZERO
 
@@ -136,11 +136,26 @@ def test_prop1_is_certified_from_the_generators(ctx, zeta, monkeypatch):
     assert len(calls) == low * (F.n + 1) ** 2 * low
 
 
+@pytest.mark.parametrize("zeta", ["eps", "zeta_q"])
+def test_covariance_is_certified_once_per_calculus(ctx, zeta, monkeypatch):
+    # the build validation, fodc_validate and the prop1 certificate all read
+    # the one verdict F.covariant
+    certified = []
+    multiplicative = fodc.multiplicative
+    monkeypatch.setattr(fodc, "multiplicative",
+                        lambda M: certified.append(M) or multiplicative(M))
+    F = bicovariant_build(ctx, zeta).fodc
+    assert all(ok for _, ok, _ in fodc_validate(F, 3))
+    C, Omegas = prop1_build(F)
+    assert all(ok for _, ok, _ in prop1_verify(C, Omegas, F, degree_a=3))
+    assert certified == [F.structure_matrix] and F.covariant is True
+
+
 @pytest.mark.parametrize("degree_a", [1, 2, 3])
 def test_refused_prop1_induction_searches_the_corpus(blocks, B, ctx, degree_a, monkeypatch):
     C, Omegas = blocks
     certified = prop1_verify(C, Omegas, B.fodc, degree_a=degree_a)
-    monkeypatch.setattr(commrep, "multiplicative", lambda M: False)
+    monkeypatch.setattr(B.fodc, "covariant", False)
     calls = act_calls(monkeypatch)
     assert prop1_verify(C, Omegas, B.fodc, degree_a=degree_a) == certified
     assert len(calls) == len(ctx.corpus(degree_a)) * (B.fodc.n + 1) ** 2 * len(ctx.corpus(1))

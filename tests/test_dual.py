@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgv.algebra import NCPoly, random_poly
+from ncgv.algebra import AlgebraPresentation, NCPoly, random_poly
 from ncgv.dual import (BF, CHAR, CrossElement, DualContext, DualElement, DualError, EPS, LM, LP,
                        SLM, SLP, _Automaton, make_slq2_context, mixed_word_to_cross,
                        multiplicative, shipped_characters)
@@ -140,6 +140,34 @@ def test_letter_star_is_an_involution(ctx):
     assert ctx.letter_star(BF(LM, 1, 2)) == BF(SLP, 2, 1)
     with pytest.raises(DualError):
         ctx.letter_star(BF("XX", 1, 2))
+
+
+def test_star_of_a_star_character_is_the_character():
+    # zeta_q* is registered once, and its star maps back to zeta_q by name
+    ctx = make_slq2_context()
+    assert ctx.star_character("zeta_q") == "zeta_q*"
+    names = sorted(ctx.characters)
+    assert "zeta_q*" in names
+    assert ctx.star_character("zeta_q*") == "zeta_q"
+    assert ctx.star_character("zeta_q") == "zeta_q*"
+    assert sorted(ctx.characters) == names
+
+
+@pytest.mark.parametrize("name", ["nope", "nope*"])
+def test_star_of_an_unknown_character_raises(ctx, name):
+    with pytest.raises(DualError, match="unknown character"):
+        ctx.star_character(name)
+
+
+def test_star_character_breaking_a_relation_is_refused(monkeypatch):
+    # a scalar star that doubles every coefficient makes the derived values
+    # of zeta_q* four times too large, so zeta_q* no longer keeps
+    # v11 v22 - q v12 v21 = 1; it is refused and left unregistered
+    ctx = make_slq2_context()
+    monkeypatch.setattr(AlgebraPresentation, "conj", lambda self, c: c * 2)
+    with pytest.raises(DualError, match="does not respect relation"):
+        ctx.star_character("zeta_q")
+    assert "zeta_q*" not in ctx.characters
 
 
 def test_l_matrix_star_is_transpose(ctx):
@@ -608,7 +636,7 @@ def test_r_form_normalisation(ctx, label):
     # accepts c and -c and refuses any other normalisation
     R = ctx.R
     scaled = RMatrixData(label, R.n, NORMALISATIONS[label](R.c), R.R, R.Rinv)
-    other = DualContext(ctx.pres, ctx.hopf, scaled, {})
+    other = DualContext(ctx.pres, ctx.hopf, scaled)
     for kind, transpose in ((LP, False), (LM, False), (SLP, True), (SLM, True)):
         assert multiplicative(letter_matrix(other, kind, transpose)) is (label in ("c", "-c")), kind
 
@@ -616,8 +644,9 @@ def test_r_form_normalisation(ctx, label):
 def test_multiplicativity_refuses_a_character_that_breaks_a_relation(ctx):
     # multiplicative on free words and 1 at 1, but not an algebra map:
     # v11 v22 - q v12 v21 = 1 fails
-    bad = DualContext(ctx.pres, ctx.hopf, ctx.R,
-                      {"bad": {"v11": S, "v12": ZERO, "v21": ZERO, "v22": ONE}})
+    # planted past add_character, which refuses it
+    bad = DualContext(ctx.pres, ctx.hopf, ctx.R)
+    bad.characters["bad"] = {"v11": S, "v12": ZERO, "v21": ZERO, "v22": ONE}
     chi = DualElement(bad, {(BF(CHAR, name="bad"),): ONE})
     assert multiplicative([[chi]]) is False
     pres = bad.pres

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from ncgv import fodc
 from ncgv.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,12 +58,19 @@ def test_report_matches_golden(name, tmp_path):
     assert gate.compare(golden, report, code, seed=0) == []
 
 
-def test_exact_slq2_workload_matches_its_benchmark_reference(tmp_path):
+def test_exact_slq2_workload_matches_its_benchmark_reference(tmp_path, monkeypatch):
     # hopf_axioms at degree 4 and prop1 at degree 3, both certified from the
-    # generators; the shipped scenarios reach them only at degrees 3 and 2
+    # generators; the shipped scenarios reach them only at degrees 3 and 2.
+    # Every check binds the one calculus (eps), whose structure matrix is
+    # certified once, in its build validation
+    certified = []
+    multiplicative = fodc.multiplicative
+    monkeypatch.setattr(fodc, "multiplicative",
+                        lambda M: certified.append(M) or multiplicative(M))
     scenario = tmp_path / "exact_slq2.json"
     scenario.write_text(json.dumps(workloads.scenario("exact_slq2", 0)))
     out = tmp_path / "report.json"
     code = main(["verify", str(scenario), "--seed", "0", "--out", str(out)])
     report = json.loads(out.read_text())
     assert gate.compare(gate.load_reference("exact_slq2"), report, code, seed=0) == []
+    assert len(certified) == 1

@@ -99,7 +99,6 @@ API = {
     "hopf_to_doc": "file format: Hopf structures",
     "quantum_space_to_doc": "file format: quantum-space calculi",
     "quantum_space_from_doc": "file format: quantum-space calculi",
-    "load_character": "file format: characters",
     "run_scenario": "the in-process entry point of ncgv verify",
 }
 
@@ -221,6 +220,61 @@ def test_detects_an_owner_check():
 
 def test_only_lincomb_checks_owners():
     assert owner_checks({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def multiplicative_namers(sources):
+    """(module, line) of every name, import or attribute ``multiplicative``
+    outside ``dual`` and ``fodc``: a calculus's left covariance is its one
+    verdict ``FodcData.covariant``, so no other module certifies a structure
+    matrix again."""
+    return sorted((module, node.lineno) for module, source in sources.items()
+                  if module not in ("dual", "fodc") for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "multiplicative"
+                  or isinstance(node, ast.alias) and node.name == "multiplicative"
+                  or isinstance(node, ast.Attribute) and node.attr == "multiplicative")
+
+
+def test_detects_a_multiplicative_namer():
+    sources = {"dual": "def multiplicative(M): pass\nok = multiplicative(M)\n",
+               "fodc": "from .dual import multiplicative\nok = multiplicative(M)\n",
+               "a": "x = 1\nfrom .dual import DualElement, multiplicative\n",
+               "b": "# not multiplicative\nok = F.covariant\nok = dual.multiplicative(M)\n"}
+    assert multiplicative_namers(sources) == [("a", 2), ("b", 3)]
+
+
+def test_only_fodc_certifies_a_structure_matrix():
+    assert multiplicative_namers({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def character_writers(sources):
+    """(module, line) of every write into an attribute ``characters`` outside
+    ``dual``: an item set or deleted, a mutating method called, or the
+    attribute rebound.  Characters enter only through
+    ``DualContext.add_character``, which checks them."""
+    mutators = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__"}
+
+    def named(node):
+        return isinstance(node, ast.Attribute) and node.attr == "characters"
+
+    return sorted((module, node.lineno) for module, source in sources.items()
+                  if module != "dual" for node in ast.walk(ast.parse(source))
+                  if named(node) and isinstance(node.ctx, (ast.Store, ast.Del))
+                  or isinstance(node, ast.Subscript) and named(node.value)
+                  and isinstance(node.ctx, (ast.Store, ast.Del))
+                  or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in mutators and named(node.func.value))
+
+
+def test_detects_a_character_writer():
+    sources = {"dual": "self.characters[name] = vals\n",
+               "a": "v = ctx.characters['eps']\nctx.characters['x'] = v\n",
+               "b": "ctx.characters.update(d)\nnames = sorted(ctx.characters)\n",
+               "c": "del ctx.characters['x']\nctx.characters = {}\n"}
+    assert character_writers(sources) == [("a", 2), ("b", 1), ("c", 1), ("c", 2)]
+
+
+def test_only_dual_registers_characters():
+    assert character_writers({path.stem: path.read_text() for path in MODULES}) == []
 
 
 NUMERIC = ("ncgv.hilbert", "numpy", "scipy")

@@ -61,12 +61,15 @@ def test_character_loader(ctx, tmp_path):
 
 
 def test_rejected_character_is_not_registered():
+    # values that break a relation, a value at a name that is no generator,
+    # a generator without a value
     ctx = make_slq2_context()
-    bad = {"name": "broken", "values": {"v11": "1", "v12": "1",
-                                        "v21": "1", "v22": "1"}}
-    with pytest.raises(DualError):
-        load_character(bad, ctx)
-    assert "broken" not in ctx.characters
+    for values in ({"v11": "1", "v12": "1", "v21": "1", "v22": "1"},
+                   {"v11": "1", "v12": "0", "v21": "0", "v22": "1", "v99": "5"},
+                   {"v11": "1", "v12": "0", "v21": "0"}):
+        with pytest.raises(DualError):
+            load_character({"name": "broken", "values": values}, ctx)
+        assert "broken" not in ctx.characters
 
 
 def test_registered_character_cannot_be_reloaded():
