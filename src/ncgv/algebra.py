@@ -14,7 +14,7 @@ by every later word.
 
 from __future__ import annotations
 
-from .exprparse import base_env, parse_scalar, scalar_to_str, terms_from_doc, terms_to_doc
+from .exprparse import scalar_to_str
 from .scalars import ONE, REAL, ZERO, QScalar
 
 Word = tuple
@@ -36,11 +36,10 @@ class AlgebraPresentation:
     """Generators, oriented relations, star table and term order."""
 
     def __init__(self, name, generators, rules, star=None, star_mode=REAL,
-                 weights=None, params=None):
+                 weights=None):
         self.name = name
         self.generators = list(generators)
         self.star_mode = star_mode
-        self.params = dict(params or {})
         self.weights = {g: 1 for g in self.generators}
         if weights:
             self.weights.update(weights)
@@ -553,80 +552,6 @@ def star_closure_report(pres):
     (lhs, residual) of each rule whose starred form does not vanish."""
     residuals = pres.relation_residuals(lambda w: NCPoly(pres, pres.star_word(w)), pres.conj)
     return [(lhs, res) for lhs, _, res in residuals if not res.is_zero()]
-
-
-# ---------------------------------------------------------------------------
-# structured-text interface
-# ---------------------------------------------------------------------------
-
-
-def load_presentation(doc, params=None, name=None):
-    """Build a presentation from its JSON document form.
-
-    Schema: {"generators": [{"name": ..., "star": name-or-{"coeff","gen"}}],
-    "order": [...], "relations": [{"lhs": "z* z", "rhs": [{"coeff": ...,
-    "word": ...}]}], "star_mode": "REAL", "params": [names]}
-    Coefficient strings may use s, q = s^2 and any declared parameter.
-    """
-    params = dict(params or {})
-    env = base_env(params)
-    declared = doc.get("params", [])
-    missing = [p for p in declared if p not in params]
-    if missing:
-        raise PresentationError(f"missing parameter values for {missing}")
-    order = doc.get("order") or [g["name"] for g in doc["generators"]]
-    star = {}
-    has_star = False
-    for g in doc["generators"]:
-        entry = g.get("star")
-        if entry is None:
-            continue
-        has_star = True
-        if isinstance(entry, str):
-            star[g["name"]] = (entry, ONE)
-        else:
-            star[g["name"]] = (entry["gen"], parse_scalar(entry["coeff"], env))
-    rules = [(tuple(rel["lhs"].split()), terms_from_doc(rel["rhs"], env))
-             for rel in doc["relations"]]
-    weights = doc.get("weights")
-    return AlgebraPresentation(
-        name or doc.get("name", "loaded"),
-        order,
-        rules,
-        star=star if has_star else None,
-        star_mode=doc.get("star_mode", REAL),
-        weights=weights,
-        params=params,
-    )
-
-
-def presentation_to_doc(pres):
-    gens = []
-    for g in pres.generators:
-        entry = {"name": g}
-        if pres.star is not None:
-            h, c = pres.star[g]
-            if c.is_one():
-                entry["star"] = h
-            else:
-                entry["star"] = {"gen": h, "coeff": scalar_to_str(c)}
-        gens.append(entry)
-    rels = []
-    for lhs, rhs in pres.rules:
-        rels.append({
-            "lhs": " ".join(lhs),
-            "rhs": terms_to_doc(sorted(rhs.items(), key=lambda kv: pres.word_key(kv[0]))),
-        })
-    doc = {
-        "name": pres.name,
-        "generators": gens,
-        "order": list(pres.generators),
-        "relations": rels,
-        "star_mode": pres.star_mode,
-    }
-    if any(v != 1 for v in pres.weights.values()):
-        doc["weights"] = {g: v for g, v in pres.weights.items() if v != 1}
-    return doc
 
 
 # coefficients of random_poly

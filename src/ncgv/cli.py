@@ -408,7 +408,8 @@ def _bind(item, overrides, algebra):
     """(check name, keyword arguments) of one scenario item.  Every key must
     be a parameter the check declares, with the declared type and within
     ``_AT_LEAST``, a list must not be empty, and every parameter without a
-    default must be given, and a ``zeta`` must name a shipped character.  An
+    default must be given, and a ``zeta`` must name a shipped character
+    (and cannot go with the ``file`` of ``fodc_validate``).  An
     override reaches only the checks that declare it.  ``algebra`` is the
     scenario's algebra, which must be slq2 for a check of ``SLQ2_CHECKS``."""
     if not isinstance(item, dict):
@@ -446,6 +447,9 @@ def _bind(item, overrides, algebra):
         if kwargs["zeta"] not in names:
             raise ScenarioError(f"check {name!r} parameter 'zeta' must be one of "
                                 f"{names}, got {kwargs['zeta']!r}")
+    if name == "fodc_validate" and "zeta" in kwargs and kwargs.get("file") is not None:
+        # a calculus file names its own character
+        raise ScenarioError(f"check {name!r} takes 'file' or 'zeta', not both")
     if name == "confluence":
         # below the lightest ambiguity the check resolves nothing
         pres_name = kwargs.get("presentation")

@@ -22,8 +22,8 @@ certificate first, and is extensional over a degree-bounded word corpus
 only when the certificate refuses, as recorded in every report that uses
 it.  Each letter family (l+, l-, the transposed S(l+) and S(l-), eps, each
 character) is a matrix that ``multiplicative`` certifies, so every letter
-kills the relation ideal; a character, zeta* too, is checked as it enters
-through ``DualContext.add_character``.
+kills the relation ideal; a character, zeta* too, is checked as it is
+registered (``DualContext.add_character``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import partial, reduce
 from typing import NamedTuple
 
 from .algebra import LinComb, NCPoly, _accum, _concat, character_value
-from .exprparse import base_env, parse_scalar
+from .exprparse import parse_scalar
 from .linalg import MatrixOverAlgebra, add as add_row
 from .scalars import ONE, QScalar, ZERO
 
@@ -125,8 +125,18 @@ class DualContext:
             raise DualError(f"unknown character {name!r}") from None
 
     def add_character(self, name, vals):
-        """Register a character, the one way in: the name must be new, since
-        evaluations of the old values may be cached, ``vals`` must give a
+        """Register a character, the one way in: the name must not end with
+        the suffix of a derived character (``*``, ``_S``), so that no
+        character can stand in for one, and the checks of ``_register``
+        must hold."""
+        if name.endswith((STAR_SUFFIX, ANTIPODE_SUFFIX)):
+            raise DualError(f"character name {name!r} ends with a suffix reserved for "
+                            f"derived characters ({STAR_SUFFIX!r}, {ANTIPODE_SUFFIX!r})")
+        self._register(name, vals)
+
+    def _register(self, name, vals):
+        """Register a character under a name that must be new, since
+        evaluations of the old values may be cached; ``vals`` must give a
         value at exactly the generators, and the character must kill the
         relation ideal (it is an algebra map)."""
         if name in self.characters:
@@ -149,7 +159,7 @@ class DualContext:
             return name[:-len(STAR_SUFFIX)]
         star_name = name + STAR_SUFFIX
         if star_name not in self.characters:
-            self.add_character(star_name, {g: self.pres.conj(character_value(
+            self._register(star_name, {g: self.pres.conj(character_value(
                 vals, self.hopf.antipode(self.pres.gen(g)).star().terms))
                 for g in self.pres.generators})
         return star_name
@@ -656,17 +666,11 @@ def make_slq2_context():
 
 def load_character(doc, ctx):
     """Register a character from a document or a file through
-    ``DualContext.add_character``; a name with the suffix of a derived
-    character (``*``, ``_S``) is refused, so that a loaded character can
-    never stand in for one."""
+    ``DualContext.add_character``."""
     if isinstance(doc, str):
         import json as _json
         with open(doc) as fh:
             doc = _json.load(fh)
     name = doc["name"]
-    if name.endswith((STAR_SUFFIX, ANTIPODE_SUFFIX)):
-        raise DualError(f"character name {name!r} ends with a suffix reserved for "
-                        f"derived characters ({STAR_SUFFIX!r}, {ANTIPODE_SUFFIX!r})")
-    env = base_env()
-    ctx.add_character(name, {g: parse_scalar(v, env) for g, v in doc["values"].items()})
+    ctx.add_character(name, {g: parse_scalar(v) for g, v in doc["values"].items()})
     return name

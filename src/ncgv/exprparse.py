@@ -1,9 +1,9 @@
-"""Parsing and printing of scalar expressions in s, q = s^2 and named parameters.
+"""Parsing and printing of scalar expressions in s and q = s^2.
 
-Grammar: integers, names, + - * / ^ and parentheses; exponents are integers
-k with |k| <= MAX_EXPONENT.  Used by all structured-text inputs
-(presentations, R-matrices, characters, calculi), which write a polynomial as
-a term list [{"coeff": expression, "word": "g1 g2 ..."}].
+Grammar: integers, the names s and q, + - * / ^ and parentheses; exponents
+are integers k with |k| <= MAX_EXPONENT.  Used by every scalar input: the
+R-matrix, the characters, the coefficients of a serialized calculus and the
+``--coeff`` of ``ncgv eval``.
 """
 
 from __future__ import annotations
@@ -11,11 +11,13 @@ from __future__ import annotations
 import re
 import sys
 
-from .scalars import ONE, Q, QScalar, S, ZERO
+from .scalars import ONE, Q, QScalar, S
 
 # The cost of a^k grows with the size of the result, so an unbounded exponent
 # in any scalar input would stall its loader; no shipped exponent is above 5.
 MAX_EXPONENT = 256
+
+_NAMES = {"s": S, "q": Q}
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
@@ -38,10 +40,9 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens, env):
+    def __init__(self, tokens):
         self.toks = tokens
         self.i = 0
-        self.env = env
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -117,28 +118,18 @@ class _Parser:
                 raise ScalarParseError(f"integer literal of {len(tok)} digits is out "
                                        f"of range (at most {limit} digits)")
             return QScalar.from_int(int(tok))
-        if tok in self.env:
-            return self.env[tok]
+        if tok in _NAMES:
+            return _NAMES[tok]
         raise ScalarParseError(f"unknown symbol {tok!r}")
 
 
-def base_env(params=None):
-    env = {"s": S, "q": Q}
-    if params:
-        env.update(params)
-    return env
-
-
-def parse_scalar(text, env=None):
-    """Parse a scalar expression; env maps names to QScalar values.  Every
-    expression without a value, a division by zero among them, raises
-    ScalarParseError."""
-    if env is None:
-        env = base_env()
+def parse_scalar(text):
+    """Parse a scalar expression in s and q.  Every expression without a
+    value, a division by zero among them, raises ScalarParseError."""
     toks = _tokenize(str(text))
     if not toks:
         raise ScalarParseError("empty expression")
-    p = _Parser(toks, env)
+    p = _Parser(toks)
     try:
         val = p.expr()
     except ZeroDivisionError:
@@ -156,16 +147,3 @@ def scalar_to_str(x):
     """Canonical, re-parseable rendering of a QScalar."""
     return repr(x)
 
-
-def terms_from_doc(items, env):
-    """{word: coefficient} of a term list; a repeated word adds up."""
-    out = {}
-    for t in items:
-        w = tuple(t["word"].split())
-        out[w] = out.get(w, ZERO) + parse_scalar(t["coeff"], env)
-    return out
-
-
-def terms_to_doc(terms):
-    """Term list of (word, coefficient) pairs, in the order given."""
-    return [{"coeff": scalar_to_str(c), "word": " ".join(w)} for w, c in terms]

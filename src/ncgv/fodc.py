@@ -14,7 +14,7 @@ from functools import cached_property
 from .algebra import (LinComb, NCPoly, _accum, _concat, character_value, first_failure,
                       first_failures, nonzero_repr, row_statuses)
 from .dual import BF, CHAR, DualElement, LP, SLM, multiplicative
-from .exprparse import base_env, parse_scalar, scalar_to_str, terms_from_doc, terms_to_doc
+from .exprparse import parse_scalar, scalar_to_str
 from .linalg import MatrixOverAlgebra
 from .presentations import builtin_presentation
 from .scalars import ONE, QScalar, ZERO
@@ -255,12 +255,7 @@ def bicovariant_build(ctx, zeta_name="eps"):
     Omega = [sum((row[col].scale(A[t - 1][s - 1]) for col, (s, t) in enumerate(flat)), zero)
              for row in f]
 
-    # the tangent star permutation: X_kj* = X_jk when zeta is hermitean
-    perm = None
-    if _character_hermitean(ctx, zeta_name):
-        perm = [flat.index((j, k)) for (k, j) in flat]
-
-    fodc = FodcData(ctx, labels, X, f, star_permutation=perm)
+    fodc = FodcData(ctx, labels, X, f, star_permutation=_star_permutation(ctx, zeta_name))
     report = fodc_validate(fodc, degree=2)
     failed = [name for name, ok, _ in report if not ok]
     if failed:
@@ -268,12 +263,17 @@ def bicovariant_build(ctx, zeta_name="eps"):
     return BicovariantOutput(ctx, zeta_name, fodc, C, Omega, A, TrA)
 
 
-def _character_hermitean(ctx, name):
-    vals = ctx.character_values(name)
+def _star_permutation(ctx, zeta_name):
+    """The tangent star permutation of the calculus of zeta, X_kj* = X_jk as
+    positions in the labels theta_kj, when zeta is hermitean; else None."""
+    vals = ctx.character_values(zeta_name)
     pres = ctx.pres
     # zeta(g*) must equal conj(zeta(g))
-    return all(character_value(vals, pres.star_word((g,))) == pres.conj(vals[g])
-               for g in pres.generators)
+    if not all(character_value(vals, pres.star_word((g,))) == pres.conj(vals[g])
+               for g in pres.generators):
+        return None
+    n = ctx.n
+    return [(j - 1) * n + k - 1 for k in range(1, n + 1) for j in range(1, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +285,13 @@ class QuantumSpaceCalculus:
     """Bimodule relation table (d-symbol, generator) -> Gamma element, plus
     the differential images of the generators."""
 
-    def __init__(self, name, pres, labels, dmap, rows, label_star=None,
-                 variant=None):
+    def __init__(self, name, pres, labels, dmap, rows, label_star=None):
         self.name = name
         self.pres = pres
         self.labels = list(labels)
         self.dmap = dict(dmap)        # generator -> GammaElement
         self.rows = dict(rows)        # (label, generator) -> GammaElement
         self.label_star = label_star  # label -> label, or None
-        self.variant = variant
 
     def right_mul_word(self, g, word):
         cur = g
@@ -440,7 +438,7 @@ def plane_calculus(variant="pw-a"):
     dmap["yinv"] = _gamma(pres, {"dy": {("yinv", "yinv"): -_Q(-2)}})
     return QuantumSpaceCalculus(
         f"real_plane[{variant}]", pres, ["dx", "dy"], dmap, rows,
-        label_star={"dx": "dx", "dy": "dy"}, variant=variant)
+        label_star={"dx": "dx", "dy": "dy"})
 
 
 def ext_plane_calculus(variant="consistent"):
@@ -465,9 +463,7 @@ def ext_plane_calculus(variant="consistent"):
         ("dy", "x*"): _gamma(pres, {"dy": {("x*",): _Q(-1)}}),
         ("dy", "y*"): _gamma(pres, {"dy": {("y*",): _Q(-2)}}),
     })
-    return QuantumSpaceCalculus(
-        f"ext_plane[{variant}]", pres, ["dx", "dy"], dmap, rows,
-        label_star=None, variant=variant)
+    return QuantumSpaceCalculus(f"ext_plane[{variant}]", pres, ["dx", "dy"], dmap, rows)
 
 
 _BUILTIN_CALCULI = {
@@ -517,11 +513,10 @@ def dual_element_to_doc(f):
 
 
 def dual_element_from_doc(ctx, items):
-    env = base_env()
     terms = {}
     for item in items:
         _accum(terms, ctx.canonical_word(_letters_from_doc(item["word"])),
-               parse_scalar(item["coeff"], env))
+               parse_scalar(item["coeff"]))
     return DualElement(ctx, terms)
 
 
@@ -540,45 +535,12 @@ def bicovariant_to_doc(B):
     }
 
 
-def quantum_space_to_doc(calc):
-    def gamma_doc(g):
-        return [
-            {"label": label, "coeff": terms_to_doc(poly.sorted_terms())}
-            for label, poly in sorted(g.terms.items())
-        ]
-
-    return {
-        "kind": "quantum_space",
-        "name": calc.name,
-        "labels": calc.labels,
-        "d": {g: gamma_doc(v) for g, v in sorted(calc.dmap.items())},
-        "rows": [
-            {"label": label, "gen": gen, "value": gamma_doc(v)}
-            for (label, gen), v in sorted(calc.rows.items())
-        ],
-        "label_star": calc.label_star,
-        "variant": calc.variant,
-    }
-
-
 def fodc_from_doc(ctx, doc):
-    """Rebuild the functional model of a serialized bicovariant calculus;
-    validated by the caller before use."""
+    """Rebuild the functional model of a serialized bicovariant calculus,
+    with the star permutation of its character ``zeta``; validated by the
+    caller before use."""
     labels = list(doc["labels"])
     X = [dual_element_from_doc(ctx, item) for item in doc["X"]]
     f = [[dual_element_from_doc(ctx, e) for e in row] for row in doc["f"]]
-    return FodcData(ctx, labels, X, f)
+    return FodcData(ctx, labels, X, f, star_permutation=_star_permutation(ctx, doc["zeta"]))
 
-
-def quantum_space_from_doc(doc, pres):
-    env = base_env({k: v for k, v in pres.params.items()})
-
-    def gamma_from(items):
-        return GammaElement(pres, {item["label"]: pres.poly(terms_from_doc(item["coeff"], env))
-                                   for item in items})
-
-    dmap = {g: gamma_from(v) for g, v in doc["d"].items()}
-    rows = {(r["label"], r["gen"]): gamma_from(r["value"]) for r in doc["rows"]}
-    return QuantumSpaceCalculus(
-        doc.get("name", "loaded"), pres, doc["labels"], dmap, rows,
-        label_star=doc.get("label_star"), variant=doc.get("variant"))

@@ -10,14 +10,11 @@ structure object.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .algebra import (LinComb, NCPoly, _accum, character_value, confluence_check, first_failure,
                       first_failures, search_until_certified, star_closure_report)
 from .linalg import solve_field
-from .exprparse import (base_env, parse_scalar, scalar_to_str, terms_from_doc,
-                        terms_to_doc)
 from .scalars import ONE, ZERO
 
 
@@ -271,45 +268,3 @@ def _contract_counit(H, tensor, leg):
         _accum(out, key[1 - leg], c * H.counit_word(key[leg]))
     return out
 
-
-# ---------------------------------------------------------------------------
-# structured-text interface
-# ---------------------------------------------------------------------------
-
-
-def load_hopf(doc, pres):
-    """Load Delta/eps/S tables keyed by generator name and validate them on
-    the axiom corpus of degree 2 before use."""
-    if isinstance(doc, str):
-        with open(doc) as fh:
-            doc = json.load(fh)
-    env = base_env({name: val for name, val in pres.params.items()})
-    delta = {}
-    counit = {}
-    antipode = {}
-    for g in pres.generators:
-        entries = doc["delta"][g]
-        terms = {}
-        for item in entries:
-            key = (tuple(item["left"].split()), tuple(item["right"].split()))
-            _accum(terms, key, parse_scalar(item["coeff"], env))
-        delta[g] = Tensor(pres, 2, terms)
-        counit[g] = parse_scalar(doc["counit"][g], env)
-        antipode[g] = pres.poly(terms_from_doc(doc["antipode"][g], env))
-    H = HopfStructure(pres, delta, counit, antipode)
-    failures = [name for name, ok, _ in hopf_axiom_report(H, 2) if not ok]
-    if failures:
-        raise HopfError(f"hopf structure fails axiom checks: {failures}")
-    return H
-
-
-def hopf_to_doc(H):
-    doc = {"delta": {}, "counit": {}, "antipode": {}}
-    for g in H.pres.generators:
-        doc["delta"][g] = [
-            {"coeff": scalar_to_str(c), "left": " ".join(k[0]), "right": " ".join(k[1])}
-            for k, c in sorted(H.delta[g].terms.items())
-        ]
-        doc["counit"][g] = scalar_to_str(H.counit_table[g])
-        doc["antipode"][g] = terms_to_doc(H.antipode_table[g].sorted_terms())
-    return doc

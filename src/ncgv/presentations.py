@@ -73,8 +73,7 @@ def disc_presentation(gamma=ONE):
     """Quantum disc / complex plane: z* z - q^2 z z* = gamma (1 - q^2)."""
     rules = [((("z*", "z")), {("z", "z*"): _Q(2), (): gamma * (ONE - _Q(2))})]
     star = {"z": ("z*", ONE), "z*": ("z", ONE)}
-    return AlgebraPresentation("disc", ["z", "z*"], rules, star=star,
-                               star_mode=REAL, params={"gamma": gamma})
+    return AlgebraPresentation("disc", ["z", "z*"], rules, star=star, star_mode=REAL)
 
 
 def real_plane_presentation():

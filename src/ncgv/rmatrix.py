@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .exprparse import base_env, parse_scalar
+from .exprparse import parse_scalar
 from .linalg import MatrixOverAlgebra
 from .scalars import ONE, ZERO
 
@@ -67,11 +67,11 @@ class RMatrixData:
             raise RMatrixError(f"Yang-Baxter equation fails for {self.name!r}")
 
 
-def _grid_to_dict(grid, n, env):
+def _grid_to_dict(grid, n):
     out = {}
     for row in range(n * n):
         for col in range(n * n):
-            v = parse_scalar(grid[row][col], env)
+            v = parse_scalar(grid[row][col])
             if not v.is_zero():
                 i, k = divmod(row, n)
                 j, l = divmod(col, n)
@@ -84,11 +84,10 @@ def load_rmatrix(doc):
     if isinstance(doc, str):
         with open(doc) as fh:
             doc = json.load(fh)
-    env = base_env()
     n = int(doc["n"])
-    c = parse_scalar(doc["c"], env)
-    R = _grid_to_dict(doc["R"], n, env)
-    Rinv = _grid_to_dict(doc["Rinv"], n, env)
+    c = parse_scalar(doc["c"])
+    R = _grid_to_dict(doc["R"], n)
+    Rinv = _grid_to_dict(doc["Rinv"], n)
     return RMatrixData(doc.get("name", "rmatrix"), n, c, R, Rinv)
 
 

@@ -8,9 +8,7 @@ import pytest
 
 from ncgv import hopf
 from ncgv.algebra import (AlgebraPresentation, PresentationError, RewriteError,
-                          confluence_check, load_presentation,
-                          presentation_to_doc, random_poly,
-                          star_closure_report)
+                          confluence_check, random_poly, star_closure_report)
 from ncgv.hilbert import ex3_ring
 from ncgv.hopf import hopf_axiom_report, slq2_hopf
 from ncgv.presentations import (builtin_presentation, disc_presentation,
@@ -351,33 +349,6 @@ def test_budget_error_keeps_no_partial_entry():
         pres.normal_form_word(w)
     pres._step_budget = 500_000
     assert pres.normal_form_word(w) == disc_presentation().normal_form_word(w)
-
-
-def test_presentation_json_roundtrip(disc):
-    doc = presentation_to_doc(disc)
-    again = load_presentation(doc)
-    assert [tuple(r[0]) for r in again.rules] == [tuple(r[0]) for r in disc.rules]
-    z, zs = again.gen("z"), again.gen("z*")
-    assert (zs * z).terms[("z", "z*")] == qp(2)
-
-
-def test_presentation_file_params():
-    doc = {
-        "name": "disc_param",
-        "generators": [{"name": "z", "star": "z*"}, {"name": "z*", "star": "z"}],
-        "order": ["z", "z*"],
-        "params": ["gamma"],
-        "relations": [{
-            "lhs": "z* z",
-            "rhs": [{"coeff": "q^2", "word": "z z*"},
-                    {"coeff": "gamma*(1-q^2)", "word": ""}],
-        }],
-        "star_mode": "REAL",
-    }
-    with pytest.raises(PresentationError):
-        load_presentation(doc)
-    pres = load_presentation(doc, params={"gamma": ONE})
-    assert (pres.gen("z*") * pres.gen("z")).terms[()] == ONE - qp(2)
 
 
 def test_normal_words_corpus(slq2, disc):

@@ -196,6 +196,9 @@ def write_scenario(tmp_path, checks, algebra="slq2"):
     ({"name": "idempotence_random", "presentations": ["slq2", "nope"]}, "presentations"),
     ({"name": "star_closure", "variant": "nope"}, "variant"),
     ({"name": "variant_selection", "variants": ["pw-a", "nope"]}, "variants"),
+    # a calculus file names its own zeta, so a second one would go unread
+    ({"name": "fodc_validate", "zeta": "zeta_q", "file": "calc.json"}, "file"),
+    ({"name": "fodc_validate", "zeta": "zeta_q", "file": "calc.json"}, "zeta"),
 ])
 def test_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, item, key):
     assert main(["verify", write_scenario(tmp_path, [item])]) == 2

@@ -177,6 +177,29 @@ def test_zero_with_terms_refuses_the_prop1_induction(blocks, B, ctx, monkeypatch
     assert len(calls) == len(ctx.corpus(2)) * (B.fodc.n + 1) ** 2 * len(ctx.corpus(1))
 
 
+# an entry of the structure functionals scaled by q: a tangent functional
+# X_k (row 0 of M) or a diagonal f^k_k (a row k+1); each breaks left covariance
+SCALED = {"X_0": (0, None), "X_1": (1, None), "f_0_0": (0, 0), "f_3_3": (3, 3)}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALED))
+def test_prop1_fails_the_rows_fodc_validate_fails(B, ctx, entry):
+    # prop1_r1 is the tangent coproduct identity, prop1_r2 the
+    # comultiplicativity of the f-table, through the bordered operators
+    k, j = SCALED[entry]
+    X, f = list(B.fodc.X), [list(row) for row in B.fodc.f]
+    if j is None:
+        X[k] = X[k].scale(qp(1))
+    else:
+        f[k][j] = f[k][j].scale(qp(1))
+    F = FodcData(ctx, B.fodc.labels, X, f)
+    C, Omegas = prop1_build(F)
+    prop1 = [ok for _, ok, _ in prop1_verify(C, Omegas, F, degree_a=2)]
+    covariance = {name: ok for name, ok, _ in fodc_validate(F, 2)}
+    assert prop1 == [covariance["tangent_coproduct"], covariance["f_comultiplicative"]]
+    assert prop1 == ([False, True] if j is None else [False, False])
+
+
 def test_trivial_calculus_prop1(ctx):
     zero = DualElement(ctx, {})
     triv = FodcData(ctx, ["w"], [zero], [[ctx.unit()]])

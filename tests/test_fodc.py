@@ -9,8 +9,7 @@ from ncgv.algebra import AlgebraPresentation, NCPoly, random_poly
 from ncgv.dual import BF, CHAR, DualElement, SLM, make_slq2_context
 from ncgv.fodc import (BicovariantOutput, FodcData, FodcError, GammaElement,
                        QuantumSpaceCalculus, bicovariant_build, builtin_calculus,
-                       calculus_consistency_report, fodc_validate,
-                       quantum_space_from_doc, quantum_space_to_doc, star_row_closure_report,
+                       calculus_consistency_report, fodc_validate, star_row_closure_report,
                        bicovariant_to_doc, dual_element_from_doc)
 from ncgv.scalars import ONE, QScalar, ZERO
 
@@ -410,15 +409,6 @@ def test_ext_plane_consistent_variant():
     assert by_rel["y x"] == "pass"
     assert "skipped" in by_rel.values()
     assert star_row_closure_report(calc)[0][1] == "skipped"
-
-
-def test_serialization_roundtrip_quantum_space():
-    calc = builtin_calculus("pw-a")
-    doc = quantum_space_to_doc(calc)
-    calc2 = quantum_space_from_doc(doc, calc.pres)
-    assert calc2.rows == calc.rows or all(
-        calc2.rows[k] == calc.rows[k] for k in calc.rows)
-    assert calc2.dmap["yinv"] == calc.dmap["yinv"]
 
 
 def test_serialization_roundtrip_bicovariant(B, ctx):

@@ -93,12 +93,6 @@ def test_every_private_name_is_read():
 
 # Public names that nothing in the package reaches, each with its reason.
 API = {
-    "load_presentation": "file format: presentations",
-    "presentation_to_doc": "file format: presentations",
-    "load_hopf": "file format: Hopf structures",
-    "hopf_to_doc": "file format: Hopf structures",
-    "quantum_space_to_doc": "file format: quantum-space calculi",
-    "quantum_space_from_doc": "file format: quantum-space calculi",
     "run_scenario": "the in-process entry point of ncgv verify",
 }
 
@@ -275,6 +269,32 @@ def test_detects_a_character_writer():
 
 def test_only_dual_registers_characters():
     assert character_writers({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def json_importers(sources):
+    """The modules of ``sources`` that import ``json`` anywhere, at the top
+    or inside a function."""
+    return sorted(module for module, source in sources.items()
+                  if any(isinstance(node, ast.Import)
+                         and any(alias.name == "json" for alias in node.names)
+                         or isinstance(node, ast.ImportFrom) and node.module == "json"
+                         for node in ast.walk(ast.parse(source))))
+
+
+def test_detects_a_json_importer():
+    sources = {"a": "import json\n",
+               "b": "def load(path):\n    import json as _json\n",
+               "c": "from json import loads\n",
+               "d": "import jsonschema\nx = doc.json\n# import json\n"}
+    assert json_importers(sources) == ["a", "b", "c"]
+
+
+def test_only_the_document_readers_import_json():
+    # cli reads scenarios and writes reports and calculi, dual reads the
+    # characters, rmatrix the shipped R-matrix; no other module has a file
+    # format
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert json_importers(sources) == ["cli", "dual", "rmatrix"]
 
 
 NUMERIC = ("ncgv.hilbert", "numpy", "scipy")

@@ -27,22 +27,37 @@ def test_built_calculus_file_reusable(tmp_path, ctx):
     doc = {
         "name": "from_file",
         "algebra": "slq2",
-        "checks": [{"name": "fodc_validate", "file": str(calc_file), "degree": 2}],
+        "checks": [{"name": "fodc_validate", "file": str(calc_file), "degree": 2},
+                   {"name": "fodc_validate", "zeta": "eps", "degree": 2}],
     }
     report = run_scenario(doc)
     assert report["status"] == "pass"
-    assert report["checks"][0]["source"] == str(calc_file)
+    from_file, built = report["checks"]
+    assert from_file["source"] == str(calc_file)
+    # the same rows, tangent_star_invariance among them
+    assert from_file["items"] == built["items"]
+    assert len(built["items"]) == 4
 
 
 def test_fodc_from_doc_matches_build(tmp_path, ctx):
+    # a loaded calculus keeps the star permutation of its zeta, so that
+    # fodc_validate checks tangent_star_invariance of the hermitean eps
+    # calculus whether it is built or read back
     from ncgv.fodc import bicovariant_to_doc
 
-    B = bicovariant_build(ctx, "eps")
-    doc = bicovariant_to_doc(B)
-    fodc = fodc_from_doc(ctx, doc)
-    assert fodc.labels == B.fodc.labels
-    assert fodc.X == B.fodc.X
-    assert all(ok for _, ok, _ in fodc_validate(fodc, 2))
+    perms = {}
+    for zeta in ("eps", "zeta_q"):
+        B = bicovariant_build(ctx, zeta)
+        fodc = fodc_from_doc(ctx, bicovariant_to_doc(B))
+        assert fodc.labels == B.fodc.labels
+        assert fodc.X == B.fodc.X
+        assert fodc.star_permutation == B.fodc.star_permutation
+        loaded, built = fodc_validate(fodc, 2), fodc_validate(B.fodc, 2)
+        assert [name for name, _, _ in loaded] == [name for name, _, _ in built]
+        assert all(ok for _, ok, _ in loaded)
+        perms[zeta] = fodc.star_permutation
+    # X_kj* = X_jk over theta11, theta12, theta21, theta22; zeta_q is not hermitean
+    assert perms == {"eps": [0, 2, 1, 3], "zeta_q": None}
 
 
 def test_character_loader(ctx, tmp_path):
@@ -95,6 +110,27 @@ def test_derived_character_name_cannot_be_loaded(name):
     with pytest.raises(DualError, match="reserved"):
         load_character(counit, ctx)
     assert name not in ctx.characters
+    zeta = BF(CHAR, name="zeta_q")
+    assert ctx.eval_letter_word(ctx.letter_star(zeta), ("v11",)) == QScalar.s_power(2)
+
+
+@pytest.mark.parametrize("name", ["x*", "eps*", "zeta_q_S"])
+def test_add_character_refuses_a_derived_name(name):
+    # registered directly under the name of a derived character, the counit
+    # would map back by name to a character that may not exist ("x"), or
+    # stand in for eps* before star_character derives it
+    ctx = make_slq2_context()
+    counit = dict(ctx.character_values("eps"))
+    with pytest.raises(DualError, match="reserved"):
+        ctx.add_character(name, counit)
+    assert name not in ctx.characters
+
+
+def test_star_character_still_derives():
+    ctx = make_slq2_context()
+    assert ctx.star_character("zeta_q") == "zeta_q*"
+    assert ctx.star_character("zeta_q*") == "zeta_q"
+    assert "zeta_q*" in ctx.characters
     zeta = BF(CHAR, name="zeta_q")
     assert ctx.eval_letter_word(ctx.letter_star(zeta), ("v11",)) == QScalar.s_power(2)
 

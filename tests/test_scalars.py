@@ -103,12 +103,6 @@ def test_parser_roundtrip():
         assert x == y
 
 
-def test_parser_params():
-    gamma = QScalar.from_fraction(Fraction(3, 2))
-    x = parse_scalar("gamma*(1-q^2)", {"s": S, "q": Q, "gamma": gamma})
-    assert x == gamma * (ONE - Q ** 2)
-
-
 def test_parser_rejects_garbage():
     with pytest.raises(ValueError):
         parse_scalar("q +")
