@@ -3,18 +3,18 @@
 Numeric side: truncated weighted-shift representations of the quantum disc,
 clock/shift pairs for the root-of-unity plane, with masked residual checks
 (shift operators corrupt the top basis rows, so identities are asserted on a
-leading block only).  The disc models are scipy sparse (CSR) matrices; the
+leading block only).  Every matrix of the disc models is a sum of a few
+weighted shifts, so it is kept as its diagonals (``Diagonals``); the
 clock/shift model is dense.  A residual's masked spectral norm is exact: a
 weighted partial permutation (at most one nonzero in each row and column, as
 every residual of the disc model is) has norm max |entry|, and any other
 matrix takes a dense SVD.  The command line imports this module only when a
-scenario binds a numeric check, so an exact-only run loads neither numpy nor
-scipy; scipy is imported only where a sparse model is built.  Symbolic side:
-the extended-plane representation on a formal module in the basis d_n e_n,
-d_n = lambda_1 ... lambda_n, where only lambda_n^2 = 1 - q^(2n) enters,
-with an exact quotient coefficient ring, where zero means zero.  Its
-relation and row-transport reports are ``algebra.row_statuses`` rows whose
-witness is the first move of the residual from a masked slot.
+scenario binds a numeric check, so an exact-only run does not load numpy.
+Symbolic side: the extended-plane representation on a formal module in the
+basis d_n e_n, d_n = lambda_1 ... lambda_n, where only lambda_n^2 =
+1 - q^(2n) enters, with an exact quotient coefficient ring, where zero means
+zero.  Its relation and row-transport reports are ``algebra.row_statuses``
+rows whose witness is the first move of the residual from a masked slot.
 """
 
 from __future__ import annotations
@@ -38,16 +38,110 @@ class HilbertError(ValueError):
     pass
 
 
+class Diagonals:
+    """Square matrix kept as its nonzero diagonals: ``diags`` maps an offset
+    k to a length-``dim`` vector v with entry (i, i + k) = v[i], and the
+    slots of v whose column falls outside the matrix hold 0.  A weighted
+    shift is one diagonal, so the disc models stay a few vectors long.  A
+    product adds the terms of each entry in ascending inner index, and a
+    quotient by a scalar multiplies by its inverse, as a compressed sparse
+    row (CSR) matrix does, so the residuals agree bit for bit with a CSR
+    construction of the same model."""
+
+    __slots__ = ("dim", "shape", "diags")
+
+    def __init__(self, dim, diags):
+        self.dim = dim
+        self.shape = (dim, dim)
+        self.diags = diags
+
+    @classmethod
+    def from_entries(cls, dim, rows, cols, vals):
+        """The dim x dim matrix with entry (rows[i], cols[i]) = vals[i], each
+        position given at most once, and zeros elsewhere."""
+        offsets = cols - rows
+        diags = {}
+        for k in np.unique(offsets).tolist():
+            at = offsets == k
+            diags[k] = np.zeros(dim, dtype=complex)
+            diags[k][rows[at]] = vals[at]
+        return cls(dim, diags)
+
+    def entries(self):
+        """(rows, cols, values) of the nonzero entries."""
+        parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=complex))]
+        for k, v in self.diags.items():
+            rows = np.flatnonzero(v)
+            parts.append((rows, rows + k, v[rows]))
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    def toarray(self):
+        rows, cols, vals = self.entries()
+        out = np.zeros(self.shape, dtype=complex)
+        out[rows, cols] = vals
+        return out
+
+    def any(self):
+        return any(v.any() for v in self.diags.values())
+
+    def restrict(self, idx):
+        """The submatrix on the rows and columns ``idx`` (ascending)."""
+        pos = np.full(self.dim, -1)
+        pos[idx] = np.arange(len(idx))
+        rows, cols, vals = self.entries()
+        rows, cols = pos[rows], pos[cols]
+        kept = (rows >= 0) & (cols >= 0)
+        return Diagonals.from_entries(len(idx), rows[kept], cols[kept], vals[kept])
+
+    def conj(self):
+        return Diagonals(self.dim, {k: v.conj() for k, v in self.diags.items()})
+
+    @property
+    def T(self):
+        rows, cols, vals = self.entries()
+        return Diagonals.from_entries(self.dim, cols, rows, vals)
+
+    def _merge(self, other, op):
+        out = dict(self.diags)
+        for k, v in other.diags.items():
+            out[k] = op(out.get(k, 0), v)
+        return Diagonals(self.dim, out)
+
+    def __add__(self, other):
+        return self._merge(other, np.add)
+
+    def __sub__(self, other):
+        return self._merge(other, np.subtract)
+
+    def __mul__(self, c):
+        return Diagonals(self.dim, {k: v * c for k, v in self.diags.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return self * (1 / c)
+
+    def __matmul__(self, other):
+        n = self.dim
+        out = {}
+        for a, u in sorted(self.diags.items()):
+            for b, w in other.diags.items():
+                # shifted[i] = w[i + a], the entry of other in row i + a
+                if abs(a + b) < n:
+                    shifted = np.zeros(n, dtype=complex)
+                    shifted[max(0, -a):n - max(0, a)] = w[max(0, a):n - max(0, -a)]
+                    out[a + b] = out.get(a + b, 0) + u * shifted
+        return Diagonals(n, out)
+
+
 def _norm(mat):
-    """Spectral norm.  A sparse matrix with at most one nonzero in each row
+    """Spectral norm.  A ``Diagonals`` with at most one nonzero in each row
     and each column is a weighted partial permutation P D Q, whose norm is
     exactly its largest |entry|; any other matrix takes the dense SVD."""
-    if not isinstance(mat, np.ndarray):
-        coo = mat.tocoo()
-        nz = coo.data != 0
-        rows, cols = coo.row[nz], coo.col[nz]
+    if isinstance(mat, Diagonals):
+        rows, cols, vals = mat.entries()
         if len(np.unique(rows)) == len(rows) == len(np.unique(cols)):
-            return float(np.abs(coo.data[nz]).max(initial=0.0))
+            return float(np.abs(vals).max(initial=0.0))
         mat = mat.toarray()
     return float(np.linalg.norm(mat, 2)) if mat.any() else 0.0
 
@@ -56,7 +150,7 @@ class TruncatedRep:
     """Finite matrix model with truncation metadata: a model made of
     ``copies`` equal diagonal blocks asserts identities on the leading
     mask x mask block of every copy only.  The matrices are all dense
-    ndarrays or all scipy sparse, and products stay in that format."""
+    ndarrays or all ``Diagonals``, and products stay in that format."""
 
     def __init__(self, pres, dim, s_value, mats, mask, adjoint_pairs=(), notes=(),
                  copies=1):
@@ -69,12 +163,10 @@ class TruncatedRep:
         self.notes = tuple(notes)
         self.copies = copies
         # the identity in the format of the model's matrices
-        first = next(iter(self.mats.values()))
-        if isinstance(first, np.ndarray):
+        if isinstance(next(iter(self.mats.values())), np.ndarray):
             self.one = np.eye(dim, dtype=complex)
-        else:  # scipy sparse, so scipy is already imported
-            from scipy import sparse
-            self.one = sparse.eye_array(dim, dtype=complex, format=first.format)
+        else:
+            self.one = Diagonals(dim, {0: np.ones(dim, dtype=complex)})
 
     def word_matrix(self, w):
         out = self.one
@@ -91,7 +183,7 @@ class TruncatedRep:
     def masked(self, mat):
         block = self.dim // self.copies
         idx = (block * np.arange(self.copies)[:, None] + np.arange(self.mask)).ravel()
-        return mat[idx][:, idx]
+        return mat.restrict(idx) if isinstance(mat, Diagonals) else mat[idx][:, idx]
 
     def relation_residuals(self):
         residuals = self.pres.relation_residuals(self.word_matrix,
@@ -122,11 +214,10 @@ def disc_rep(M, q):
         raise HilbertError("disc representation needs 0 < q < 1")
     if M < 2:
         raise HilbertError("dimension must be at least 2")
-    from scipy import sparse
-    Z = sparse.diags_array(shift_weights(q, M)[1:M], offsets=-1, shape=(M, M),
-                           dtype=complex, format="csr")
+    # entry (n, n - 1) = lambda_n, and lambda_0 = 0 fills the unused slot
+    Z = Diagonals(M, {-1: np.array(shift_weights(q, M)[:M], dtype=complex)})
     pres = builtin_presentation("disc")
-    mats = {"z": Z, "z*": Z.conj().T.tocsr()}
+    mats = {"z": Z, "z*": Z.conj().T}
     return TruncatedRep(pres, M, math.sqrt(q), mats, mask=M - 1,
                         adjoint_pairs=(("z", "z*"),))
 
@@ -134,11 +225,15 @@ def disc_rep(M, q):
 def disc_commrep(M, q):
     """Doubled representation with the off-diagonal block operator
     F = (1-q^2)^{-1} (0 Z; Z* 0)."""
-    from scipy import sparse
     rep = disc_rep(M, q)
-    mats = {g: sparse.block_diag((m, m), format="csr") for g, m in rep.mats.items()}
-    Z = rep.mats["z"]
-    F = sparse.bmat([[None, Z], [Z.conj().T, None]], format="csr") / (1 - q * q)
+    # each copy repeats the vectors; the zero slots of a shift keep the
+    # copies apart
+    mats = {g: Diagonals(2 * M, {k: np.tile(v, 2) for k, v in m.diags.items()})
+            for g, m in rep.mats.items()}
+    z, zs = rep.mats["z"].diags[-1], rep.mats["z*"].diags[1]
+    zero = np.zeros(M, dtype=complex)
+    F = Diagonals(2 * M, {M - 1: np.concatenate([z, zero]),
+                          1 - M: np.concatenate([zero, zs])}) / (1 - q * q)
     rep2 = TruncatedRep(rep.pres, 2 * M, rep.s_value, mats, mask=M - 1,
                         adjoint_pairs=rep.adjoint_pairs, copies=2)
     return rep2, F
@@ -162,7 +257,7 @@ def numeric_verify(rep, F, calc, tol=1e-12):
                     None if delta is None else _norm(rep.masked(delta)))
                    for label, gen, delta, _ in rows if label in comms]
     classes["bimodule_rows"] = max([0.0] + [r for _, r in rows_detail if r is not None])
-    degenerate = not abs(F).max()
+    degenerate = not F.any()
     report = {
         "check": "numeric_verify",
         "dim": rep.dim,

@@ -80,10 +80,7 @@ def _grid_to_dict(grid, n):
 
 
 def load_rmatrix(doc):
-    """Load from document form {"n":..., "c":..., "R": [[...]], "Rinv": [[...]]}."""
-    if isinstance(doc, str):
-        with open(doc) as fh:
-            doc = json.load(fh)
+    """Load from a parsed document {"n":..., "c":..., "R": [[...]], "Rinv": [[...]]}."""
     n = int(doc["n"])
     c = parse_scalar(doc["c"])
     R = _grid_to_dict(doc["R"], n)

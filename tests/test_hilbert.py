@@ -13,7 +13,7 @@ from ncgv.algebra import confluence_check
 from ncgv.cli import run_scenario
 from ncgv.commrep import disc_block_c, quantum_space_commrep_report
 from ncgv.fodc import GammaElement, QuantumSpaceCalculus, builtin_calculus
-from ncgv.hilbert import (Ex3Model, HilbertError, SlotOperator, _lam2, _norm,
+from ncgv.hilbert import (Diagonals, Ex3Model, HilbertError, SlotOperator, _lam2, _norm,
                           disc_commrep, disc_rep, ex3_build, ex3_report, ex3_ring,
                           numeric_verify, shift_weights, summability_report,
                           weyl_commrep_residuals, weyl_rep)
@@ -33,8 +33,8 @@ def test_disc_rep_boundary_and_spectrum():
     Z, Zs = rep.mats["z"], rep.mats["z*"]
     e0 = np.zeros(M)
     e0[0] = 1.0
-    assert np.linalg.norm(Zs @ e0) == 0.0  # lambda_0 = 0
-    onemzz = np.eye(M) - Zs @ Z
+    assert np.linalg.norm(Zs.toarray() @ e0) == 0.0  # lambda_0 = 0
+    onemzz = np.eye(M) - (Zs @ Z).toarray()
     for n in range(M - 1):
         assert abs(onemzz[n, n] - q ** (2 * n + 2)) <= TOL
 
@@ -64,24 +64,29 @@ def test_disc_commutator_block_value():
     # lower-left of i[F, pi2(z)] equals i q^{-2}(I - pi(z* z)) on the mask
     M, q = 64, 0.5
     rep2, F = disc_commrep(M, q)
-    Z = rep2.mats["z"][:M, :M]
-    comm = F @ rep2.mats["z"] - rep2.mats["z"] @ F
+    Z = rep2.mats["z"].toarray()[:M, :M]
+    comm = (F @ rep2.mats["z"] - rep2.mats["z"] @ F).toarray()
     lower = comm[M:, :M]
     target = (np.eye(M) - Z.conj().T @ Z) / (q * q)
     mask = rep2.mask
     assert np.linalg.norm(lower[:mask, :mask] - target[:mask, :mask], 2) <= TOL
 
 
+def one_entry(dim, i, j, value):
+    """The ``Diagonals`` with ``value`` at (i, j) and zeros elsewhere."""
+    return Diagonals.from_entries(dim, np.array([i]), np.array([j]), np.array([value]))
+
+
 def test_disc_perturbation_detected():
     M, q = 32, 0.5
     rep2, F = disc_commrep(M, q)
-    # off the sparsity pattern (a zero of Z): the one residual that takes the
-    # dense SVD; LIL format takes a new entry without a SparseEfficiencyWarning
-    F2 = F.tolil()
-    F2[3, M + 4] += 1e-6
-    F2 = F2.tocsr()
+    # off the diagonals of F (a zero of Z): the residuals it reaches are no
+    # partial permutations, so they take the dense SVD
+    F2 = F + one_entry(2 * M, 3, M + 4, 1e-6)
     calc = builtin_calculus("disc")
-    report = numeric_verify(rep2, F=F2, calc=calc, tol=TOL)
+    with svd_calls() as svd:
+        report = numeric_verify(rep2, F=F2, calc=calc, tol=TOL)
+    assert svd.call_count > 0
     assert report["status"] == "fail"
     assert 1e-8 < report["classes"]["bimodule_rows"] < 1e-3
 
@@ -90,8 +95,7 @@ def test_disc_second_copy_perturbation_detected():
     # the doubled model masks the leading block of both copies
     M, q = 32, 0.5
     rep2, F = disc_commrep(M, q)
-    F2 = F.copy()
-    F2[M + 3, 4] += 1e-6
+    F2 = F + one_entry(2 * M, M + 3, 4, 1e-6)
     report = numeric_verify(rep2, F=F2, calc=builtin_calculus("disc"), tol=TOL)
     assert report["classes"]["f_symmetry"] > TOL
     assert report["classes"]["bimodule_rows"] > TOL
@@ -153,8 +157,8 @@ def test_disc_rejects_bad_parameters():
         disc_rep(1, 0.5)
 
 
-def old_dense_disc_commrep(M, q):
-    """The dense construction the sparse model replaced, written out."""
+def dense_disc_commrep(M, q):
+    """The dense construction of the doubled model, written out."""
     Z = np.zeros((M, M), dtype=complex)
     lam = shift_weights(q, M)
     for n in range(M - 1):
@@ -174,13 +178,16 @@ def old_dense_disc_commrep(M, q):
 def test_sparse_disc_model_equals_dense_construction():
     M, q = 64, 0.5
     rep2, F = disc_commrep(M, q)
-    mats, dense_f = old_dense_disc_commrep(M, q)
-    assert sparse.issparse(F) and all(map(sparse.issparse, rep2.mats.values()))
+    mats, dense_f = dense_disc_commrep(M, q)
+    assert all(isinstance(m, Diagonals) for m in [F, rep2.one, *rep2.mats.values()])
     assert rep2.mats.keys() == mats.keys()
     for g, m in mats.items():
         assert np.array_equal(rep2.mats[g].toarray(), m)
     assert np.array_equal(F.toarray(), dense_f)
     assert np.array_equal(rep2.one.toarray(), np.eye(2 * M))
+    # one weighted shift per generator, and F on the two diagonals +-(M - 1)
+    assert [list(m.diags) for m in rep2.mats.values()] == [[-1], [1]]
+    assert sorted(F.diags) == [1 - M, M - 1]
 
 
 def disc_scenario(*dims):
@@ -199,7 +206,7 @@ def test_disc_perturbation_detected_at_4096():
     # one stored entry of F far outside the 64-dimensional model
     M, q = 4096, 0.5
     rep2, F = disc_commrep(M, q)
-    F[4000, M + 3999] += 1e-6
+    F = F + one_entry(2 * M, 4000, M + 3999, 1e-6)
     report = numeric_verify(rep2, F=F, calc=builtin_calculus("disc"), tol=TOL)
     assert report["status"] == "fail"
     assert 1e-8 < report["classes"]["f_symmetry"] < 1e-3
@@ -207,22 +214,73 @@ def test_disc_perturbation_detected_at_4096():
     assert report["classes"]["relations"] <= TOL
 
 
-# -- spectral norm ---------------------------------------------------------------
+# -- the diagonal format against CSR ------------------------------------------------
 
 finite = st.floats(-1e3, 1e3).filter(lambda x: x == 0 or abs(x) > 1e-6)
+nonzero = finite.filter(lambda x: x != 0)
+
+
+@st.composite
+def weighted_shifts(draw, n):
+    """A real n x n sum of up to three weighted shifts, as a ``Diagonals`` and,
+    built from a dense array without it, as a CSR matrix."""
+    diags, dense = {}, np.zeros((n, n), dtype=complex)
+    for k in draw(st.sets(st.integers(1 - n, n - 1), max_size=3)):
+        band = np.array(draw(st.lists(finite, min_size=n - abs(k), max_size=n - abs(k))))
+        diags[k] = np.zeros(n, dtype=complex)
+        diags[k][max(0, -k):n - max(0, k)] = band
+        dense += np.diag(band, k)
+    return Diagonals(n, diags), sparse.csr_array(dense)
+
+
+@st.composite
+def shift_pairs(draw):
+    n = draw(st.integers(1, 10))
+    return draw(weighted_shifts(n)), draw(weighted_shifts(n))
+
+
+def sorted_entries(rows, cols, vals):
+    """The nonzero entries in row-major order, values as their float bits."""
+    kept = vals != 0
+    order = np.lexsort((cols[kept], rows[kept]))
+    return rows[kept][order].tolist(), cols[kept][order].tolist(), vals[kept][order].tobytes()
+
+
+def same_bits(ours, csr):
+    """The same nonzero entries with the same float bits, signs of zero
+    parts included (``toarray`` of a CSR matrix adds its entries to +0, so
+    it cannot tell them apart)."""
+    coo = csr.tocoo()
+    return (ours.shape == csr.shape
+            and sorted_entries(*ours.entries()) == sorted_entries(coo.row, coo.col, coo.data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shift_pairs(), nonzero, st.data())
+def test_diagonals_agree_with_csr_bit_for_bit(pair, c, data):
+    (a, a_csr), (b, b_csr) = pair
+    assert same_bits(a, a_csr)
+    assert same_bits(a @ b, a_csr @ b_csr)
+    assert same_bits(a + b, a_csr + b_csr)
+    assert same_bits(a - b, a_csr - b_csr)
+    assert same_bits(c * a, c * a_csr) and same_bits(a / c, a_csr / c)
+    assert same_bits(a.conj().T, a_csr.conj().T)
+    idx = np.array(sorted(data.draw(st.sets(st.integers(0, a.dim - 1), min_size=1))))
+    assert same_bits(a.restrict(idx), a_csr[idx][:, idx])
 
 
 @st.composite
 def partial_permutations(draw, min_size=1):
-    """A sparse matrix with at most one stored entry in each row and column."""
-    n, m = draw(st.integers(min_size, 12)), draw(st.integers(min_size, 12))
-    k = draw(st.integers(min_size, min(n, m)))
-    rows = draw(st.permutations(range(n)))[:k]
-    cols = draw(st.permutations(range(m)))[:k]
+    """A square matrix with at most one nonzero in each row and column, as its
+    (rows, cols, values)."""
+    n = draw(st.integers(min_size, 12))
+    k = draw(st.integers(min_size, n))
+    rows = np.array(draw(st.permutations(range(n)))[:k])
+    cols = np.array(draw(st.permutations(range(n)))[:k])
     vals = np.array(draw(st.lists(finite, min_size=k, max_size=k)), dtype=complex)
     if draw(st.booleans()):
         vals = vals + 1j * np.array(draw(st.lists(finite, min_size=k, max_size=k)))
-    return sparse.csr_array((vals, (rows, cols)), shape=(n, m))
+    return n, rows, cols, vals
 
 
 def svd_calls():
@@ -231,7 +289,8 @@ def svd_calls():
 
 @settings(max_examples=200, deadline=None)
 @given(partial_permutations())
-def test_norm_of_partial_permutation_is_largest_entry(mat):
+def test_norm_of_partial_permutation_is_largest_entry(perm):
+    mat = Diagonals.from_entries(*perm)
     want = np.linalg.norm(mat.toarray(), 2)
     with svd_calls() as svd:
         got = _norm(mat)
@@ -241,16 +300,17 @@ def test_norm_of_partial_permutation_is_largest_entry(mat):
 
 @settings(max_examples=100, deadline=None)
 @given(partial_permutations(min_size=2), st.booleans(), st.data())
-def test_norm_with_a_shared_row_or_column_takes_the_svd(mat, share_row, data):
-    coo = mat.tocoo()
-    i, j = coo.row[0], coo.col[0]
-    mat = mat.tolil()
-    mat[i, j] = 2.0 - 1.0j
+def test_norm_with_a_shared_row_or_column_takes_the_svd(perm, share_row, data):
+    n, rows, cols, vals = perm
+    i, j = rows[0], cols[0]
+    vals[0] = 2.0 - 1.0j
+    # row i and column j hold no other entry, so the new one is no overwrite
     if share_row:
-        mat[i, data.draw(st.sampled_from(sorted(set(range(mat.shape[1])) - {j})))] = 1.5
+        extra = i, data.draw(st.sampled_from(sorted(set(range(n)) - {j})))
     else:
-        mat[data.draw(st.sampled_from(sorted(set(range(mat.shape[0])) - {i}))), j] = 1.5
-    mat = mat.tocsr()
+        extra = data.draw(st.sampled_from(sorted(set(range(n)) - {i}))), j
+    mat = Diagonals.from_entries(n, np.append(rows, extra[0]), np.append(cols, extra[1]),
+                                 np.append(vals, 1.5))
     with svd_calls() as svd:
         got = _norm(mat)
     assert svd.call_count == 1
@@ -258,13 +318,14 @@ def test_norm_with_a_shared_row_or_column_takes_the_svd(mat, share_row, data):
 
 
 def test_norm_of_zero_and_stored_zeros():
-    assert _norm(sparse.csr_array((5, 7), dtype=complex)) == 0.0
+    assert _norm(Diagonals(5, {})) == 0.0
     assert _norm(np.zeros((3, 3), dtype=complex)) == 0.0
-    zeros = sparse.csr_array(([0.0, 0.0], ([0, 1], [1, 1])), shape=(3, 3))
-    assert zeros.nnz == 2 and _norm(zeros) == 0.0
+    zeros = Diagonals(3, {0: np.zeros(3, dtype=complex), 1: np.zeros(3, dtype=complex)})
+    assert not zeros.any() and _norm(zeros) == 0.0
     # stored zeros beside the entries of a partial permutation keep the certificate
-    mat = sparse.csr_array(([3.0, 0.0, 0.0, -4.0], ([0, 0, 2, 1], [2, 0, 2, 0])),
-                           shape=(3, 3))
+    mat = Diagonals(3, {2: np.array([3.0, 0, 0], dtype=complex),
+                        0: np.zeros(3, dtype=complex),
+                        -1: np.array([0, -4.0, 0], dtype=complex)})
     with svd_calls() as svd:
         assert _norm(mat) == 4.0
     assert svd.call_count == 0

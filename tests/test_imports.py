@@ -1,8 +1,8 @@
 """Imports of the package: every name a module imports is used in that module,
 every private module-level name is read somewhere in the package, every
 public function and method is reached from the package or is part of its
-named API, and the numeric layer (``hilbert``, with numpy and scipy) is loaded
-only by a process that binds a numeric check."""
+named API, and the numeric layer (``hilbert``, with numpy) is loaded only by a
+process that binds a numeric check, and scipy by none."""
 
 import ast
 import inspect
@@ -313,8 +313,7 @@ def numeric_modules_after(code):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy costs about 0.15 s to import and scipy about 0.2 s, so only the
-    # numeric checks load them
+    # numpy costs about 0.15 s to import, so only the numeric checks load it
     assert numeric_modules_after("import ncgv.cli") == []
 
 
@@ -328,10 +327,20 @@ def test_exact_verify_leaves_numpy_unloaded(tmp_path):
 
 def test_numeric_check_loads_hilbert_when_bound():
     # binding loads numpy, so that its import is set-up time of a numeric
-    # scenario and not time of its first check; scipy waits for a sparse model
+    # scenario and not time of its first check
     code = ("from ncgv import cli\n"
             "cli.validate_scenario({'checks': [{'name': 'weyl_numeric'}]})")
     assert numeric_modules_after(code) == ["ncgv.hilbert", "numpy"]
+
+
+def test_disc_model_leaves_scipy_unloaded(tmp_path):
+    # the disc model is kept as numpy diagonals; importing scipy.sparse would
+    # cost about 0.15 s and 20 MB of a numeric run
+    out = tmp_path / "report.json"
+    code = ("from ncgv import cli\n"
+            f"assert cli.main(['verify', 'builtin:disc_m64', '--out', {str(out)!r}]) == 0")
+    assert numeric_modules_after(code) == ["ncgv.hilbert", "numpy"]
+    assert json.loads(out.read_text())["status"] == "pass"
 
 
 def hilbert_readers(sources):
