@@ -342,7 +342,7 @@ def row_transport(calc, rho, F):
                 comms[label] = F @ pm - pm @ F
 
     def residual(label, gen, row):
-        # its own frame, so that only the residual outlives the row: dense
+        # its own frame, so that only the residual outlives the row: the
         # operands of a large model are freed before the next row
         lhs = comms[label] @ rho_gen(gen)
         rhs = None

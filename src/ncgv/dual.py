@@ -665,12 +665,8 @@ def make_slq2_context():
 
 
 def load_character(doc, ctx):
-    """Register a character from a document or a file through
+    """Register the character of a ``{"name", "values"}`` document through
     ``DualContext.add_character``."""
-    if isinstance(doc, str):
-        import json as _json
-        with open(doc) as fh:
-            doc = _json.load(fh)
     name = doc["name"]
     ctx.add_character(name, {g: parse_scalar(v) for g, v in doc["values"].items()})
     return name

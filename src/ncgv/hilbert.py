@@ -3,11 +3,12 @@
 Numeric side: truncated weighted-shift representations of the quantum disc,
 clock/shift pairs for the root-of-unity plane, with masked residual checks
 (shift operators corrupt the top basis rows, so identities are asserted on a
-leading block only).  Every matrix of the disc models is a sum of a few
-weighted shifts, so it is kept as its diagonals (``Diagonals``); the
-clock/shift model is dense.  A residual's masked spectral norm is exact: a
-weighted partial permutation (at most one nonzero in each row and column, as
-every residual of the disc model is) has norm max |entry|, and any other
+leading block only).  Every matrix of both models is a sum of a few weighted
+shifts (the clock is one diagonal, the cyclic shift two), so all of them are
+kept as their diagonals (``Diagonals``), and a block matrix is built by
+``Diagonals.block``.  A residual's masked spectral norm is exact: a weighted
+partial permutation (at most one nonzero in each row and column, as every
+residual of the shipped checks is) has norm max |entry|, and any other
 matrix takes a dense SVD.  The command line imports this module only when a
 scenario binds a numeric check, so an exact-only run does not load numpy.
 Symbolic side: the extended-plane representation on a formal module in the
@@ -42,7 +43,7 @@ class Diagonals:
     """Square matrix kept as its nonzero diagonals: ``diags`` maps an offset
     k to a length-``dim`` vector v with entry (i, i + k) = v[i], and the
     slots of v whose column falls outside the matrix hold 0.  A weighted
-    shift is one diagonal, so the disc models stay a few vectors long.  A
+    shift is one diagonal, so the models stay a few vectors long.  A
     product adds the terms of each entry in ascending inner index, and a
     quotient by a scalar multiplies by its inverse, as a compressed sparse
     row (CSR) matrix does, so the residuals agree bit for bit with a CSR
@@ -66,6 +67,14 @@ class Diagonals:
             diags[k] = np.zeros(dim, dtype=complex)
             diags[k][rows[at]] = vals[at]
         return cls(dim, diags)
+
+    @classmethod
+    def block(cls, grid):
+        """The block matrix of a square grid of equal-sized ``Diagonals``."""
+        n = grid[0][0].dim
+        parts = [(rows + i * n, cols + j * n, vals) for i, line in enumerate(grid)
+                 for j, (rows, cols, vals) in enumerate(mat.entries() for mat in line)]
+        return cls.from_entries(n * len(grid), *map(np.concatenate, zip(*parts)))
 
     def entries(self):
         """(rows, cols, values) of the nonzero entries."""
@@ -93,13 +102,10 @@ class Diagonals:
         kept = (rows >= 0) & (cols >= 0)
         return Diagonals.from_entries(len(idx), rows[kept], cols[kept], vals[kept])
 
-    def conj(self):
-        return Diagonals(self.dim, {k: v.conj() for k, v in self.diags.items()})
-
-    @property
-    def T(self):
+    def adjoint(self):
+        """The conjugate transpose."""
         rows, cols, vals = self.entries()
-        return Diagonals.from_entries(self.dim, cols, rows, vals)
+        return Diagonals.from_entries(self.dim, cols, rows, vals.conj())
 
     def _merge(self, other, op):
         out = dict(self.diags)
@@ -135,22 +141,20 @@ class Diagonals:
 
 
 def _norm(mat):
-    """Spectral norm.  A ``Diagonals`` with at most one nonzero in each row
-    and each column is a weighted partial permutation P D Q, whose norm is
-    exactly its largest |entry|; any other matrix takes the dense SVD."""
-    if isinstance(mat, Diagonals):
-        rows, cols, vals = mat.entries()
-        if len(np.unique(rows)) == len(rows) == len(np.unique(cols)):
-            return float(np.abs(vals).max(initial=0.0))
-        mat = mat.toarray()
-    return float(np.linalg.norm(mat, 2)) if mat.any() else 0.0
+    """Spectral norm.  A matrix with at most one nonzero in each row and
+    each column is a weighted partial permutation P D Q, whose norm is
+    exactly its largest |entry|; any other takes the dense SVD."""
+    rows, cols, vals = mat.entries()
+    if len(np.unique(rows)) == len(rows) == len(np.unique(cols)):
+        return float(np.abs(vals).max(initial=0.0))
+    return float(np.linalg.norm(mat.toarray(), 2))
 
 
 class TruncatedRep:
     """Finite matrix model with truncation metadata: a model made of
     ``copies`` equal diagonal blocks asserts identities on the leading
-    mask x mask block of every copy only.  The matrices are all dense
-    ndarrays or all ``Diagonals``, and products stay in that format."""
+    mask x mask block of every copy only.  Its matrices, and all their
+    products, are ``Diagonals``."""
 
     def __init__(self, pres, dim, s_value, mats, mask, adjoint_pairs=(), notes=(),
                  copies=1):
@@ -162,11 +166,7 @@ class TruncatedRep:
         self.adjoint_pairs = tuple(adjoint_pairs)
         self.notes = tuple(notes)
         self.copies = copies
-        # the identity in the format of the model's matrices
-        if isinstance(next(iter(self.mats.values())), np.ndarray):
-            self.one = np.eye(dim, dtype=complex)
-        else:
-            self.one = Diagonals(dim, {0: np.ones(dim, dtype=complex)})
+        self.one = Diagonals(dim, {0: np.ones(dim, dtype=complex)})
 
     def word_matrix(self, w):
         out = self.one
@@ -183,7 +183,7 @@ class TruncatedRep:
     def masked(self, mat):
         block = self.dim // self.copies
         idx = (block * np.arange(self.copies)[:, None] + np.arange(self.mask)).ravel()
-        return mat.restrict(idx) if isinstance(mat, Diagonals) else mat[idx][:, idx]
+        return mat.restrict(idx)
 
     def relation_residuals(self):
         residuals = self.pres.relation_residuals(self.word_matrix,
@@ -193,7 +193,7 @@ class TruncatedRep:
     def adjoint_residuals(self):
         out = []
         for g, gstar in self.adjoint_pairs:
-            m = self.masked(self.mats[gstar]) - self.masked(self.mats[g]).conj().T
+            m = self.masked(self.mats[gstar]) - self.masked(self.mats[g]).adjoint()
             out.append((f"{gstar} = adjoint({g})", _norm(m)))
         return out
 
@@ -217,7 +217,7 @@ def disc_rep(M, q):
     # entry (n, n - 1) = lambda_n, and lambda_0 = 0 fills the unused slot
     Z = Diagonals(M, {-1: np.array(shift_weights(q, M)[:M], dtype=complex)})
     pres = builtin_presentation("disc")
-    mats = {"z": Z, "z*": Z.conj().T}
+    mats = {"z": Z, "z*": Z.adjoint()}
     return TruncatedRep(pres, M, math.sqrt(q), mats, mask=M - 1,
                         adjoint_pairs=(("z", "z*"),))
 
@@ -226,14 +226,9 @@ def disc_commrep(M, q):
     """Doubled representation with the off-diagonal block operator
     F = (1-q^2)^{-1} (0 Z; Z* 0)."""
     rep = disc_rep(M, q)
-    # each copy repeats the vectors; the zero slots of a shift keep the
-    # copies apart
-    mats = {g: Diagonals(2 * M, {k: np.tile(v, 2) for k, v in m.diags.items()})
-            for g, m in rep.mats.items()}
-    z, zs = rep.mats["z"].diags[-1], rep.mats["z*"].diags[1]
-    zero = np.zeros(M, dtype=complex)
-    F = Diagonals(2 * M, {M - 1: np.concatenate([z, zero]),
-                          1 - M: np.concatenate([zero, zs])}) / (1 - q * q)
+    zero = Diagonals(M, {})
+    mats = {g: Diagonals.block([[m, zero], [zero, m]]) for g, m in rep.mats.items()}
+    F = Diagonals.block([[zero, rep.mats["z"]], [rep.mats["z*"], zero]]) / (1 - q * q)
     rep2 = TruncatedRep(rep.pres, 2 * M, rep.s_value, mats, mask=M - 1,
                         adjoint_pairs=rep.adjoint_pairs, copies=2)
     return rep2, F
@@ -251,7 +246,7 @@ def numeric_verify(rep, F, calc, tol=1e-12):
     if adj:
         classes["star_compatibility"] = max(r for _, r in adj)
     mask_f = rep.masked(F)
-    classes["f_symmetry"] = _norm(mask_f - mask_f.conj().T)
+    classes["f_symmetry"] = _norm(mask_f - mask_f.adjoint())
     rows, comms = row_transport(calc, rep.poly_matrix, F)
     rows_detail = [(f"{label}.{gen}",
                     None if delta is None else _norm(rep.masked(delta)))
@@ -314,12 +309,11 @@ def weyl_rep(m):
     if m < 3:
         raise HilbertError("clock/shift model needs m >= 3")
     q = cmath.exp(2j * cmath.pi / m)
-    X = np.diag([q ** j for j in range(m)]).astype(complex)
-    Y = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        Y[(j + 1) % m, j] = 1.0
+    X = Diagonals(m, {0: np.array([q ** j for j in range(m)], dtype=complex)})
+    j = np.arange(m)
+    Y = Diagonals.from_entries(m, (j + 1) % m, j, np.ones(m))
     pres = builtin_presentation("real_plane")
-    mats = {"x": X, "y": Y, "yinv": Y.conj().T}
+    mats = {"x": X, "y": Y, "yinv": Y.adjoint()}
     s = cmath.exp(1j * cmath.pi / m)
     return TruncatedRep(pres, m, s, mats, mask=m,
                         adjoint_pairs=(("y", "yinv"),),
@@ -338,15 +332,15 @@ def weyl_commrep_residuals(m, tol=1e-12):
         raise HilbertError("exact row transport failed; cannot transport")
 
     def block_matrix(mx):
-        return np.block([[rep.poly_matrix(e) for e in row] for row in mx.entries])
+        return Diagonals.block([[rep.poly_matrix(e) for e in row] for row in mx.entries])
 
     Cnum = block_matrix(C)
     out = {}
     for gen in ("x", "y", "yinv"):
         rho = block_matrix(MatrixOverAlgebra.diagonal([pres.gen(gen)] * C.size))
         numeric = Cnum @ rho - rho @ Cnum
-        derived = sum(block_matrix(comms[label].scale_poly(coeff))
-                      for label, coeff in calc.dmap[gen].terms.items())
+        derived = sum((block_matrix(comms[label].scale_poly(coeff))
+                       for label, coeff in calc.dmap[gen].terms.items()), 0 * Cnum)
         out[gen] = _norm(numeric - derived)
     xy = rep.mats["x"] @ rep.mats["y"] - \
         _Q(1).evaluate(rep.s_value) * rep.mats["y"] @ rep.mats["x"]

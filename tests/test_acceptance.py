@@ -125,7 +125,7 @@ def test_criterion_7_disc_numeric():
 def test_criterion_8_root_of_unity_plane():
     m = 8
     rep = weyl_rep(m)
-    X, Y = rep.mats["x"], rep.mats["y"]
+    X, Y = rep.mats["x"].toarray(), rep.mats["y"].toarray()
     q = np.exp(2j * np.pi / m)
     ok = np.linalg.norm(X @ Y - q * Y @ X, 2) <= TOL
     good = calculus_consistency_report(builtin_calculus("pw-a"))

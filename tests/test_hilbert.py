@@ -202,6 +202,18 @@ def test_disc_numeric_scaled_to_4096():
     assert large["classes"] == small["classes"]
 
 
+def test_shipped_numeric_checks_take_no_dense_svd():
+    # the checks of the numeric benchmark workload: every residual they norm
+    # is a weighted partial permutation, so none needs the SVD
+    scenario = {"name": "numeric", "algebra": "disc", "checks": [
+        {"name": "disc_numeric", "dim": 512, "q": 0.5, "tol": TOL},
+        {"name": "weyl_numeric", "m": 64, "tol": TOL},
+        {"name": "ex3_symbolic", "M": 24}]}
+    with mock.patch.object(np.linalg, "norm", side_effect=AssertionError("dense SVD")):
+        checks = run_scenario(scenario)["checks"]
+    assert [check["status"] for check in checks] == ["pass"] * 3
+
+
 def test_disc_perturbation_detected_at_4096():
     # one stored entry of F far outside the 64-dimensional model
     M, q = 4096, 0.5
@@ -264,7 +276,13 @@ def test_diagonals_agree_with_csr_bit_for_bit(pair, c, data):
     assert same_bits(a + b, a_csr + b_csr)
     assert same_bits(a - b, a_csr - b_csr)
     assert same_bits(c * a, c * a_csr) and same_bits(a / c, a_csr / c)
-    assert same_bits(a.conj().T, a_csr.conj().T)
+    assert same_bits(a.adjoint(), a_csr.conj().T)
+    assert same_bits((1j * a).adjoint(), (1j * a_csr).conj().T)
+    size = data.draw(st.integers(1, 3))
+    grid = [[data.draw(st.sampled_from([(a, a_csr), (b, b_csr)])) for _ in range(size)]
+            for _ in range(size)]
+    assert same_bits(Diagonals.block([[ours for ours, _ in line] for line in grid]),
+                     sparse.bmat([[csr for _, csr in line] for line in grid]))
     idx = np.array(sorted(data.draw(st.sets(st.integers(0, a.dim - 1), min_size=1))))
     assert same_bits(a.restrict(idx), a_csr[idx][:, idx])
 
@@ -319,7 +337,8 @@ def test_norm_with_a_shared_row_or_column_takes_the_svd(perm, share_row, data):
 
 def test_norm_of_zero_and_stored_zeros():
     assert _norm(Diagonals(5, {})) == 0.0
-    assert _norm(np.zeros((3, 3), dtype=complex)) == 0.0
+    stored = Diagonals.from_entries(3, np.array([0, 1]), np.array([1, 1]), np.zeros(2))
+    assert _norm(stored) == 0.0
     zeros = Diagonals(3, {0: np.zeros(3, dtype=complex), 1: np.zeros(3, dtype=complex)})
     assert not zeros.any() and _norm(zeros) == 0.0
     # stored zeros beside the entries of a partial permutation keep the certificate
@@ -360,7 +379,7 @@ def test_summability_monotone_various_q():
 def test_weyl_relation_and_unitarity():
     m = 8
     rep = weyl_rep(m)
-    X, Y = rep.mats["x"], rep.mats["y"]
+    X, Y = rep.mats["x"].toarray(), rep.mats["y"].toarray()
     q = np.exp(2j * np.pi / m)
     assert np.linalg.norm(X @ Y - q * Y @ X, 2) <= TOL
     assert np.linalg.norm(X @ X.conj().T - np.eye(m), 2) <= TOL

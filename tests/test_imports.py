@@ -297,6 +297,29 @@ def test_only_the_document_readers_import_json():
     assert json_importers(sources) == ["cli", "dual", "rmatrix"]
 
 
+def dense_matrix_namers(sources):
+    """(module, line) of every attribute ``eye``, ``diag``, ``block`` or
+    ``ndarray`` of numpy (``np``) in ``sources``: every matrix of the
+    numeric models is a ``hilbert.Diagonals``, one format, so no module
+    builds a dense matrix or tests for one."""
+    dense = {"eye", "diag", "block", "ndarray"}
+    return sorted((module, node.lineno) for module, source in sources.items()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in dense
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def test_detects_a_dense_matrix_namer():
+    sources = {"a": "one = np.eye(n)\nx = np.diag(v)\n",
+               "b": "# np.block\nok = isinstance(m, np.ndarray)\nB = numpy.block(g)\n",
+               "c": "d = np.diagonal(m)\nB = Diagonals.block(g)\nz = np.zeros(3)\n"}
+    assert dense_matrix_namers(sources) == [("a", 1), ("a", 2), ("b", 2), ("b", 3)]
+
+
+def test_numeric_models_have_one_matrix_format():
+    assert dense_matrix_namers({path.stem: path.read_text() for path in MODULES}) == []
+
+
 NUMERIC = ("ncgv.hilbert", "numpy", "scipy")
 
 

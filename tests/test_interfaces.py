@@ -60,12 +60,10 @@ def test_fodc_from_doc_matches_build(tmp_path, ctx):
     assert perms == {"eps": [0, 2, 1, 3], "zeta_q": None}
 
 
-def test_character_loader(ctx, tmp_path):
+def test_character_loader(ctx):
     doc = {"name": "zeta_t", "values": {"v11": "q^2", "v12": "0",
                                         "v21": "0", "v22": "q^-2"}}
-    path = tmp_path / "char.json"
-    path.write_text(json.dumps(doc))
-    name = load_character(str(path), ctx)
+    name = load_character(doc, ctx)
     assert name == "zeta_t"
     from ncgv.scalars import QScalar
     assert ctx.character_values("zeta_t")["v11"] == QScalar.q_power(2)
