@@ -228,15 +228,14 @@ def check_star_closure(session, *, variant: Calculus = "disc"):
     return _from_statuses("star_closure", rows, variant=variant)
 
 
-def check_disc_numeric(session, *, dim=64, q=0.5, tol=1e-12, mask: int | None = None):
+def check_disc_numeric(session, *, dim=64, q=0.5, tol=1e-12):
     from .hilbert import disc_commrep, numeric_verify
 
     rep2, F = disc_commrep(dim, q)
-    if mask is not None:
-        rep2.mask = mask
     report = numeric_verify(rep2, F=F, calc=builtin_calculus("disc"), tol=tol)
     report["check"] = "disc_numeric"
     report["q"] = q
+    report["mask"] = dim - 1  # disc_commrep keeps dim - 1 indices of each copy
     return report
 
 
@@ -464,11 +463,6 @@ def _bind(item, overrides, algebra):
         q = kwargs.get("q", declared["q"].default)
         if not 0 < q < 1:
             raise ScenarioError(f"check {name!r} parameter 'q' must be in (0, 1), got {q!r}")
-    if name == "disc_numeric" and kwargs.get("mask") is not None:
-        dim = kwargs.get("dim", declared["dim"].default)
-        if not 1 <= kwargs["mask"] < dim:
-            raise ScenarioError(f"check {name!r} parameter 'mask' must be in "
-                                f"1..{dim - 1}, got {kwargs['mask']!r}")
     if name == "idempotence_random":
         samples = kwargs.get("samples", declared["samples"].default)
         n = len(kwargs.get("presentations", declared["presentations"].default))
@@ -572,18 +566,6 @@ def cmd_build_bicovariant(args):
     return 0
 
 
-def cmd_summability(args):
-    from .hilbert import HilbertError, summability_report
-
-    try:
-        report = summability_report(args.q, args.dim)
-    except HilbertError as e:
-        sys.stderr.write(f"summability error: {e}\n")
-        return 2
-    write_report(report, args.out)
-    return 0
-
-
 def cmd_eval(args):
     try:
         pres = builtin_presentation(args.algebra)
@@ -619,12 +601,6 @@ def main(argv=None):
     p.add_argument("--zeta", default="eps")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_build_bicovariant)
-
-    p = sub.add_parser("summability", help="trace-norm partial sums for the disc")
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_summability)
 
     p = sub.add_parser("eval", help="normal-form a word in a builtin algebra")
     p.add_argument("--algebra", default="slq2")

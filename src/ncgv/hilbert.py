@@ -2,15 +2,16 @@
 
 Numeric side: truncated weighted-shift representations of the quantum disc,
 clock/shift pairs for the root-of-unity plane, with masked residual checks
-(shift operators corrupt the top basis rows, so identities are asserted on a
-leading block only).  Every matrix of both models is a sum of a few weighted
-shifts (the clock is one diagonal, the cyclic shift two), so all of them are
-kept as their diagonals (``Diagonals``), and a block matrix is built by
-``Diagonals.block``.  A residual's masked spectral norm is exact: a weighted
-partial permutation (at most one nonzero in each row and column, as every
-residual of the shipped checks is) has norm max |entry|, and any other
-matrix takes a dense SVD.  The command line imports this module only when a
-scenario binds a numeric check, so an exact-only run does not load numpy.
+(shift operators corrupt the top basis rows, so identities are asserted on
+the indices that each model keeps).  Every matrix of both models is a sum of
+a few weighted shifts (the clock is one diagonal, the cyclic shift two), so
+all of them are kept as their diagonals (``Diagonals``), and a block matrix
+is built by ``Diagonals.block``.  A residual's masked spectral norm is
+exact: a weighted partial permutation (at most one nonzero in each row and
+column, as every residual of the shipped checks is) has norm max |entry|,
+and any other matrix takes a dense SVD.  The command line imports this
+module only when a scenario binds a numeric check, so an exact-only run does
+not load numpy.
 Symbolic side: the extended-plane representation on a formal module in the
 basis d_n e_n, d_n = lambda_1 ... lambda_n, where only lambda_n^2 =
 1 - q^(2n) enters, with an exact quotient coefficient ring, where zero means
@@ -151,22 +152,20 @@ def _norm(mat):
 
 
 class TruncatedRep:
-    """Finite matrix model with truncation metadata: a model made of
-    ``copies`` equal diagonal blocks asserts identities on the leading
-    mask x mask block of every copy only.  Its matrices, and all their
+    """Finite matrix model that asserts identities only on the rows and
+    columns ``keep`` (ascending), the indices its truncation leaves intact;
+    the builder of the model fixes them.  Its matrices, and all their
     products, are ``Diagonals``."""
 
-    def __init__(self, pres, dim, s_value, mats, mask, adjoint_pairs=(), notes=(),
-                 copies=1):
+    def __init__(self, pres, s_value, mats, keep, adjoint_pairs=(), notes=()):
         self.pres = pres
-        self.dim = dim
         self.s_value = complex(s_value)
         self.mats = dict(mats)
-        self.mask = mask
+        self.dim = next(iter(self.mats.values())).dim
+        self.keep = keep
         self.adjoint_pairs = tuple(adjoint_pairs)
         self.notes = tuple(notes)
-        self.copies = copies
-        self.one = Diagonals(dim, {0: np.ones(dim, dtype=complex)})
+        self.one = Diagonals(self.dim, {0: np.ones(self.dim, dtype=complex)})
 
     def word_matrix(self, w):
         out = self.one
@@ -181,9 +180,7 @@ class TruncatedRep:
         return out
 
     def masked(self, mat):
-        block = self.dim // self.copies
-        idx = (block * np.arange(self.copies)[:, None] + np.arange(self.mask)).ravel()
-        return mat.restrict(idx)
+        return mat.restrict(self.keep)
 
     def relation_residuals(self):
         residuals = self.pres.relation_residuals(self.word_matrix,
@@ -218,19 +215,21 @@ def disc_rep(M, q):
     Z = Diagonals(M, {-1: np.array(shift_weights(q, M)[:M], dtype=complex)})
     pres = builtin_presentation("disc")
     mats = {"z": Z, "z*": Z.adjoint()}
-    return TruncatedRep(pres, M, math.sqrt(q), mats, mask=M - 1,
+    # the top index n = M - 1 lacks its move to n = M
+    return TruncatedRep(pres, math.sqrt(q), mats, np.arange(M - 1),
                         adjoint_pairs=(("z", "z*"),))
 
 
 def disc_commrep(M, q):
     """Doubled representation with the off-diagonal block operator
-    F = (1-q^2)^{-1} (0 Z; Z* 0)."""
+    F = (1-q^2)^{-1} (0 Z; Z* 0); it keeps the indices that the disc keeps,
+    in each copy."""
     rep = disc_rep(M, q)
     zero = Diagonals(M, {})
     mats = {g: Diagonals.block([[m, zero], [zero, m]]) for g, m in rep.mats.items()}
     F = Diagonals.block([[zero, rep.mats["z"]], [rep.mats["z*"], zero]]) / (1 - q * q)
-    rep2 = TruncatedRep(rep.pres, 2 * M, rep.s_value, mats, mask=M - 1,
-                        adjoint_pairs=rep.adjoint_pairs, copies=2)
+    rep2 = TruncatedRep(rep.pres, rep.s_value, mats, np.concatenate([rep.keep, M + rep.keep]),
+                        adjoint_pairs=rep.adjoint_pairs)
     return rep2, F
 
 
@@ -256,7 +255,6 @@ def numeric_verify(rep, F, calc, tol=1e-12):
     report = {
         "check": "numeric_verify",
         "dim": rep.dim,
-        "mask": rep.mask,
         "tol": tol,
         "classes": classes,
         "rows": rows_detail,
@@ -315,7 +313,8 @@ def weyl_rep(m):
     pres = builtin_presentation("real_plane")
     mats = {"x": X, "y": Y, "yinv": Y.adjoint()}
     s = cmath.exp(1j * cmath.pi / m)
-    return TruncatedRep(pres, m, s, mats, mask=m,
+    # the cyclic model is exact, so it keeps every index
+    return TruncatedRep(pres, s, mats, np.arange(m),
                         adjoint_pairs=(("y", "yinv"),),
                         notes=("root-of-unity specialization q = exp(2 pi i/m)",))
 

@@ -125,13 +125,6 @@ def test_build_bicovariant_rejects_bad_character():
     assert "nope" in err
 
 
-def test_summability_subcommand(tmp_path):
-    out = tmp_path / "sum.json"
-    assert main(["summability", "--q", "0.5", "--dim", "64", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["difference"] <= 1e-12
-
-
 def test_eval_subcommand():
     code, stdout, _ = run_cli(["eval", "--algebra", "disc", "z* z"])
     assert code == 0
@@ -161,24 +154,6 @@ def test_run_scenario_override():
     assert report["status"] == "fail"
 
 
-@pytest.mark.parametrize("mask", [0, 40, 7.5])
-def test_disc_numeric_rejects_bad_mask(tmp_path, capsys, mask):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"name": "bad", "algebra": "disc", "checks": [
-        {"name": "disc_numeric", "dim": 16, "mask": mask, "tol": 1e-30}]}))
-    assert main(["verify", str(bad)]) == 2
-    assert "mask" in capsys.readouterr().err
-
-
-def test_disc_numeric_accepts_mask_in_range(tmp_path):
-    scenario = tmp_path / "ok.json"
-    scenario.write_text(json.dumps({"name": "ok", "algebra": "disc", "checks": [
-        {"name": "disc_numeric", "dim": 16, "mask": 8}]}))
-    out = tmp_path / "report.json"
-    assert main(["verify", str(scenario), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["checks"][0]["mask"] == 8
-
-
 def write_scenario(tmp_path, checks, algebra="slq2"):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"name": "t", "algebra": algebra, "checks": checks}))
@@ -199,6 +174,8 @@ def write_scenario(tmp_path, checks, algebra="slq2"):
     # a calculus file names its own zeta, so a second one would go unread
     ({"name": "fodc_validate", "zeta": "zeta_q", "file": "calc.json"}, "file"),
     ({"name": "fodc_validate", "zeta": "zeta_q", "file": "calc.json"}, "zeta"),
+    # the disc model fixes its own kept rows
+    ({"name": "disc_numeric", "dim": 16, "mask": 8}, "mask"),
 ])
 def test_bad_parameter_exits_2_naming_the_key(tmp_path, capsys, item, key):
     assert main(["verify", write_scenario(tmp_path, [item])]) == 2
@@ -243,14 +220,6 @@ def test_summability_without_terms_exits_2(tmp_path, capsys):
     path = write_scenario(tmp_path, [{"name": "summability", "dim": 0}], algebra="disc")
     assert main(["verify", path]) == 2
     assert "summability" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("args", [["--q", "1.5"], ["--dim", "0"]])
-def test_summability_subcommand_rejects_bad_input(args):
-    code, _, err = run_cli(["summability", *args])
-    assert code == 2
-    assert err.startswith("summability error:")
-    assert "Traceback" not in err
 
 
 def test_first_failure_consumes_only_the_first_witness():

@@ -13,9 +13,9 @@ from ncgv.algebra import confluence_check
 from ncgv.cli import run_scenario
 from ncgv.commrep import disc_block_c, quantum_space_commrep_report
 from ncgv.fodc import GammaElement, QuantumSpaceCalculus, builtin_calculus
-from ncgv.hilbert import (Diagonals, Ex3Model, HilbertError, SlotOperator, _lam2, _norm,
-                          disc_commrep, disc_rep, ex3_build, ex3_report, ex3_ring,
-                          numeric_verify, shift_weights, summability_report,
+from ncgv.hilbert import (Diagonals, Ex3Model, HilbertError, SlotOperator, TruncatedRep,
+                          _lam2, _norm, disc_commrep, disc_rep, ex3_build, ex3_report,
+                          ex3_ring, numeric_verify, shift_weights, summability_report,
                           weyl_commrep_residuals, weyl_rep)
 from ncgv.scalars import ONE, QScalar, ZERO
 
@@ -68,8 +68,9 @@ def test_disc_commutator_block_value():
     comm = (F @ rep2.mats["z"] - rep2.mats["z"] @ F).toarray()
     lower = comm[M:, :M]
     target = (np.eye(M) - Z.conj().T @ Z) / (q * q)
-    mask = rep2.mask
-    assert np.linalg.norm(lower[:mask, :mask] - target[:mask, :mask], 2) <= TOL
+    first = rep2.keep[rep2.keep < M]  # the kept indices of the first copy
+    kept = np.ix_(first, first)
+    assert np.linalg.norm(lower[kept] - target[kept], 2) <= TOL
 
 
 def one_entry(dim, i, j, value):
@@ -92,7 +93,7 @@ def test_disc_perturbation_detected():
 
 
 def test_disc_second_copy_perturbation_detected():
-    # the doubled model masks the leading block of both copies
+    # the doubled model keeps the leading block of both copies
     M, q = 32, 0.5
     rep2, F = disc_commrep(M, q)
     F2 = F + one_entry(2 * M, M + 3, 4, 1e-6)
@@ -142,12 +143,29 @@ def test_degenerate_f_flagged():
 def test_masked_residual_monotone_in_dimension():
     q = 0.5
     small = disc_rep(32, q)
-    large = disc_rep(64, q)
+    full = disc_rep(64, q)
     small_res = max(r for _, r in small.relation_residuals())
-    # same mask on the larger model: weights are dimension-independent
-    large.mask = 31
+    # same kept set on the larger model: weights are dimension-independent
+    large = TruncatedRep(full.pres, full.s_value, full.mats, np.arange(31),
+                         adjoint_pairs=full.adjoint_pairs)
     large_res = max(r for _, r in large.relation_residuals())
     assert large_res <= small_res + 1e-15
+
+
+@pytest.mark.parametrize("M", [16, 64])
+def test_doubled_disc_keeping_the_top_rows_fails(M):
+    q = 0.5
+    rep2, F = disc_commrep(M, q)
+    assert rep2.keep.tolist() == [*range(M - 1), *range(M, 2 * M - 1)]
+    calc = builtin_calculus("disc")
+    assert numeric_verify(rep2, F=F, calc=calc, tol=TOL)["status"] == "pass"
+    # the top row n = M - 1 of each copy lacks its move to n = M
+    mutant = TruncatedRep(rep2.pres, rep2.s_value, rep2.mats, np.arange(2 * M),
+                          adjoint_pairs=rep2.adjoint_pairs)
+    report = numeric_verify(mutant, F=F, calc=calc, tol=TOL)
+    assert report["status"] == "fail"
+    assert report["classes"]["relations"] > 0.9
+    assert report["classes"]["bimodule_rows"] > 5.0
 
 
 def test_disc_rejects_bad_parameters():
