@@ -14,7 +14,6 @@ by every later word.
 
 from __future__ import annotations
 
-from .exprparse import scalar_to_str
 from .scalars import ONE, REAL, ZERO, QScalar
 
 Word = tuple
@@ -336,7 +335,7 @@ class LinComb:
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"({scalar_to_str(c)})*{self._show(k)}"
+        return " + ".join(f"({repr(c)})*{self._show(k)}"
                           for k, c in self.sorted_terms())
 
     def __add__(self, other):

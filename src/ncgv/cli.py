@@ -14,8 +14,8 @@ still run.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 the scenario
 could not be loaded (parse error, missing reference, unknown check name, or
-an unknown, missing, mistyped or out-of-range check parameter), 3 at least
-one check raised an error.
+an unknown, missing, mistyped or out-of-range check parameter) or the report
+could not be written, 3 at least one check raised an error.
 """
 
 from __future__ import annotations
@@ -519,13 +519,19 @@ def run_bound(doc, bound, seed=0):
     }
 
 
-def write_report(report, out):
+def write_report(report, out, code):
+    """Write ``report`` to ``out`` or stdout; ``code``, or 2 if ``out`` fails."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return code
+    except OSError as e:
+        sys.stderr.write(f"cannot write report: {e}\n")
+        return 2
 
 
 # --------------------------------------------------------------------------
@@ -549,8 +555,7 @@ def cmd_verify(args):
         sys.stderr.write(f"scenario error: {e}\n")
         return 2
     report = run_bound(doc, bound, seed=args.seed)
-    write_report(report, args.out)
-    return EXIT_CODES[report["status"]]
+    return write_report(report, args.out, EXIT_CODES[report["status"]])
 
 
 def cmd_build_bicovariant(args):
@@ -562,8 +567,7 @@ def cmd_build_bicovariant(args):
     except Exception as e:  # validation failures carry witnesses
         sys.stderr.write(f"build failed: {e}\n")
         return 1
-    write_report(bicovariant_to_doc(B), args.out)
-    return 0
+    return write_report(bicovariant_to_doc(B), args.out, 0)
 
 
 def cmd_eval(args):

@@ -1,4 +1,5 @@
-"""Parsing and printing of scalar expressions in s and q = s^2.
+"""Parsing of scalar expressions in s and q = s^2 (a QScalar prints itself,
+re-parseably, as its repr).
 
 Grammar: integers, the names s and q, + - * / ^ and parentheses; exponents
 are integers k with |k| <= MAX_EXPONENT.  Used by every scalar input: the
@@ -141,9 +142,4 @@ def parse_scalar(text):
     if not isinstance(val, QScalar):
         val = ONE * val
     return val
-
-
-def scalar_to_str(x):
-    """Canonical, re-parseable rendering of a QScalar."""
-    return repr(x)
 

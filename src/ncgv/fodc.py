@@ -14,7 +14,7 @@ from functools import cached_property
 from .algebra import (LinComb, NCPoly, _accum, _concat, character_value, first_failure,
                       first_failures, nonzero_repr, row_statuses)
 from .dual import BF, CHAR, DualElement, LP, SLM, multiplicative
-from .exprparse import parse_scalar, scalar_to_str
+from .exprparse import parse_scalar
 from .linalg import MatrixOverAlgebra
 from .presentations import builtin_presentation
 from .scalars import ONE, QScalar, ZERO
@@ -507,7 +507,7 @@ def _letters_from_doc(items):
 
 def dual_element_to_doc(f):
     return [
-        {"coeff": scalar_to_str(c), "word": _letters_to_doc(w)}
+        {"coeff": repr(c), "word": _letters_to_doc(w)}
         for w, c in sorted(f.terms.items(), key=lambda kv: (len(kv[0]), repr(kv[0])))
     ]
 
@@ -529,8 +529,8 @@ def bicovariant_to_doc(B):
         "X": [dual_element_to_doc(x) for x in B.fodc.X],
         "f": [[dual_element_to_doc(e) for e in row] for row in B.fodc.f],
         "Omega": [dual_element_to_doc(o) for o in B.Omega],
-        "A": [[scalar_to_str(B.A[j][k]) for k in range(n)] for j in range(n)],
-        "TrA": scalar_to_str(B.TrA),
+        "A": [[repr(B.A[j][k]) for k in range(n)] for j in range(n)],
+        "TrA": repr(B.TrA),
         "C": dual_element_to_doc(B.C),
     }
 

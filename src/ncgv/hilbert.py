@@ -3,10 +3,11 @@
 Numeric side: truncated weighted-shift representations of the quantum disc,
 clock/shift pairs for the root-of-unity plane, with masked residual checks
 (shift operators corrupt the top basis rows, so identities are asserted on
-the indices that each model keeps).  Every matrix of both models is a sum of
-a few weighted shifts (the clock is one diagonal, the cyclic shift two), so
-all of them are kept as their diagonals (``Diagonals``), and a block matrix
-is built by ``Diagonals.block``.  A residual's masked spectral norm is
+the indices that each model keeps).  A model reads its relations, its star
+table and its block operators (``TruncatedRep.block_matrix``) from the
+algebra.  Every matrix of both models is a sum of a few weighted shifts (the
+clock is one diagonal, the cyclic shift two), so all of them are kept as
+their diagonals (``Diagonals``).  A residual's masked spectral norm is
 exact: a weighted partial permutation (at most one nonzero in each row and
 column, as every residual of the shipped checks is) has norm max |entry|,
 and any other matrix takes a dense SVD.  The command line imports this
@@ -26,8 +27,8 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraPresentation, LinComb, _accum, first_failure, row_statuses
-from .commrep import plane_block_c, quantum_space_commrep_report, row_transport
+from .algebra import AlgebraPresentation, LinComb, NCPoly, _accum, first_failure, row_statuses
+from .commrep import disc_block_c, plane_block_c, quantum_space_commrep_report, row_transport
 from .fodc import builtin_calculus
 from .linalg import MatrixOverAlgebra
 from .presentations import builtin_presentation
@@ -157,13 +158,12 @@ class TruncatedRep:
     the builder of the model fixes them.  Its matrices, and all their
     products, are ``Diagonals``."""
 
-    def __init__(self, pres, s_value, mats, keep, adjoint_pairs=(), notes=()):
+    def __init__(self, pres, s_value, mats, keep, notes=()):
         self.pres = pres
         self.s_value = complex(s_value)
         self.mats = dict(mats)
         self.dim = next(iter(self.mats.values())).dim
         self.keep = keep
-        self.adjoint_pairs = tuple(adjoint_pairs)
         self.notes = tuple(notes)
         self.one = Diagonals(self.dim, {0: np.ones(self.dim, dtype=complex)})
 
@@ -179,6 +179,10 @@ class TruncatedRep:
             out = out + c.evaluate(self.s_value) * self.word_matrix(w)
         return out
 
+    def block_matrix(self, mx):
+        """The image of a ``MatrixOverAlgebra``, entry by entry."""
+        return Diagonals.block([[self.poly_matrix(e) for e in row] for row in mx.entries])
+
     def masked(self, mat):
         return mat.restrict(self.keep)
 
@@ -188,10 +192,12 @@ class TruncatedRep:
         return [(" ".join(lhs), _norm(self.masked(m))) for lhs, _, m in residuals]
 
     def adjoint_residuals(self):
+        """pi(g*), g* from the star table, against adjoint(pi(g)) per generator g."""
         out = []
-        for g, gstar in self.adjoint_pairs:
-            m = self.masked(self.mats[gstar]) - self.masked(self.mats[g]).adjoint()
-            out.append((f"{gstar} = adjoint({g})", _norm(m)))
+        for g in self.pres.generators:
+            star = self.poly_matrix(NCPoly(self.pres, self.pres.star_word((g,))))
+            m = self.masked(star) - self.masked(self.mats[g]).adjoint()
+            out.append((f"star({g}) = adjoint({g})", _norm(m)))
         return out
 
 
@@ -216,21 +222,19 @@ def disc_rep(M, q):
     pres = builtin_presentation("disc")
     mats = {"z": Z, "z*": Z.adjoint()}
     # the top index n = M - 1 lacks its move to n = M
-    return TruncatedRep(pres, math.sqrt(q), mats, np.arange(M - 1),
-                        adjoint_pairs=(("z", "z*"),))
+    return TruncatedRep(pres, math.sqrt(q), mats, np.arange(M - 1))
 
 
 def disc_commrep(M, q):
-    """Doubled representation with the off-diagonal block operator
-    F = (1-q^2)^{-1} (0 Z; Z* 0); it keeps the indices that the disc keeps,
-    in each copy."""
+    """Doubled representation with the block operator F, the image of
+    ``commrep.disc_block_c``; it keeps the indices that the disc keeps, in
+    each copy."""
     rep = disc_rep(M, q)
-    zero = Diagonals(M, {})
-    mats = {g: Diagonals.block([[m, zero], [zero, m]]) for g, m in rep.mats.items()}
-    F = Diagonals.block([[zero, rep.mats["z"]], [rep.mats["z*"], zero]]) / (1 - q * q)
-    rep2 = TruncatedRep(rep.pres, rep.s_value, mats, np.concatenate([rep.keep, M + rep.keep]),
-                        adjoint_pairs=rep.adjoint_pairs)
-    return rep2, F
+    pres = rep.pres
+    mats = {g: rep.block_matrix(MatrixOverAlgebra.diagonal([pres.gen(g)] * 2))
+            for g in pres.generators}
+    rep2 = TruncatedRep(pres, rep.s_value, mats, np.concatenate([rep.keep, M + rep.keep]))
+    return rep2, rep.block_matrix(disc_block_c(pres))
 
 
 def numeric_verify(rep, F, calc, tol=1e-12):
@@ -267,8 +271,10 @@ def numeric_verify(rep, F, calc, tol=1e-12):
 
 
 def summability_report(q, M):
-    """Partial sums of the commutator eigenvalue sequence q^{2n+2} against
-    the closed geometric form, with the tail bound q^{2M+2}/(1-q^2)."""
+    """Partial sums of q^{2n+2}, the spectrum of 1 - z* z, against the closed
+    geometric form, with the tail bound q^{2M+2}/(1-q^2).  That is q^2 times
+    the commutator's: the corner of [F, rho(z)] has singular values q^{2n}
+    (1, 0.25, 0.0625, ... at q = 0.5), as ``disc_commutator_comparison`` records."""
     if not (0.0 < q < 1.0):
         raise HilbertError("summability needs 0 < q < 1")
     if M < 1:
@@ -279,8 +285,9 @@ def summability_report(q, M):
     for t in terms:
         acc += t
         partial.append(acc)
-    closed = q * q * (1 - q ** (2 * M)) / (1 - q * q)
-    tail = q ** (2 * M + 2) / (1 - q * q)
+    q2 = q * q
+    closed = q2 * (1 - q ** (2 * M)) / (1 - q2)
+    tail = q ** (2 * M + 2) / (1 - q2)
     return {
         "check": "summability",
         "q": q,
@@ -315,7 +322,6 @@ def weyl_rep(m):
     s = cmath.exp(1j * cmath.pi / m)
     # the cyclic model is exact, so it keeps every index
     return TruncatedRep(pres, s, mats, np.arange(m),
-                        adjoint_pairs=(("y", "yinv"),),
                         notes=("root-of-unity specialization q = exp(2 pi i/m)",))
 
 
@@ -329,27 +335,22 @@ def weyl_commrep_residuals(m, tol=1e-12):
     results, comms = quantum_space_commrep_report(calc, C)
     if not all(status == "pass" for _, status, _ in results):
         raise HilbertError("exact row transport failed; cannot transport")
-
-    def block_matrix(mx):
-        return Diagonals.block([[rep.poly_matrix(e) for e in row] for row in mx.entries])
-
-    Cnum = block_matrix(C)
+    Cnum = rep.block_matrix(C)
     out = {}
     for gen in ("x", "y", "yinv"):
-        rho = block_matrix(MatrixOverAlgebra.diagonal([pres.gen(gen)] * C.size))
+        rho = rep.block_matrix(MatrixOverAlgebra.diagonal([pres.gen(gen)] * C.size))
         numeric = Cnum @ rho - rho @ Cnum
-        derived = sum((block_matrix(comms[label].scale_poly(coeff))
+        derived = sum((rep.block_matrix(comms[label].scale_poly(coeff))
                        for label, coeff in calc.dmap[gen].terms.items()), 0 * Cnum)
         out[gen] = _norm(numeric - derived)
-    xy = rep.mats["x"] @ rep.mats["y"] - \
-        _Q(1).evaluate(rep.s_value) * rep.mats["y"] @ rep.mats["x"]
+    relation = max(r for _, r in rep.relation_residuals())
     return {
         "check": "weyl_commrep",
         "m": m,
         "tol": tol,
-        "weyl_relation_residual": _norm(xy),
+        "weyl_relation_residual": relation,
         "commutator_residuals": out,
-        "status": "pass" if _norm(xy) <= tol and all(v <= tol for v in out.values())
+        "status": "pass" if relation <= tol and all(v <= tol for v in out.values())
         else "fail",
         "notes": list(rep.notes),
     }

@@ -27,7 +27,6 @@ polynomial gcd and the content pass.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as _igcd
 
 REAL = "REAL"
@@ -251,11 +250,6 @@ class QScalar:
         return cls((n,) if n else ())
 
     @classmethod
-    def from_fraction(cls, fr):
-        fr = Fraction(fr)
-        return cls((fr.numerator,) if fr.numerator else (), (fr.denominator,))
-
-    @classmethod
     def s_power(cls, k):
         """s^k for any integer k."""
         if k >= 0:
@@ -425,8 +419,6 @@ def _coerce(x):
         return x
     if isinstance(x, int):
         return QScalar.from_int(x)
-    if isinstance(x, Fraction):
-        return QScalar.from_fraction(x)
     return NotImplemented
 
 

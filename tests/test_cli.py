@@ -125,6 +125,17 @@ def test_build_bicovariant_rejects_bad_character():
     assert "nope" in err
 
 
+@pytest.mark.parametrize("args", [["verify", "builtin:disc_unreachable_tol"],
+                                  ["build-bicovariant", "--zeta", "eps"]],
+                         ids=["verify", "build-bicovariant"])
+def test_unwritable_out_exits_2(tmp_path, args):
+    target = tmp_path / "missing" / "report.json"
+    code, stdout, err = run_cli([*args, "--out", str(target)])
+    assert code == 2
+    assert stdout == ""
+    assert err == f"cannot write report: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+
 def test_eval_subcommand():
     code, stdout, _ = run_cli(["eval", "--algebra", "disc", "z* z"])
     assert code == 0

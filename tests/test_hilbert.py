@@ -45,7 +45,7 @@ def test_disc_relation_residual():
     relations = rep.relation_residuals()
     adjoints = rep.adjoint_residuals()
     assert [lhs for lhs, _ in relations] == ["z* z"]
-    assert [pair for pair, _ in adjoints] == ["z* = adjoint(z)"]
+    assert [row for row, _ in adjoints] == ["star(z) = adjoint(z)", "star(z*) = adjoint(z*)"]
     assert all(r <= TOL for _, r in relations + adjoints)
 
 
@@ -146,8 +146,7 @@ def test_masked_residual_monotone_in_dimension():
     full = disc_rep(64, q)
     small_res = max(r for _, r in small.relation_residuals())
     # same kept set on the larger model: weights are dimension-independent
-    large = TruncatedRep(full.pres, full.s_value, full.mats, np.arange(31),
-                         adjoint_pairs=full.adjoint_pairs)
+    large = TruncatedRep(full.pres, full.s_value, full.mats, np.arange(31))
     large_res = max(r for _, r in large.relation_residuals())
     assert large_res <= small_res + 1e-15
 
@@ -160,12 +159,22 @@ def test_doubled_disc_keeping_the_top_rows_fails(M):
     calc = builtin_calculus("disc")
     assert numeric_verify(rep2, F=F, calc=calc, tol=TOL)["status"] == "pass"
     # the top row n = M - 1 of each copy lacks its move to n = M
-    mutant = TruncatedRep(rep2.pres, rep2.s_value, rep2.mats, np.arange(2 * M),
-                          adjoint_pairs=rep2.adjoint_pairs)
+    mutant = TruncatedRep(rep2.pres, rep2.s_value, rep2.mats, np.arange(2 * M))
     report = numeric_verify(mutant, F=F, calc=calc, tol=TOL)
     assert report["status"] == "fail"
     assert report["classes"]["relations"] > 0.9
     assert report["classes"]["bimodule_rows"] > 5.0
+
+
+def test_doubled_disc_with_a_scaled_star_image_fails():
+    M, q = 16, 0.5
+    rep2, F = disc_commrep(M, q)
+    Z = rep2.mats["z"]
+    mutant = TruncatedRep(rep2.pres, rep2.s_value, {"z": Z, "z*": 2 * Z.adjoint()},
+                          rep2.keep)
+    report = numeric_verify(mutant, F=F, calc=builtin_calculus("disc"), tol=TOL)
+    assert report["status"] == "fail"
+    assert report["classes"]["star_compatibility"] > 0.9
 
 
 def test_disc_rejects_bad_parameters():
@@ -403,7 +412,9 @@ def test_weyl_relation_and_unitarity():
     assert np.linalg.norm(X @ X.conj().T - np.eye(m), 2) <= TOL
     assert np.linalg.norm(Y @ Y.conj().T - np.eye(m), 2) <= TOL
     assert max(r for _, r in rep.relation_residuals()) <= TOL
-    assert max(r for _, r in rep.adjoint_residuals()) <= TOL
+    # unitary, but not a *-representation of real_plane's star x* = x, y* = y:
+    # X - X^H and Y - Y^H each have norm 2
+    assert [r for _, r in rep.adjoint_residuals()] == pytest.approx([2.0] * 3)
 
 
 def test_weyl_commutators_match_derived_images():
@@ -412,6 +423,19 @@ def test_weyl_commutators_match_derived_images():
     assert report["weyl_relation_residual"] <= TOL
     assert all(v <= TOL for v in report["commutator_residuals"].values())
     assert any("root-of-unity" in n for n in report["notes"])
+
+
+def test_weyl_with_the_shift_transposed_fails():
+    m = 8
+    rep = weyl_rep(m)
+    Y = rep.mats["y"]
+    mutant = TruncatedRep(rep.pres, rep.s_value, {"x": rep.mats["x"], "y": Y.adjoint(),
+                                                  "yinv": Y}, rep.keep, rep.notes)
+    with mock.patch.object(hilbert, "weyl_rep", lambda _: mutant):
+        report = weyl_commrep_residuals(m, tol=TOL)
+    assert report["status"] == "fail"
+    # X Y^T = q^-1 Y^T X, so x y - q y x has norm |q^-1 - q| = 2 sin(2 pi / m)
+    assert report["weyl_relation_residual"] == pytest.approx(2 * math.sin(2 * math.pi / m))
 
 
 def test_weyl_rejects_small_m():

@@ -320,6 +320,39 @@ def test_numeric_models_have_one_matrix_format():
     assert dense_matrix_namers({path.stem: path.read_text() for path in MODULES}) == []
 
 
+def scalar_evaluators(source):
+    """Lines of every call of a method ``evaluate`` in ``source`` outside the
+    methods of ``TruncatedRep``: a numeric model evaluates exact scalars only
+    where it maps the algebra (its words, polynomials and relations), so no
+    model types an exact scalar in by hand."""
+    tree = ast.parse(source)
+    owned = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+             and cls.name == "TruncatedRep" for node in ast.walk(cls)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "evaluate" and id(node) not in owned)
+
+
+def test_detects_a_scalar_evaluator():
+    source = ("class TruncatedRep:\n"
+              "    def poly_matrix(self, p):\n"
+              "        return [c.evaluate(self.s) for c in p]\n"
+              "    def relations(self):\n"
+              "        return f(lambda c: c.evaluate(self.s))\n"
+              "def weyl(rep):\n"
+              "    return _Q(1).evaluate(rep.s_value)\n"
+              "class Other:\n"
+              "    def run(self):\n"
+              "        evaluate = self.evaluate\n"
+              "        return self.c.evaluate(1j)\n")
+    assert scalar_evaluators(source) == [7, 11]
+
+
+def test_only_truncated_rep_evaluates_scalars_in_hilbert():
+    path = Path(ncgv.__file__).parent / "hilbert.py"
+    assert scalar_evaluators(path.read_text()) == []
+
+
 NUMERIC = ("ncgv.hilbert", "numpy", "scipy")
 
 

@@ -152,7 +152,7 @@ def test_rmatrix_yang_baxter_guard():
     bad_R = dict(R0.R)
     bad_R[(1, 1, 1, 1)] = QScalar.from_int(3)
     bad_inv = dict(R0.Rinv)
-    bad_inv[(1, 1, 1, 1)] = QScalar.from_fraction("1/3")
+    bad_inv[(1, 1, 1, 1)] = QScalar((1,), (3,))
     with pytest.raises(RMatrixError):
         RMatrixData("ybe_broken", 2, R0.c, bad_R, bad_inv)
 

@@ -10,7 +10,6 @@ no presentation files.
 import json
 from pathlib import Path
 
-from ncgv.exprparse import scalar_to_str
 from ncgv.linalg import MatrixOverAlgebra
 from ncgv.presentations import builtin_presentation
 from ncgv.rmatrix import builtin_rmatrix
@@ -22,7 +21,7 @@ PINNED = Path(__file__).resolve().parent / "data" / "slq2_presentation.json"
 def terms_doc(terms):
     """The term list [{"coeff", "word"}] of (word, coefficient) pairs, in the
     order given."""
-    return [{"coeff": scalar_to_str(c), "word": " ".join(w)} for w, c in terms]
+    return [{"coeff": repr(c), "word": " ".join(w)} for w, c in terms]
 
 
 def presentation_doc(pres):
@@ -32,7 +31,7 @@ def presentation_doc(pres):
     in term order, and the star mode."""
     def star(g):
         h, c = pres.star[g]
-        return h if c.is_one() else {"gen": h, "coeff": scalar_to_str(c)}
+        return h if c.is_one() else {"gen": h, "coeff": repr(c)}
 
     return {
         "name": pres.name,

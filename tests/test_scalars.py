@@ -8,7 +8,7 @@ import sympy
 from hypothesis import example, given, strategies as st
 
 import ncgv.scalars as scalar_module
-from ncgv.exprparse import MAX_EXPONENT, ScalarParseError, parse_scalar, scalar_to_str
+from ncgv.exprparse import MAX_EXPONENT, ScalarParseError, parse_scalar
 from ncgv.scalars import ONE, Q, QScalar, REAL, S, UNIT, ZERO, _pmul
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=5)
@@ -99,7 +99,7 @@ def test_parser_roundtrip():
     env_cases = ["q^2", "s^-1", "(1-q^2)/(1+q)", "-(q - q^-1)", "2*s^3 - 1"]
     for text in env_cases:
         x = parse_scalar(text)
-        y = parse_scalar(scalar_to_str(x))
+        y = parse_scalar(repr(x))
         assert x == y
 
 
