@@ -48,13 +48,8 @@ class AlgebraPresentation:
         self.rules = []
         for lhs, rhs in rules:
             self._add_rule(tuple(lhs), dict(rhs))
-        self.star = None
+        self.star = None if star is None else dict(star)
         if star is not None:
-            self.star = {}
-            for g, entry in star.items():
-                if isinstance(entry, str):
-                    entry = (entry, ONE)
-                self.star[g] = (entry[0], entry[1])
             self._check_star_involution()
         self._by_first = {}
         for lhs, rhs in self.rules:

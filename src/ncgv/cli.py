@@ -559,9 +559,10 @@ def cmd_verify(args):
 
 
 def cmd_build_bicovariant(args):
+    if args.zeta not in (names := sorted(shipped_characters())):
+        sys.stderr.write(f"build error: --zeta must be one of {names}, got {args.zeta!r}\n")
+        return 2
     try:
-        if args.algebra != "slq2":
-            raise ScenarioError("only the builtin slq2 algebra is available")
         ctx = make_slq2_context()
         B = bicovariant_build(ctx, args.zeta)
     except Exception as e:  # validation failures carry witnesses
@@ -601,7 +602,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("build-bicovariant", help="build and serialize a calculus")
-    p.add_argument("--algebra", default="slq2")
+    p.add_argument("--algebra", default="slq2", choices=["slq2"])
     p.add_argument("--zeta", default="eps")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_build_bicovariant)

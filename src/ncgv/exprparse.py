@@ -1,145 +1,78 @@
 """Parsing of scalar expressions in s and q = s^2 (a QScalar prints itself,
-re-parseably, as its repr).
-
-Grammar: integers, the names s and q, + - * / ^ and parentheses; exponents
-are integers k with |k| <= MAX_EXPONENT.  Used by every scalar input: the
-R-matrix, the characters, the coefficients of a serialized calculus and the
-``--coeff`` of ``ncgv eval``.
+re-parseably, as its repr), for the R-matrix, the characters, the
+coefficients of a serialized calculus and ``eval --coeff``.  Grammar:
+integers, s and q, + - * / and parentheses, with ^ or ** for powers; an
+exponent is an integer literal k, optionally signed or in parentheses, with
+|k| <= MAX_EXPONENT; at most 200 nested parentheses; surrounding whitespace
+is ignored.  Python's ``ast`` reads the text and a walker that accepts only
+these nodes computes its value: the text is never evaluated.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 import sys
 
-from .scalars import ONE, Q, QScalar, S
+from .scalars import Q, QScalar, S
 
 # The cost of a^k grows with the size of the result, so an unbounded exponent
 # in any scalar input would stall its loader; no shipped exponent is above 5.
 MAX_EXPONENT = 256
 
 _NAMES = {"s": S, "q": Q}
-
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv}
+_SIGNS = {ast.UAdd: lambda x: x, ast.USub: operator.neg}
 
 
 class ScalarParseError(ValueError):
     pass
 
 
-def _tokenize(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ScalarParseError(f"bad token at {text[pos:]!r}")
-        tok = m.group(1)
-        out.append("^" if tok == "**" else tok)
-        pos = m.end()
-    return out
+def _digits(match):
+    digits, limit = match.group(), getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(digits) > limit:  # int() refuses more; 0 or Python < 3.10.7: no limit
+        raise ScalarParseError(f"integer of {len(digits)} digits is out of range (max {limit})")
+    return str(int(digits))  # without the leading zeros that Python refuses
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
+def _exponent(node):
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+        return _SIGNS[type(node.op)](_exponent(node.operand))
+    if not (isinstance(node, ast.Constant) and type(node.value) is int):
+        raise ScalarParseError("integer exponent expected")
+    if node.value > MAX_EXPONENT:
+        raise ScalarParseError(f"exponent {node.value} is out of range (|k| <= {MAX_EXPONENT})")
+    return node.value
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
 
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expr(self):
-        val = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            rhs = self.term()
-            val = val + rhs if op == "+" else val - rhs
-        return val
-
-    def term(self):
-        val = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.next()
-            rhs = self.factor()
-            val = val * rhs if op == "*" else val / rhs
-        return val
-
-    def factor(self):
-        if self.peek() == "-":
-            self.next()
-            return -self.factor()
-        if self.peek() == "+":
-            self.next()
-            return self.factor()
-        val = self.atom()
-        if self.peek() == "^":
-            self.next()
-            val = val ** self.int_exponent()
-        return val
-
-    def int_exponent(self):
-        sign = 1
-        while self.peek() in ("-", "+"):
-            if self.next() == "-":
-                sign = -sign
-        tok = self.next()
-        if tok == "(":
-            k = self.int_exponent()
-            if self.next() != ")":
-                raise ScalarParseError("unclosed exponent parenthesis")
-            return sign * k
-        if tok is None or not tok.isdigit():
-            raise ScalarParseError("integer exponent expected")
-        # compare digit counts first: int() refuses strings of over 4300 digits
-        digits = tok.lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(tok) > MAX_EXPONENT:
-            raise ScalarParseError(f"exponent {'-' if sign < 0 else ''}{digits} is out "
-                                   f"of range (|k| <= {MAX_EXPONENT})")
-        return sign * int(tok)
-
-    def atom(self):
-        tok = self.next()
-        if tok == "(":
-            val = self.expr()
-            if self.next() != ")":
-                raise ScalarParseError("unbalanced parenthesis")
-            return val
-        if tok is None:
-            raise ScalarParseError("unexpected end of expression")
-        if tok.isdigit():
-            # int() refuses strings of more digits than this; 0, or a Python
-            # before 3.10.7, which has no such limit, means none
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if limit and len(tok) > limit:
-                raise ScalarParseError(f"integer literal of {len(tok)} digits is out "
-                                       f"of range (at most {limit} digits)")
-            return QScalar.from_int(int(tok))
-        if tok in _NAMES:
-            return _NAMES[tok]
-        raise ScalarParseError(f"unknown symbol {tok!r}")
+def _value(node):
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return QScalar.from_int(node.value)
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+        return _SIGNS[type(node.op)](_value(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_value(node.left), _value(node.right))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _value(node.left) ** _exponent(node.right)
+    raise ScalarParseError(f"unexpected {ast.unparse(node)!r}")
 
 
 def parse_scalar(text):
     """Parse a scalar expression in s and q.  Every expression without a
     value, a division by zero among them, raises ScalarParseError."""
-    toks = _tokenize(str(text))
-    if not toks:
-        raise ScalarParseError("empty expression")
-    p = _Parser(toks)
+    text = re.sub(r"\d+", _digits, " ".join(str(text).split()))
+    if not re.fullmatch(r"[0-9sq+\-*/^() ]*", text):
+        raise ScalarParseError(f"unexpected character in {text!r}")
     try:
-        val = p.expr()
+        return _value(ast.parse(text.replace("^", "**"), mode="eval").body)
+    except SyntaxError:
+        raise ScalarParseError(f"cannot parse {text!r}") from None
     except ZeroDivisionError:
         raise ScalarParseError(f"division by zero in {text!r}") from None
-    except RecursionError:
+    except (RecursionError, MemoryError):
         raise ScalarParseError("expression nested too deeply") from None
-    if p.peek() is not None:
-        raise ScalarParseError(f"trailing input {p.toks[p.i:]!r}")
-    if not isinstance(val, QScalar):
-        val = ONE * val
-    return val
-

@@ -196,9 +196,9 @@ def test_star_closure_fails_at_the_broken_rule():
     # y x = q x y is closed under x* = y, but x* = x, y* = y (an involution
     # too) stars it to x y = q^2 x y
     rules = [(("y", "x"), {("x", "y"): Q})]
-    good = AlgebraPresentation("toy", ["x", "y"], rules, star={"x": "y", "y": "x"})
+    good = AlgebraPresentation("toy", ["x", "y"], rules, star={"x": ("y", ONE), "y": ("x", ONE)})
     assert star_closure_report(good) == []
-    bad = AlgebraPresentation("toy", ["x", "y"], rules, star={"x": "x", "y": "y"})
+    bad = AlgebraPresentation("toy", ["x", "y"], rules, star={"x": ("x", ONE), "y": ("y", ONE)})
     assert star_closure_report(bad) == [(("y", "x"), bad.poly({("x", "y"): ONE - Q * Q}))]
 
 

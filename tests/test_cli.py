@@ -120,9 +120,17 @@ def test_build_bicovariant_deterministic(tmp_path):
 
 
 def test_build_bicovariant_rejects_bad_character():
-    code, _, err = run_cli(["build-bicovariant", "--zeta", "nope"])
-    assert code == 1
-    assert "nope" in err
+    # bad input exits 2, as in verify and eval; 1 is kept for a failed check
+    code, stdout, err = run_cli(["build-bicovariant", "--zeta", "nope"])
+    assert code == 2
+    assert stdout == ""
+    assert err == "build error: --zeta must be one of ['eps', 'zeta_q'], got 'nope'\n"
+
+
+def test_build_bicovariant_rejects_bad_algebra():
+    code, stdout, err = run_cli(["build-bicovariant", "--algebra", "nope"])
+    assert code == 2
+    assert stdout == "" and "invalid choice: 'nope'" in err
 
 
 @pytest.mark.parametrize("args", [["verify", "builtin:disc_unreachable_tol"],

@@ -122,6 +122,53 @@ def test_parser_bounds_the_exponent():
     assert parse_scalar("q^-2") == Q.inverse() * Q.inverse()
 
 
+@given(scalars())
+def test_parser_reads_every_repr(x):
+    # a QScalar prints itself re-parseably, also with the negative powers of
+    # its UNIT star
+    for y in (x, x.star(UNIT)):
+        assert parse_scalar(repr(y)) == y
+
+
+def nested(depth):
+    return "(" * depth + "s" + ")" * depth
+
+
+@pytest.mark.parametrize("text, value", [
+    ("007", QScalar.from_int(7)),
+    ("s^--2", Q),
+    ("s**2", Q),
+    ("-(2)^2", QScalar.from_int(-4)),
+    ("s^(+(-(2)))", Q.inverse()),
+    (" q", Q),
+    ("(s\n+1)", S + ONE),
+    ("s\n+1", S + ONE),
+    (nested(150), S),
+    ("q^-256", Q ** -256),
+])
+def test_parser_grammar_accepts(text, value):
+    assert parse_scalar(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "", "q +", "frob", "s^2^3", "2**3**2", "s^(1+1)", "s^s", "s//2", "1_000",
+    "0x10", "True", "1.5", "s q", "q^257", nested(400), "0" * 5000,
+])
+def test_parser_grammar_refuses(text):
+    with pytest.raises(ScalarParseError):
+        parse_scalar(text)
+
+
+def test_parser_bounds_of_the_python_grammar():
+    # trailing whitespace is ignored like leading whitespace; Python's parser
+    # reads at most 200 nested parentheses; a sum too long to walk is refused
+    assert parse_scalar("q ") == Q
+    assert parse_scalar(nested(200)) == S
+    for text in (nested(201), "+".join(["1"] * 5000)):
+        with pytest.raises(ScalarParseError):
+            parse_scalar(text)
+
+
 # -- oracle: canonical forms against sympy.cancel --------------------------------
 
 sym_s = sympy.Symbol("s")
